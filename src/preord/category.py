@@ -92,13 +92,13 @@ class Morph:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "map", tuple(int(x) for x in self.map))
+        object.__setattr__(self, "map", tuple(map(int, self.map)))
         if len(self.map) != self.dom.n:
             raise ValidationError(
                 f"map length {len(self.map)} does not match domain size {self.dom.n}")
-        if any(not (0 <= x < self.cod.n) for x in self.map):
+        if min(self.map) < 0 or max(self.map) >= self.cod.n:
             raise ValidationError("map image out of codomain range")
-        if not _monotone(self.map, self.dom.rel, self.cod.rel):
+        if not _monotone_map(self.map, self.dom, self.cod):
             raise ValidationError("map is not monotone")
 
     def __call__(self, a: int) -> int:
@@ -108,11 +108,31 @@ class Morph:
         return f"Morph({list(self.map)}: {self.dom.n}->{self.cod.n})"
 
 
-def _monotone(map_: Sequence[int], dom_rel: Rel, cod_rel: Rel) -> bool:
-    for a, b in dom_rel.pairs():
-        if not cod_rel.bits[map_[a], map_[b]]:
-            return False
-    return True
+def monotone_mask(vals: np.ndarray, dom: Rel, cod: Rel) -> np.ndarray:
+    """Row mask of the maps in `vals` (one image row each) that send every
+    related pair of dom to a related pair of cod."""
+    u, v = dom.pair_index
+    return np.logical_and.reduce(cod.bits.ravel()[vals[:, u] * cod.n + vals[:, v]], axis=1)
+
+
+def inverse_map(map_: Sequence[int], n: int) -> np.ndarray:
+    """A preimage under the map of each point of {0..n-1}, -1 off the image."""
+    inv = np.full(n, -1)
+    inv[list(map_)] = np.arange(len(map_))
+    return inv
+
+
+def _monotone_map(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
+    # one map: a Python loop beats numpy's per-call overhead
+    bits = cod.rel.bits
+    return all(bits[map_[a], map_[b]] for a, b in dom.rel.pair_list)
+
+
+def is_iso_map(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
+    """Is the map a monotone bijection dom -> cod with a monotone inverse?"""
+    if sorted(map_) != list(range(cod.n)) or len(map_) != dom.n:
+        return False
+    return _monotone_map(map_, dom, cod) and _monotone_map(inverse_map(map_, cod.n), cod, dom)
 
 
 def is_morphism(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
@@ -121,7 +141,7 @@ def is_morphism(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
         raise ValidationError("map length does not match domain size")
     if any(not (0 <= x < cod.n) for x in map_):
         raise ValidationError("map image out of codomain range")
-    return _monotone(map_, dom.rel, cod.rel)
+    return _monotone_map(map_, dom, cod)
 
 
 def identity(a: PreObj) -> Morph:
@@ -142,33 +162,48 @@ def is_trivial_object(a: PreObj) -> bool:
 
 def is_trivial_morphism(f: Morph) -> bool:
     """True iff related points share an image (factors through equality)."""
-    return all(f.map[a] == f.map[b] for a, b in f.dom.rel.pairs())
+    return all(f.map[a] == f.map[b] for a, b in f.dom.rel.pair_list)
 
 
 # ----------------------------------------------------------------------
 # hom-set enumeration
 
+# candidate grids up to this many cells are kept for reuse, at most 64 of
+# them, so the grid cache stays under 10 MB
+_GRID_CACHE_CELLS = 1 << 14
+
+
+def _candidate_grid(dom_n: int, cod_n: int) -> np.ndarray:
+    """Every map {0..dom_n-1} -> {0..cod_n-1}, one per row, lexicographic."""
+    grid = np.indices((cod_n,) * dom_n).reshape(dom_n, -1).T
+    grid.setflags(write=False)
+    return grid
+
+
+_cached_grid = lru_cache(maxsize=64)(_candidate_grid)
+
+
 @lru_cache(maxsize=8192)
 def monotone_maps(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All monotone maps dom -> cod as an int array, one map per row.
 
-    Rows come in lexicographic order of the image tuple.  Raises
-    BudgetError when cod.n ** dom.n exceeds the budget.  The returned
-    array is cached and write-protected; copy before mutating.
+    Rows come in lexicographic order of the image tuple.  The budget
+    bounds the candidate grid, cod.n ** dom.n maps of dom.n cells each:
+    BudgetError is raised, before anything is allocated, when that cell
+    count exceeds it.  The grid is filtered in slices of bounded size, and
+    only small grids are kept for reuse.
+    The returned array is cached and write-protected; copy before mutating.
     """
-    total = cod.n ** dom.n
-    if total > budget:
-        raise BudgetError(f"{total} candidate maps exceed budget {budget}")
-    idx = np.arange(total)
-    cols = []
-    for i in range(dom.n):
-        stride = cod.n ** (dom.n - 1 - i)
-        cols.append((idx // stride) % cod.n)
-    maps = np.stack(cols, axis=1) if cols else np.zeros((total, 0), dtype=int)
-    keep = np.ones(total, dtype=bool)
-    for a, b in dom.rel.pairs():
-        keep &= cod.rel.bits[maps[:, a], maps[:, b]]
-    out = maps[keep]
+    cells = cod.n ** dom.n * dom.n
+    if cells > budget:
+        raise BudgetError(f"{cod.n ** dom.n} candidate maps x {dom.n} cells "
+                          f"exceed budget {budget}")
+    grid = (_cached_grid if cells <= _GRID_CACHE_CELLS else _candidate_grid)(dom.n, cod.n)
+    step = _GRID_CACHE_CELLS // max(1, dom.rel.pair_index.shape[1])
+    keep = np.empty(len(grid), dtype=bool)
+    for i in range(0, len(grid), step):
+        keep[i:i + step] = monotone_mask(grid[i:i + step], dom.rel, cod.rel)
+    out = grid[keep]
     out.setflags(write=False)
     return out
 

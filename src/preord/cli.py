@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success or a verified property, 1 for a property or
 verdict failure (counterexample or diagnosis on stdout), 2 for usage,
-parse, validation or budget errors.
+parse, validation or budget errors and for files that cannot be read.
 """
 
 from __future__ import annotations
@@ -262,10 +262,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except PreordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (PreordError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -55,8 +55,10 @@ def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
         bits[:, diag, diag] = True
         for t, (i, j) in enumerate(cells):
             bits[:, i, j] = ((codes >> (k - 1 - t)) & 1).astype(bool)
-        u = bits.astype(np.uint8)
-        ok = ((np.matmul(u, u) > 0) <= bits).all(axis=(1, 2))
+        # float32 counts the (at most n) witnesses exactly and, on batches of
+        # tiny matrices, multiplies faster than bool or uint8
+        w = bits.astype(np.float32)
+        ok = ((np.matmul(w, w) > 0) <= bits).all(axis=(1, 2))
         if kind == "equivalence":
             ok &= (bits == bits.transpose(0, 2, 1)).all(axis=(1, 2))
         elif kind == "partial_order":

@@ -8,7 +8,10 @@ Both exist canonically and are unique up to a unique isomorphism, which
 is what `is_prekernel` / `is_precokernel` exploit: instead of quantifying
 over the whole (infinite) category they compare against the canonical
 construction.  The definitional verifiers below do quantify, over a
-finite list of probe objects, and serve as independent oracles.
+finite list of probe objects, and serve as independent oracles.  They run
+on one engine that checks the whole hom array of each probe at once; the
+class-relative checks of `preord.pretorsion` share it, passing their own
+row-wise triviality predicate.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .category import (
-    Morph, PreObj, compose, is_trivial_morphism, monotone_maps,
+    Morph, PreObj, compose, inverse_map, is_epi, is_iso_map, is_mono,
+    is_trivial_morphism, monotone_mask, monotone_maps,
     DEFAULT_BUDGET,
 )
 from .errors import ValidationError
@@ -111,17 +115,9 @@ def prekernel_witness(k: Morph, f: Morph) -> Morph | None:
     if not is_trivial_morphism(compose(f, k)):
         return None
     x_can = prekernel(f).dom
-    if sorted(k.map) != list(range(x_can.n)):
+    if not is_iso_map(k.map, k.dom, x_can):
         return None
-    # monotone into the cut-down relation is automatic given f o k trivial,
-    # but the inverse direction is not
-    inv = [0] * x_can.n
-    for i, v in enumerate(k.map):
-        inv[v] = i
-    u = Morph(k.dom, x_can, k.map)
-    if not _monotone_map(inv, x_can, k.dom):
-        return None
-    return u
+    return Morph(k.dom, x_can, k.map)
 
 
 def precokernel_witness(p: Morph, f: Morph) -> Morph | None:
@@ -139,21 +135,9 @@ def precokernel_witness(p: Morph, f: Morph) -> Morph | None:
             phi[cls] = p.map[b]
         elif phi[cls] != p.map[b]:
             return None  # p does not respect the canonical collapse
-    vals = [v for v in phi if v is not None]
-    if len(vals) != q.n or sorted(vals) != list(range(p.cod.n)):
+    if None in phi or not is_iso_map(phi, q, p.cod):
         return None
-    if not _monotone_map(vals, q, p.cod):
-        return None
-    inv = [0] * p.cod.n
-    for i, v in enumerate(vals):
-        inv[v] = i
-    if not _monotone_map(inv, p.cod, q):
-        return None
-    return Morph(q, p.cod, tuple(vals))
-
-
-def _monotone_map(map_, dom: PreObj, cod: PreObj) -> bool:
-    return all(cod.rel.bits[map_[a], map_[b]] for a, b in dom.rel.pairs())
+    return Morph(q, p.cod, tuple(phi))
 
 
 def is_prekernel(k: Morph, f: Morph) -> bool:
@@ -165,57 +149,99 @@ def is_precokernel(p: Morph, f: Morph) -> bool:
 
 
 # ----------------------------------------------------------------------
-# definitional verifiers (bounded universal properties, used as oracles)
+# the universal-property engine and the definitional verifiers
+
+def plain_trivial(rows: np.ndarray, dom: PreObj, cod: PreObj) -> np.ndarray:
+    """Row-wise triviality predicate of the engine: related points share an
+    image.  A class-relative predicate has the same signature."""
+    u, v = dom.rel.pair_index
+    return np.logical_and.reduce(rows[:, u] == rows[:, v], axis=1)
+
+
+def _exactly_one_match(targets: np.ndarray, candidates: np.ndarray, base: int) -> np.ndarray:
+    """Per target row: does exactly one candidate row equal it?  Rows with
+    entries below `base` are compared by their base-`base` integer codes."""
+    weights = base ** np.arange(targets.shape[1] - 1, -1, -1, dtype=np.int64)
+    have = np.sort(candidates @ weights)
+    codes = targets @ weights
+    return np.searchsorted(have, codes, "right") - np.searchsorted(have, codes) == 1
+
+
+def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,
+                       budget: int) -> bool:
+    """The prekernel universal property over probes, one hom array at a time.
+
+    f o k must be trivial, and for every probe Y and every lam: Y -> dom(f)
+    with f o lam trivial there must be exactly one lam' with k o lam' = lam.
+    `trivial(rows, dom, cod)` says which rows of maps dom -> cod count as
+    trivial.  For injective k, lam' = k^-1 o lam must exist and be monotone;
+    otherwise the factorizations are counted by matching row codes against
+    k o hom(Y, dom k).  Triviality is asked only of the rows that fail to
+    factor, so a costly class-relative predicate runs rarely.
+    """
+    if k.cod != f.dom:
+        raise ValidationError("candidate prekernel must land in the domain of f")
+    if not trivial(np.array([compose(f, k).map]), k.dom, f.cod)[0]:
+        return False
+    fmap, kmap = np.array(f.map), np.array(k.map)
+    inv = inverse_map(k.map, f.dom.n) if is_mono(k) else None
+    for y in tests:
+        lams = monotone_maps(y, f.dom, budget)
+        if inv is not None:
+            primes = inv[lams]
+            ok = (primes >= 0).all(axis=1)
+            ok[ok] = monotone_mask(primes[ok], y.rel, k.dom.rel)
+        else:
+            ok = _exactly_one_match(lams, kmap[monotone_maps(y, k.dom, budget)], f.dom.n)
+        if not ok.all() and trivial(fmap[lams[~ok]], y, f.cod).any():
+            return False
+    return True
+
+
+def precokernel_property(p: Morph, f: Morph, tests: list[PreObj], trivial,
+                         budget: int) -> bool:
+    """Dual engine: p o f trivial, and unique factorization lam = lam' o p
+    for every lam: cod(f) -> T with lam o f trivial.
+
+    For surjective p, lam' is forced through a section of p: it must be
+    consistent on the fibres of p and monotone.  Otherwise the
+    factorizations are counted by matching row codes.
+    """
+    if p.dom != f.cod:
+        raise ValidationError("candidate precokernel must start at the codomain of f")
+    if not trivial(np.array([compose(p, f).map]), f.dom, p.cod)[0]:
+        return False
+    fmap, pmap = np.array(f.map), np.array(p.map)
+    section = inverse_map(p.map, p.cod.n) if is_epi(p) else None
+    for t in tests:
+        lams = monotone_maps(f.cod, t, budget)
+        if section is not None:
+            forced = lams[:, section]
+            ok = (forced[:, pmap] == lams).all(axis=1) & monotone_mask(forced, p.cod.rel, t.rel)
+        else:
+            ok = _exactly_one_match(lams, monotone_maps(p.cod, t, budget)[:, pmap], t.n)
+        if not ok.all() and trivial(lams[~ok][:, fmap], f.dom, t).any():
+            return False
+    return True
+
 
 def verify_prekernel_definitional(k: Morph, f: Morph, tests: list[PreObj],
                                   budget: int = DEFAULT_BUDGET) -> bool:
     """Check the prekernel universal property against probe objects.
 
     For every probe Y and every morphism lam: Y -> dom(f) with f o lam
-    trivial there must be exactly one lam' with k o lam' = lam.
+    trivial there must be exactly one lam' with k o lam' = lam.  This is
+    `prekernel_property` with plain triviality, which checks each probe's
+    whole hom array at once.
     """
-    if k.cod != f.dom:
-        raise ValidationError("candidate prekernel must land in the domain of f")
-    if not is_trivial_morphism(compose(f, k)):
-        return False
-    fmap = np.array(f.map)
-    kmap = np.array(k.map)
-    for y in tests:
-        lams = monotone_maps(y, f.dom, budget)
-        primes = monotone_maps(y, k.dom, budget)
-        k_after = kmap[primes] if len(primes) else primes
-        triv = np.ones(len(lams), dtype=bool)
-        for u, v in y.rel.pairs():
-            triv &= fmap[lams[:, u]] == fmap[lams[:, v]]
-        for lam in lams[triv]:
-            matches = (k_after == lam).all(axis=1).sum() if len(primes) else 0
-            if matches != 1:
-                return False
-    return True
+    return prekernel_property(k, f, tests, plain_trivial, budget)
 
 
 def verify_precokernel_definitional(p: Morph, f: Morph, tests: list[PreObj],
                                     budget: int = DEFAULT_BUDGET) -> bool:
     """Dual check: unique factorization through p for every lam with
-    lam o f trivial."""
-    if p.dom != f.cod:
-        raise ValidationError("candidate precokernel must start at the codomain of f")
-    if not is_trivial_morphism(compose(p, f)):
-        return False
-    pmap = list(p.map)
-    fmap = list(f.map)
-    for t in tests:
-        lams = monotone_maps(f.cod, t, budget)
-        after = monotone_maps(p.cod, t, budget)
-        p_before = after[:, pmap] if len(after) else after
-        triv = np.ones(len(lams), dtype=bool)
-        for a, b in f.dom.rel.pairs():
-            triv &= lams[:, fmap[a]] == lams[:, fmap[b]]
-        for lam in lams[triv]:
-            matches = (p_before == lam).all(axis=1).sum() if len(after) else 0
-            if matches != 1:
-                return False
-    return True
+    lam o f trivial, by `precokernel_property` with plain triviality."""
+    return precokernel_property(p, f, tests, plain_trivial, budget)
 
 
 # ----------------------------------------------------------------------
@@ -262,10 +288,7 @@ def characterize_preexact(s: Seq) -> tuple[Morph, Morph]:
     if sorted(vals) != list(range(q.n)):
         raise ValidationError("right witness is not bijective")
     right = Morph(g.cod, q, tuple(vals))
-    inv = [0] * q.n
-    for i, v in enumerate(vals):
-        inv[v] = i
-    if not _monotone_map(inv, q, g.cod):
+    if not is_iso_map(vals, g.cod, q):
         raise ValidationError("right witness inverse is not monotone")
     return left, right
 

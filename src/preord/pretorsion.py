@@ -12,6 +12,13 @@ The concrete instance: T = objects whose relation is an equivalence,
 F = objects whose relation is a partial order, Z = equality-relation
 objects, and the canonical sequence of any object is its symmetric-core
 inclusion followed by the quotient-poset projection.
+
+The checks run a whole hom array at a time.  The relative pre(co)kernel
+checks hand each probe's `monotone_maps` array to the engine of
+`preord.exactness` with a row-wise triviality predicate: one column
+comparison per related pair when Z is exactly the equality-relation
+objects, a factorization search per row otherwise.  Axiom 2 applies the
+same predicate to each hom array from a T-member to an F-member.
 """
 
 from __future__ import annotations
@@ -22,12 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .category import (
-    Morph, PreObj, compose, is_epi, is_mono, is_trivial_morphism,
-    is_trivial_object, monotone_maps, DEFAULT_BUDGET,
+    Morph, PreObj, is_iso_map, is_trivial_morphism, is_trivial_object,
+    monotone_maps, DEFAULT_BUDGET,
 )
 from .decompose import quotient_poset, symmetric_core
 from .errors import ValidationError
-from .exactness import Seq
+from .exactness import Seq, plain_trivial, precokernel_property, prekernel_property
 from .enumeration import objects_upto
 
 __all__ = [
@@ -110,105 +117,39 @@ def factors_through(f: Morph, cls: ObjClass, budget: int = DEFAULT_BUDGET) -> bo
 def _map_factors_through(map_row, dom: PreObj, cod: PreObj, cls: ObjClass,
                          budget: int) -> bool:
     if cls.trivial_exact:
-        return all(map_row[a] == map_row[b] for a, b in dom.rel.pairs())
+        return all(map_row[a] == map_row[b] for a, b in dom.rel.pair_list)
+    row = np.asarray(map_row)
     for z0 in cls.candidates(dom.n):
-        outs = monotone_maps(dom, z0, budget)
-        if len(outs) == 0:
-            continue
-        ins = monotone_maps(z0, cod, budget)
-        if len(ins) == 0:
-            continue
-        for g in outs:
-            # h is pinned on the image of g; check consistency, then
-            # look for a monotone completion
-            forced: dict[int, int] = {}
-            ok = True
-            for a in range(dom.n):
-                pos, val = int(g[a]), map_row[a]
-                if forced.setdefault(pos, val) != val:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            sel = np.ones(len(ins), dtype=bool)
-            for pos, val in forced.items():
-                sel &= ins[:, pos] == val
-            if sel.any():
-                return True
+        outs, ins = monotone_maps(dom, z0, budget), monotone_maps(z0, cod, budget)
+        # g pins h on its image; look for a monotone h with h o g = the map
+        if any((ins[:, g] == row).all(axis=1).any() for g in outs):
+            return True
     return False
+
+
+def _class_trivial(cls: ObjClass, budget: int):
+    """Row-wise triviality relative to the class, as the engine expects it:
+    the pairwise criterion for a trivial_exact class, else a factorization
+    search per row."""
+    if cls.trivial_exact:
+        return plain_trivial
+    return lambda rows, dom, cod: np.array(
+        [_map_factors_through(row.tolist(), dom, cod, cls, budget) for row in rows],
+        dtype=bool)
 
 
 def relative_prekernel_check(k: Morph, f: Morph, cls: ObjClass,
                              tests: list[PreObj],
                              budget: int = DEFAULT_BUDGET) -> bool:
     """Definitional prekernel property relative to the class, over probes."""
-    if k.cod != f.dom:
-        raise ValidationError("candidate prekernel must land in the domain of f")
-    if not factors_through(compose(f, k), cls, budget):
-        return False
-    fmap = np.array(f.map)
-    injective = is_mono(k)
-    inv = {v: i for i, v in enumerate(k.map)} if injective else None
-    kmap = np.array(k.map)
-    for y in tests:
-        lams = monotone_maps(y, f.dom, budget)
-        primes = None if injective else monotone_maps(y, k.dom, budget)
-        for lam in lams:
-            comp = [int(fmap[v]) for v in lam]
-            if not _map_factors_through(comp, y, f.cod, cls, budget):
-                continue
-            if injective:
-                if any(int(v) not in inv for v in lam):
-                    return False
-                prime = [inv[int(v)] for v in lam]
-                if not _monotone_rows(prime, y, k.dom):
-                    return False
-            else:
-                matches = (kmap[primes] == lam).all(axis=1).sum() if len(primes) else 0
-                if matches != 1:
-                    return False
-    return True
+    return prekernel_property(k, f, tests, _class_trivial(cls, budget), budget)
 
 
 def relative_precokernel_check(p: Morph, f: Morph, cls: ObjClass,
                                tests: list[PreObj],
                                budget: int = DEFAULT_BUDGET) -> bool:
     """Definitional precokernel property relative to the class, over probes."""
-    if p.dom != f.cod:
-        raise ValidationError("candidate precokernel must start at the codomain of f")
-    if not factors_through(compose(p, f), cls, budget):
-        return False
-    surjective = is_epi(p)
-    pmap = list(p.map)
-    fmap = list(f.map)
-    for t in tests:
-        lams = monotone_maps(f.cod, t, budget)
-        after = None if surjective else monotone_maps(p.cod, t, budget)
-        for lam in lams:
-            comp = [int(lam[fmap[a]]) for a in range(f.dom.n)]
-            if not _map_factors_through(comp, f.dom, t, cls, budget):
-                continue
-            if surjective:
-                forced: list[int | None] = [None] * p.cod.n
-                ok = True
-                for b in range(f.cod.n):
-                    pos, val = pmap[b], int(lam[b])
-                    if forced[pos] is None:
-                        forced[pos] = val
-                    elif forced[pos] != val:
-                        ok = False
-                        break
-                if not ok or not _monotone_rows([int(v) for v in forced], p.cod, t):
-                    return False
-            else:
-                matches = (after[:, pmap] == lam).all(axis=1).sum() if len(after) else 0
-                if matches != 1:
-                    return False
-    return True
-
-
-def _monotone_rows(map_, dom: PreObj, cod: PreObj) -> bool:
-    return all(cod.rel.bits[map_[a], map_[b]] for a, b in dom.rel.pairs())
+    return precokernel_property(p, f, tests, _class_trivial(cls, budget), budget)
 
 
 def relative_preexact(f: Morph, g: Morph, cls: ObjClass, tests: list[PreObj],
@@ -220,23 +161,14 @@ def relative_preexact(f: Morph, g: Morph, cls: ObjClass, tests: list[PreObj],
             and relative_precokernel_check(g, f, cls, tests, budget))
 
 
-def _is_iso(f: Morph) -> bool:
-    if sorted(f.map) != list(range(f.cod.n)):
-        return False
-    inv = [0] * f.cod.n
-    for i, v in enumerate(f.map):
-        inv[v] = i
-    return _monotone_rows(inv, f.cod, f.dom)
-
-
 def ends_trivial_iff_iso(f: Morph, g: Morph, cls: ObjClass, tests: list[PreObj],
                          budget: int = DEFAULT_BUDGET) -> bool:
     """On a relative preexact sequence: one end is class-trivial exactly
     when the other is an isomorphism (both directions checked)."""
     if not relative_preexact(f, g, cls, tests, budget):
         raise ValidationError("sequence is not preexact relative to the class")
-    a = factors_through(f, cls, budget) == _is_iso(g)
-    b = factors_through(g, cls, budget) == _is_iso(f)
+    a = factors_through(f, cls, budget) == is_iso_map(g.map, g.dom, g.cod)
+    b = factors_through(g, cls, budget) == is_iso_map(f.map, f.dom, f.cod)
     return a and b
 
 
@@ -322,9 +254,11 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
 
     Axiom 1 is checked through the canonical torsion sequence of each
     object (ends in the classes, relative preexactness probed with all
-    objects one size down).  Axiom 2 enumerates every morphism from a
-    t-member to an f-member and asks it to factor through the
-    intersection class.
+    objects one size down).  Axiom 2 takes the hom array from every
+    t-member to every f-member and asks each of its rows to factor
+    through the intersection class.  Both test whole arrays at once;
+    maps_checked counts the maps up to and including the first that
+    fails, in the lexicographic order of the hom arrays.
     """
     z, z_trivial = _null_class(t, f, max_n)
     probes = objects_upto(max(1, max_n - 1), "preorder")
@@ -342,24 +276,19 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
         if not relative_preexact(seq.f, seq.g, z, probes, budget):
             axiom1_ok, ax1_witness = False, (b, "canonical sequence is not relatively preexact")
             break
-    axiom2_ok, ax2_witness = True, None
-    maps_checked = 0
-    for tb in t.candidates(max_n):
-        for fb in f.candidates(max_n):
-            for row in monotone_maps(tb, fb, budget):
-                maps_checked += 1
-                if not _map_factors_through([int(v) for v in row], tb, fb, z, budget):
-                    axiom2_ok = False
-                    ax2_witness = (tb, fb, tuple(int(v) for v in row))
-                    break
-            if not axiom2_ok:
-                break
-        if not axiom2_ok:
+    trivial = _class_trivial(z, budget)
+    ax2_witness, maps_checked = None, 0
+    for tb, fb in ((tb, fb) for tb in t.candidates(max_n) for fb in f.candidates(max_n)):
+        rows = monotone_maps(tb, fb, budget)
+        bad = np.flatnonzero(~trivial(rows, tb, fb))
+        maps_checked += int(bad[0]) + 1 if len(bad) else len(rows)
+        if len(bad):
+            ax2_witness = (tb, fb, tuple(int(v) for v in rows[bad[0]]))
             break
     return PretorsionReport(
         torsion_name=t.name, torsionfree_name=f.name, max_n=max_n,
         axiom1_ok=axiom1_ok, axiom1_counterexample=ax1_witness,
-        axiom2_ok=axiom2_ok, axiom2_counterexample=ax2_witness,
+        axiom2_ok=ax2_witness is None, axiom2_counterexample=ax2_witness,
         objects_checked=checked, maps_checked=maps_checked,
         null_class_is_trivial=z_trivial,
     )
@@ -375,16 +304,11 @@ def closure_prop_check(x: PreObj, t: ObjClass, f: ObjClass, max_n: int,
     hold on the range.
     """
     z, _ = _null_class(t, f, max_n)
-    hyp_f = all(
-        _map_factors_through([int(v) for v in row], x, fb, z, budget)
-        for fb in f.candidates(max_n)
-        for row in monotone_maps(x, fb, budget)
-    )
+    trivial = _class_trivial(z, budget)
+    hyp_f = all(trivial(monotone_maps(x, fb, budget), x, fb).all()
+                for fb in f.candidates(max_n))
     imp1 = (not hyp_f) or t.contains(x)
-    hyp_t = all(
-        _map_factors_through([int(v) for v in row], tb, x, z, budget)
-        for tb in t.candidates(max_n)
-        for row in monotone_maps(tb, x, budget)
-    )
+    hyp_t = all(trivial(monotone_maps(tb, x, budget), tb, x).all()
+                for tb in t.candidates(max_n))
     imp2 = (not hyp_t) or f.contains(x)
     return imp1 and imp2

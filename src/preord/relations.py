@@ -10,6 +10,7 @@ category layer rejects empty objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -87,11 +88,26 @@ class Rel:
     def __repr__(self) -> str:
         return f"Rel({self.n}, {sorted(self.pairs())})"
 
+    @cached_property
+    def pair_index(self) -> np.ndarray:
+        """Off-diagonal related pairs as a read-only 2 x m int array.
+
+        Row 0 holds the sources and row 1 the targets, in row-major order,
+        so `u, v = rel.pair_index` indexes whole columns of map arrays.
+        """
+        idx = np.array(np.nonzero(self.bits & ~np.eye(self.n, dtype=bool)))
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def pair_list(self) -> list[tuple[int, int]]:
+        """`pair_index` as Python int pairs, for checks of a single map."""
+        return list(zip(*self.pair_index.tolist()))
+
     def pairs(self, include_diagonal: bool = False) -> Iterator[tuple[int, int]]:
         """Related pairs (a, b), diagonal omitted unless requested."""
-        for a, b in zip(*np.nonzero(self.bits)):
-            if include_diagonal or a != b:
-                yield int(a), int(b)
+        for a, b in zip(*(np.nonzero(self.bits) if include_diagonal else self.pair_index)):
+            yield int(a), int(b)
 
     # ------------------------------------------------------------------
     # predicates
@@ -101,8 +117,7 @@ class Rel:
 
     def is_transitive(self) -> bool:
         b = self.bits
-        reach = (b.astype(np.uint8) @ b.astype(np.uint8)) > 0
-        return bool(((b | reach) == b).all())
+        return bool(((b @ b) <= b).all())
 
     def is_symmetric(self) -> bool:
         return bool((self.bits == self.bits.T).all())
@@ -127,8 +142,7 @@ class Rel:
         """Smallest transitive relation containing this one."""
         cur = self.bits.copy()
         while True:
-            step = (cur.astype(np.uint8) @ cur.astype(np.uint8)) > 0
-            nxt = cur | step
+            nxt = cur | (cur @ cur)
             if np.array_equal(nxt, cur):
                 return Rel(self.n, cur)
             cur = nxt

@@ -149,6 +149,46 @@ def factor_through_trivial_search(map_row, n_dom, n_cod, dom_pairs):
     return None
 
 
+def prekernel_property_search(k_map, k_dom, f_map, f_dom, f_cod, probes):
+    """The prekernel property relative to the trivial objects, map by map.
+
+    Objects are (n, pairs) specs; k maps k_dom into f_dom and f maps f_dom
+    into f_cod.  f o k must factor through an equality-relation object, and
+    every monotone lam from a probe into f_dom whose composite with f so
+    factors must equal k o lam' for exactly one monotone lam' into k_dom.
+    """
+    if factor_through_trivial_search(
+            [f_map[v] for v in k_map], k_dom[0], f_cod[0], k_dom[1]) is None:
+        return False
+    for y_n, y_pairs in probes:
+        primes = brute_monotone_maps(y_n, k_dom[0], y_pairs, k_dom[1])
+        for lam in brute_monotone_maps(y_n, f_dom[0], y_pairs, f_dom[1]):
+            if factor_through_trivial_search(
+                    [f_map[v] for v in lam], y_n, f_cod[0], y_pairs) is None:
+                continue
+            if sum(tuple(k_map[v] for v in pr) == lam for pr in primes) != 1:
+                return False
+    return True
+
+
+def precokernel_property_search(p_map, p_cod, f_map, f_dom, f_cod, probes):
+    """Dual of `prekernel_property_search`: p maps f_cod onto p_cod, and
+    every monotone lam from f_cod into a probe with lam o f factoring
+    through a trivial object must equal lam' o p for exactly one lam'."""
+    if factor_through_trivial_search(
+            [p_map[v] for v in f_map], f_dom[0], p_cod[0], f_dom[1]) is None:
+        return False
+    for t_n, t_pairs in probes:
+        afters = brute_monotone_maps(p_cod[0], t_n, p_cod[1], t_pairs)
+        for lam in brute_monotone_maps(f_cod[0], t_n, f_cod[1], t_pairs):
+            if factor_through_trivial_search(
+                    [lam[v] for v in f_map], f_dom[0], t_n, f_dom[1]) is None:
+                continue
+            if sum(tuple(h[v] for v in p_map) == lam for h in afters) != 1:
+                return False
+    return True
+
+
 def brute_reflexive_relations(n):
     """Every reflexive relation on n points as a frozenset of pairs."""
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]

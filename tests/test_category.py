@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,29 @@ class TestHomEnumeration:
     def test_budget_enforced(self):
         with pytest.raises(BudgetError):
             hom_enumerate(trivial_object(5), trivial_object(5), budget=100)
+
+    def test_budget_bounds_cells_before_allocating(self):
+        # 4 ** 4 = 256 candidate maps fit a budget of 500, their 1024 cells do not
+        with pytest.raises(BudgetError):
+            monotone_maps(trivial_object(4), trivial_object(4), budget=500)
+        # 3 ** 12 maps x 12 cells exceed the default budget: nothing is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                monotone_maps(trivial_object(12), trivial_object(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_only_small_candidate_grids_are_cached(self):
+        from preord.category import _cached_grid
+        before = _cached_grid.cache_info().currsize
+        big = monotone_maps.__wrapped__(chain(9), chain(3))  # 3 ** 9 x 9 cells
+        assert len(big) == len(brute_monotone_maps(9, 3, [(i, i + 1) for i in range(8)],
+                                                    [(0, 1), (1, 2), (0, 2)]))
+        assert _cached_grid.cache_info().currsize == before
+        assert _cached_grid.cache_info().maxsize is not None
 
     def test_counts_match_brute_force_n3(self, objects3):
         for a in objects3:

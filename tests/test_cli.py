@@ -173,6 +173,18 @@ class TestVerifyAndErrors:
         assert main(["check", p]) == 2
         assert "transitive" in capsys.readouterr().err
 
+    def test_directory_path_is_an_input_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_invalid_utf8_is_an_input_error(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"n": 1, "pairs": [], "mode": "strict", "x": "\xff\xfe"}')
+        assert main(["check", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from preord import (
@@ -5,12 +6,14 @@ from preord import (
     TRIVIAL_OBJECTS, ValidationError, chain, closure_prop_check, compose,
     ends_trivial_iff_iso, factors_through, hom_enumerate, identity,
     intersect_classes, is_epi, is_mono, is_trivial_morphism,
-    is_trivial_object, make_object, pretorsion_verify,
+    is_trivial_object, make_object, precokernel, prekernel, pretorsion_verify,
     quotient_poset, relative_precokernel_check, relative_preexact,
     relative_prekernel_check, symmetric_core, torsion_part,
     torsion_sequence, torsionfree_part, trivial_object,
     verify_precokernel_definitional, verify_prekernel_definitional,
 )
+
+from .oracles import precokernel_property_search, prekernel_property_search
 
 MIXED = make_object(3, [(0, 1), (1, 0), (1, 2)], mode="close")
 
@@ -133,6 +136,54 @@ class TestRelativeChecks:
                             assert len(linking) == 1
 
 
+class TestRelativeChecksAgainstLiteralOracle:
+    """Seeded random (k, f) and (p, f) at n <= 3 with probes n <= 2, decided
+    by the array-at-a-time checks (for the trivial class and for the same
+    class decided by search) and by a per-map search oracle."""
+
+    SEARCHED = ObjClass("trivial-searched", is_trivial_object,
+                        TRIVIAL_OBJECTS.candidates)
+
+    @staticmethod
+    def spec(a):
+        return a.n, list(a.rel.pairs())
+
+    @staticmethod
+    def pick(rng, items):
+        return items[rng.integers(len(items))]
+
+    def test_prekernel_check_matches_oracle(self, objects2, objects3):
+        rng = np.random.default_rng(190206694)
+        probes = [self.spec(y) for y in objects2]
+        seen = set()
+        for _ in range(1000):
+            a, b, x = (self.pick(rng, objects3) for _ in range(3))
+            f = self.pick(rng, hom_enumerate(a, b))
+            k = prekernel(f) if rng.random() < 0.25 else self.pick(rng, hom_enumerate(x, a))
+            want = prekernel_property_search(k.map, self.spec(k.dom), f.map,
+                                             self.spec(a), self.spec(b), probes)
+            for cls in (TRIVIAL_OBJECTS, self.SEARCHED):
+                assert relative_prekernel_check(k, f, cls, objects2) == want
+            seen.add((is_mono(k), is_trivial_morphism(compose(f, k)), want))
+        # both factorization branches reach the probes; injective ones both ways
+        assert {(True, True, True), (True, True, False), (False, True, False)} <= seen
+
+    def test_precokernel_check_matches_oracle(self, objects2, objects3):
+        rng = np.random.default_rng(190206694)
+        probes = [self.spec(t) for t in objects2]
+        seen = set()
+        for _ in range(1000):
+            a, b, y = (self.pick(rng, objects3) for _ in range(3))
+            f = self.pick(rng, hom_enumerate(a, b))
+            p = precokernel(f) if rng.random() < 0.25 else self.pick(rng, hom_enumerate(b, y))
+            want = precokernel_property_search(p.map, self.spec(p.cod), f.map,
+                                               self.spec(a), self.spec(b), probes)
+            for cls in (TRIVIAL_OBJECTS, self.SEARCHED):
+                assert relative_precokernel_check(p, f, cls, objects2) == want
+            seen.add((is_epi(p), is_trivial_morphism(compose(p, f)), want))
+        assert {(True, True, True), (True, True, False), (False, True, False)} <= seen
+
+
 class TestRelativePreexact:
     def test_torsion_sequences_n3(self, objects2, objects3):
         for a in objects3:
@@ -239,6 +290,7 @@ class TestPretorsionVerify:
         # probes include a chain
         report = pretorsion_verify(ALL_PREORDERS, ALL_PREORDERS, 3)
         assert report.axiom2_ok
+        assert report.maps_checked == 11310
         assert not report.axiom1_ok
         obj, why = report.axiom1_counterexample
         assert not obj.rel.is_symmetric()
@@ -247,9 +299,19 @@ class TestPretorsionVerify:
     def test_trivial_pair_passes_only_on_points(self):
         assert pretorsion_verify(TRIVIAL_OBJECTS, TRIVIAL_OBJECTS, 1).ok
         report = pretorsion_verify(TRIVIAL_OBJECTS, TRIVIAL_OBJECTS, 3)
+        assert report.maps_checked == 56
         assert not report.axiom1_ok
         obj, why = report.axiom1_counterexample
         assert not is_trivial_object(obj)
+
+    def test_swapped_classes_fail_axiom2_on_a_pinned_map(self):
+        # axiom 2 stops at the first map that does not factor, so the
+        # witness and the count pin the order in which maps are checked
+        report = pretorsion_verify(PARTIAL_ORDERS, EQUIVALENCES, 3)
+        assert not report.axiom2_ok
+        assert report.axiom2_counterexample == (
+            make_object(2, [(1, 0)]), make_object(2, [(0, 1), (1, 0)]), (0, 1))
+        assert report.maps_checked == 79
 
     def test_null_class_is_exactly_the_trivial_objects_n3(self, objects3):
         z = intersect_classes(EQUIVALENCES, PARTIAL_ORDERS)

@@ -1,9 +1,12 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preord import (
     Partition, Rel, ValidationError, generated_equivalence, join_preorders,
+    make_object,
 )
 
 from .oracles import (
@@ -60,6 +63,33 @@ class TestTransitiveClosure:
             r = Rel(3, bits)
             expected = naive_transitive_closure(set(r.pairs(include_diagonal=True)), 3)
             assert set(r.transitive_closure().pairs(include_diagonal=True)) == expected
+
+    def test_256_witnesses_do_not_wrap_around(self):
+        # 0 -> k -> 257 for k = 1..256: a uint8 witness count for (0, 257)
+        # wraps to 0
+        pairs = [(0, k) for k in range(1, 257)] + [(k, 257) for k in range(1, 257)]
+        r = rel(258, pairs)
+        assert r.transitive_closure()[0, 257]
+        assert not r.is_transitive()
+        with pytest.raises(ValidationError):
+            make_object(258, pairs, mode="strict")
+
+    @given(n=st.integers(100, 300), degree=st.floats(0.5, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_matches_networkx_on_hundreds_of_points(self, n, degree, seed):
+        bits = np.random.default_rng(seed).random((n, n)) < degree / n
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(zip(*np.nonzero(bits)))
+        expected = np.zeros((n, n), dtype=bool)
+        for a, b in nx.transitive_closure(g, reflexive=False).edges:
+            expected[a, b] = True
+        r = Rel(n, bits)
+        closed = r.transitive_closure()
+        assert np.array_equal(closed.bits, expected)
+        assert closed.is_transitive()
+        assert r.is_transitive() == (r == closed)
 
 
 class TestEquivalenceClosure:
