@@ -253,13 +253,15 @@ def coproduct(objs: Sequence[PreObj]) -> tuple[PreObj, list[Morph]]:
 def product(objs: Sequence[PreObj], budget: int = DEFAULT_BUDGET) -> tuple[PreObj, list[Morph]]:
     """Cartesian product with the componentwise relation, plus projections.
 
-    Tuples are indexed row-major: the last factor varies fastest.
+    Tuples are indexed row-major: the last factor varies fastest.  The
+    budget bounds the cells of the carrier x carrier relation matrix;
+    BudgetError is raised before anything is allocated.
     """
     if not objs:
         raise ValidationError("product of an empty family")
     total = reduce(lambda x, y: x * y, (a.n for a in objs), 1)
-    if total > budget:
-        raise BudgetError(f"product carrier {total} exceeds budget {budget}")
+    if total ** 2 > budget:
+        raise BudgetError(f"product relation of {total} x {total} cells exceeds budget {budget}")
     digits = []
     idx = np.arange(total)
     for i, a in enumerate(objs):

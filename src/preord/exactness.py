@@ -11,7 +11,9 @@ construction.  The definitional verifiers below do quantify, over a
 finite list of probe objects, and serve as independent oracles.  They run
 on one engine that checks the whole hom array of each probe at once; the
 class-relative checks of `preord.pretorsion` share it, passing their own
-row-wise triviality predicate.
+row-wise triviality predicate, and the stable verifiers of `preord.stable`
+pass a canonicalizer `canon(rows, dom)`, so that maps are compared up to
+stable equality.
 """
 
 from __future__ import annotations
@@ -158,17 +160,31 @@ def plain_trivial(rows: np.ndarray, dom: PreObj, cod: PreObj) -> np.ndarray:
     return np.logical_and.reduce(rows[:, u] == rows[:, v], axis=1)
 
 
-def _exactly_one_match(targets: np.ndarray, candidates: np.ndarray, base: int) -> np.ndarray:
-    """Per target row: does exactly one candidate row equal it?  Rows with
-    entries below `base` are compared by their base-`base` integer codes."""
-    weights = base ** np.arange(targets.shape[1] - 1, -1, -1, dtype=np.int64)
-    have = np.sort(candidates @ weights)
-    codes = targets @ weights
+def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """One integer code per row of entries in [-1, base)."""
+    return (rows + 1) @ (base + 1) ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def _exactly_one_match(targets: np.ndarray, candidates: np.ndarray, base: int,
+                       classes: np.ndarray | None = None) -> np.ndarray:
+    """Per target row: does exactly one candidate row equal it?  Rows hold
+    entries in [-1, base) and are compared by integer codes.  Given
+    `classes` (a code per candidate), equal candidates of one class count
+    once, so a match is one class of candidates."""
+    have = _row_codes(candidates, base)
+    if classes is None:
+        have = np.sort(have)
+    else:
+        order = np.lexsort((classes, have))
+        have, classes = have[order], classes[order]
+        new = np.concatenate(([True], (have[1:] != have[:-1]) | (classes[1:] != classes[:-1])))
+        have = have[new]
+    codes = _row_codes(targets, base)
     return np.searchsorted(have, codes, "right") - np.searchsorted(have, codes) == 1
 
 
 def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,
-                       budget: int) -> bool:
+                       budget: int, canon=None) -> bool:
     """The prekernel universal property over probes, one hom array at a time.
 
     f o k must be trivial, and for every probe Y and every lam: Y -> dom(f)
@@ -178,16 +194,25 @@ def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,
     otherwise the factorizations are counted by matching row codes against
     k o hom(Y, dom k).  Triviality is asked only of the rows that fail to
     factor, so a costly class-relative predicate runs rarely.
+
+    With `canon(rows, dom)`, which maps each row of maps out of dom to a
+    canonical row of its class, both equalities hold up to that class:
+    the canonical rows are matched, and the factorizations lam' are
+    counted once per class.
     """
     if k.cod != f.dom:
         raise ValidationError("candidate prekernel must land in the domain of f")
     if not trivial(np.array([compose(f, k).map]), k.dom, f.cod)[0]:
         return False
     fmap, kmap = np.array(f.map), np.array(k.map)
-    inv = inverse_map(k.map, f.dom.n) if is_mono(k) else None
+    inv = inverse_map(k.map, f.dom.n) if is_mono(k) and canon is None else None
     for y in tests:
         lams = monotone_maps(y, f.dom, budget)
-        if inv is not None:
+        if canon is not None:
+            primes = monotone_maps(y, k.dom, budget)
+            ok = _exactly_one_match(canon(lams, y), canon(kmap[primes], y), f.dom.n,
+                                    _row_codes(canon(primes, y), k.dom.n))
+        elif inv is not None:
             primes = inv[lams]
             ok = (primes >= 0).all(axis=1)
             ok[ok] = monotone_mask(primes[ok], y.rel, k.dom.rel)
@@ -199,23 +224,28 @@ def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,
 
 
 def precokernel_property(p: Morph, f: Morph, tests: list[PreObj], trivial,
-                         budget: int) -> bool:
+                         budget: int, canon=None) -> bool:
     """Dual engine: p o f trivial, and unique factorization lam = lam' o p
     for every lam: cod(f) -> T with lam o f trivial.
 
     For surjective p, lam' is forced through a section of p: it must be
     consistent on the fibres of p and monotone.  Otherwise the
-    factorizations are counted by matching row codes.
+    factorizations are counted by matching row codes, up to the classes
+    of `canon` when it is given.
     """
     if p.dom != f.cod:
         raise ValidationError("candidate precokernel must start at the codomain of f")
     if not trivial(np.array([compose(p, f).map]), f.dom, p.cod)[0]:
         return False
     fmap, pmap = np.array(f.map), np.array(p.map)
-    section = inverse_map(p.map, p.cod.n) if is_epi(p) else None
+    section = inverse_map(p.map, p.cod.n) if is_epi(p) and canon is None else None
     for t in tests:
         lams = monotone_maps(f.cod, t, budget)
-        if section is not None:
+        if canon is not None:
+            after = monotone_maps(p.cod, t, budget)
+            ok = _exactly_one_match(canon(lams, f.cod), canon(after[:, pmap], f.cod), t.n,
+                                    _row_codes(canon(after, p.cod), t.n))
+        elif section is not None:
             forced = lams[:, section]
             ok = (forced[:, pmap] == lams).all(axis=1) & monotone_mask(forced, p.cod.rel, t.rel)
         else:

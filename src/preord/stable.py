@@ -4,6 +4,9 @@ Two parallel morphisms are identified when they agree outside some clopen
 subset on which both restrict to trivial morphisms.  Because every clopen
 subset is a union of connected components, the identification is decided
 component by component: equal restriction, or both restrictions trivial.
+So each class has a canonical image row, with the components on which the
+map is trivial read as -1; every decision below compares those rows for
+whole hom arrays at once.
 Under it all equality-relation objects collapse to a single zero object,
 so kernels and cokernels exist; they are the images of the prekernel and
 precokernel constructions.
@@ -12,16 +15,20 @@ precokernel constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from .category import (
-    Morph, PreObj, compose, coproduct, identity, is_trivial_morphism,
-    iso_search, monotone_maps, DEFAULT_BUDGET,
+    Morph, PreObj, compose, coproduct, is_trivial_morphism, iso_search,
+    monotone_maps, DEFAULT_BUDGET,
 )
 from .errors import NotShortExactError, ValidationError
-from .exactness import image_equivalence, prekernel, precokernel
+from .exactness import (
+    image_equivalence, plain_trivial, precokernel, precokernel_property, prekernel,
+    prekernel_property,
+)
 from .relations import Rel
 from .topology import clopen_enumerate, components, minimal_part, restrict
 
@@ -35,52 +42,42 @@ __all__ = [
 ]
 
 
-def _map_signature(map_row, blocks, rel_bits) -> tuple:
-    """Per-component canonical form: the restriction tuple, or None when
-    the restriction is a trivial morphism."""
-    sig = []
-    for blk in blocks:
-        values = tuple(int(map_row[x]) for x in blk)
-        trivial = True
-        for i, x in enumerate(blk):
-            for j, y in enumerate(blk):
-                if rel_bits[x, y] and values[i] != values[j]:
-                    trivial = False
-                    break
-            if not trivial:
-                break
-        sig.append(None if trivial else values)
-    return tuple(sig)
+@lru_cache(maxsize=8192)
+def _component_layout(a: PreObj) -> np.ndarray:
+    """Pairs x points incidence: does the component of each related pair of
+    `a.rel.pair_index` hold the point?  Computed once per object."""
+    comp = np.array(components(a).class_of)
+    layout = comp[a.rel.pair_index[0]][:, None] == comp[None, :]
+    layout.setflags(write=False)
+    return layout
+
+
+def _stable_canon(rows: np.ndarray, dom: PreObj) -> np.ndarray:
+    """Canonical rows of stable classes: the maps out of dom, one per row,
+    with each component on which a row is trivial read as -1.  Two parallel
+    maps are stably equal exactly when their canonical rows are equal."""
+    u, v = dom.rel.pair_index
+    moved = (rows[:, u] != rows[:, v]) @ _component_layout(dom)
+    return np.where(moved, rows, -1)
+
+
+def _stably_equal_rows(rows: np.ndarray, dom: PreObj, target) -> np.ndarray:
+    """Row mask of the maps in `rows` (out of dom) stably equal to `target`."""
+    canon = _stable_canon(np.vstack([target, rows]), dom)
+    return (canon[1:] == canon[0]).all(axis=1)
 
 
 def stable_signature(f: Morph) -> tuple:
-    """Canonical form of a morphism's stable class (same dom and cod only)."""
-    part = components(f.dom)
-    return _map_signature(f.map, part.blocks, f.dom.rel.bits)
+    """Canonical form of a morphism's stable class (same dom and cod only):
+    the image tuple with every component on which f is trivial read as -1."""
+    return tuple(_stable_canon(np.array([f.map]), f.dom)[0].tolist())
 
 
 def stable_eq(f: Morph, g: Morph) -> bool:
-    """Stable equality, decided per connected component of the domain."""
+    """Stable equality: equal canonical rows."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValidationError("stable equality needs parallel morphisms")
-    bits = f.dom.rel.bits
-    for blk in components(f.dom).blocks:
-        if all(f.map[x] == g.map[x] for x in blk):
-            continue
-        fv = [f.map[x] for x in blk]
-        gv = [g.map[x] for x in blk]
-        if _restriction_trivial(fv, blk, bits) and _restriction_trivial(gv, blk, bits):
-            continue
-        return False
-    return True
-
-
-def _restriction_trivial(values, blk, bits) -> bool:
-    for i, x in enumerate(blk):
-        for j, y in enumerate(blk):
-            if bits[x, y] and values[i] != values[j]:
-                return False
-    return True
+    return bool(_stably_equal_rows(np.array([g.map]), f.dom, f.map)[0])
 
 
 def stable_eq_oracle(f: Morph, g: Morph, budget: int = DEFAULT_BUDGET) -> bool:
@@ -88,15 +85,11 @@ def stable_eq_oracle(f: Morph, g: Morph, budget: int = DEFAULT_BUDGET) -> bool:
     which both morphisms are trivial while they agree on its complement."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ValidationError("stable equality needs parallel morphisms")
-    bits = f.dom.rel.bits
+    pairs = f.dom.rel.pair_list
     for mask in clopen_enumerate(f.dom):
-        inside = [int(i) for i in np.nonzero(mask)[0]]
-        outside = [int(i) for i in np.nonzero(~mask)[0]]
-        if any(f.map[x] != g.map[x] for x in outside):
+        if any(f.map[x] != g.map[x] for x in range(f.dom.n) if not mask[x]):
             continue
-        fv = [f.map[x] for x in inside]
-        gv = [g.map[x] for x in inside]
-        if _restriction_trivial(fv, inside, bits) and _restriction_trivial(gv, inside, bits):
+        if all(f.map[x] == f.map[y] and g.map[x] == g.map[y] for x, y in pairs if mask[x]):
             return True
     return False
 
@@ -183,14 +176,13 @@ def stable_iso(a: PreObj, b: PreObj) -> bool:
 
 
 def stable_inverse(f: Morph, budget: int = DEFAULT_BUDGET) -> Morph | None:
-    """Brute-force stable inverse of a single morphism, if one exists."""
-    id_dom = identity(f.dom)
-    id_cod = identity(f.cod)
-    for row in monotone_maps(f.cod, f.dom, budget):
-        g = Morph(f.cod, f.dom, tuple(row))
-        if stable_eq(compose(g, f), id_dom) and stable_eq(compose(f, g), id_cod):
-            return g
-    return None
+    """The lexicographically first stable inverse of f, if one exists."""
+    fmap = np.array(f.map)
+    back = monotone_maps(f.cod, f.dom, budget)
+    ok = (_stably_equal_rows(back[:, fmap], f.dom, np.arange(f.dom.n))
+          & _stably_equal_rows(fmap[back], f.cod, np.arange(f.cod.n)))
+    hits = np.flatnonzero(ok)
+    return Morph(f.cod, f.dom, back[hits[0]]) if len(hits) else None
 
 
 # ----------------------------------------------------------------------
@@ -212,75 +204,16 @@ def verify_stable_kernel(k: StableHom, f: Morph, tests: list[PreObj],
 
     f o k must be trivial, and every lam: Y -> dom(f) with f o lam trivial
     must factor through k up to stable equality, uniquely up to stable
-    equality.
+    equality: the prekernel engine with plain triviality, comparing
+    canonical rows of stable classes.
     """
-    krep = k.rep
-    if krep.cod != f.dom:
-        raise ValidationError("candidate kernel must land in the domain of f")
-    if not is_trivial_morphism(compose(f, krep)):
-        return False
-    a, x = f.dom, krep.dom
-    fmap = np.array(f.map)
-    kmap = np.array(krep.map)
-    for y in tests:
-        lams = monotone_maps(y, a, budget)
-        primes = monotone_maps(y, x, budget)
-        part_y = components(y)
-        triv = np.ones(len(lams), dtype=bool)
-        for u, v in y.rel.pairs():
-            triv &= fmap[lams[:, u]] == fmap[lams[:, v]]
-        prime_sigs_in_a = [
-            _map_signature(kmap[row], part_y.blocks, y.rel.bits) for row in primes
-        ]
-        prime_sigs_in_x = [
-            _map_signature(row, part_y.blocks, y.rel.bits) for row in primes
-        ]
-        for lam in lams[triv]:
-            lam_sig = _map_signature(lam, part_y.blocks, y.rel.bits)
-            found = [i for i, s in enumerate(prime_sigs_in_a) if s == lam_sig]
-            if not found:
-                return False
-            first = prime_sigs_in_x[found[0]]
-            if any(prime_sigs_in_x[i] != first for i in found[1:]):
-                return False
-    return True
+    return prekernel_property(k.rep, f, tests, plain_trivial, budget, _stable_canon)
 
 
 def verify_stable_cokernel(p: StableHom, f: Morph, tests: list[PreObj],
                            budget: int = DEFAULT_BUDGET) -> bool:
     """Dual universal property, quantified over probe objects."""
-    prep = p.rep
-    if prep.dom != f.cod:
-        raise ValidationError("candidate cokernel must start at the codomain of f")
-    if not is_trivial_morphism(compose(prep, f)):
-        return False
-    b, x = f.cod, prep.cod
-    pmap = list(prep.map)
-    fmap = list(f.map)
-    part_b = components(b)
-    part_x = components(x)
-    for t in tests:
-        lams = monotone_maps(b, t, budget)
-        after = monotone_maps(x, t, budget)
-        composed = after[:, pmap] if len(after) else after
-        triv = np.ones(len(lams), dtype=bool)
-        for a1, a2 in f.dom.rel.pairs():
-            triv &= lams[:, fmap[a1]] == lams[:, fmap[a2]]
-        comp_sigs = [
-            _map_signature(row, part_b.blocks, b.rel.bits) for row in composed
-        ]
-        after_sigs = [
-            _map_signature(row, part_x.blocks, x.rel.bits) for row in after
-        ]
-        for lam in lams[triv]:
-            lam_sig = _map_signature(lam, part_b.blocks, b.rel.bits)
-            found = [i for i, s in enumerate(comp_sigs) if s == lam_sig]
-            if not found:
-                return False
-            first = after_sigs[found[0]]
-            if any(after_sigs[i] != first for i in found[1:]):
-                return False
-    return True
+    return precokernel_property(p.rep, f, tests, plain_trivial, budget, _stable_canon)
 
 
 # ----------------------------------------------------------------------
@@ -310,14 +243,9 @@ def classify_short_exact(f: Morph, g: Morph, tests: list[PreObj],
     left = Morph(f.dom, k.dom, f.map)
     if stable_inverse(left, budget) is None:
         raise NotShortExactError("left witness is not a stable isomorphism")
-    part_b = components(g.dom)
-    pi_sig = _map_signature(pi.map, part_b.blocks, g.dom.rel.bits)
-    gmap = list(g.map)
-    for row in monotone_maps(g.cod, pi.cod, budget):
-        comp = [int(row[z]) for z in gmap]
-        if _map_signature(comp, part_b.blocks, g.dom.rel.bits) != pi_sig:
-            continue
-        right = Morph(g.cod, pi.cod, tuple(int(v) for v in row))
+    rows = monotone_maps(g.cod, pi.cod, budget)
+    for row in rows[_stably_equal_rows(rows[:, list(g.map)], g.dom, pi.map)]:
+        right = Morph(g.cod, pi.cod, row)
         if stable_inverse(right, budget) is not None:
             return sim, left, right
     raise NotShortExactError("no stable right witness found")
@@ -331,35 +259,18 @@ def verify_coproduct_preservation(objs: list[PreObj], tests: list[PreObj],
     exactly determined by its restrictions along the injections, and
     every family of components must be realized.
     """
-    summed, _ = coproduct(objs)
-    offsets = []
-    off = 0
-    for a in objs:
-        offsets.append(off)
-        off += a.n
-    part_c = components(summed)
-    factor_parts = [components(a) for a in objs]
+    summed, injections = coproduct(objs)
     for y in tests:
         cmaps = monotone_maps(summed, y, budget)
-        groups: dict[tuple, set] = {}
-        for row in cmaps:
-            key = tuple(
-                _map_signature(row[offsets[i]:offsets[i] + objs[i].n],
-                               factor_parts[i].blocks, objs[i].rel.bits)
-                for i in range(len(objs))
-            )
-            whole = _map_signature(row, part_c.blocks, summed.rel.bits)
-            groups.setdefault(key, set()).add(whole)
-        if any(len(v) > 1 for v in groups.values()):
+        families = np.hstack([_stable_canon(cmaps[:, list(inj.map)], a)
+                              for inj, a in zip(injections, objs)])
+        realized = len(np.unique(families, axis=0))
+        whole = _stable_canon(cmaps, summed)
+        if len(np.unique(np.hstack([families, whole]), axis=0)) > realized:
             return False  # two stably distinct maps share all restrictions
-        factor_sigs = []
-        for i, a in enumerate(objs):
-            sigs = {
-                _map_signature(row, factor_parts[i].blocks, a.rel.bits)
-                for row in monotone_maps(a, y, budget)
-            }
-            factor_sigs.append(sigs)
-        for combo in iproduct(*factor_sigs):
-            if tuple(combo) not in groups:
-                return False  # some family of components is not realized
+        # the restrictions are maps out of the factors, so every family of
+        # components is realized exactly when the counts agree
+        if realized < prod(len(np.unique(_stable_canon(monotone_maps(a, y, budget), a), axis=0))
+                           for a in objs):
+            return False  # some family of components is not realized
     return True

@@ -189,6 +189,66 @@ def precokernel_property_search(p_map, p_cod, f_map, f_dom, f_cod, probes):
     return True
 
 
+def stable_eq_search(n, pairs, f, g):
+    """Stable equality, literally: f and g agree off some clopen subset of
+    the n-point domain on which both send every related pair to equal values.
+    A subset is clopen when no related pair crosses its boundary."""
+    for inside in product((False, True), repeat=n):
+        if any(inside[a] != inside[b] for a, b in pairs):
+            continue
+        if any(f[x] != g[x] for x in range(n) if not inside[x]):
+            continue
+        if all(f[a] == f[b] and g[a] == g[b] for a, b in pairs if inside[a]):
+            return True
+    return False
+
+
+def _one_stable_class(n, pairs, found):
+    """Are the factorizations non-empty and pairwise stably equal?"""
+    return bool(found) and all(stable_eq_search(n, pairs, h, found[0]) for h in found)
+
+
+def stable_prekernel_property_search(k_map, k_dom, f_map, f_dom, f_cod, probes):
+    """The kernel property of the stable category, map by map.
+
+    Objects are (n, pairs) specs.  f o k must collapse the relation of k_dom,
+    and every monotone lam from a probe into f_dom with f o lam collapsing
+    the probe's relation must be stably equal to k o lam' for some monotone
+    lam' into k_dom, with all such lam' stably equal to each other.
+    """
+    if not collapses_relation([f_map[v] for v in k_map], k_dom[1]):
+        return False
+    for y_n, y_pairs in probes:
+        primes = brute_monotone_maps(y_n, k_dom[0], y_pairs, k_dom[1])
+        for lam in brute_monotone_maps(y_n, f_dom[0], y_pairs, f_dom[1]):
+            if not collapses_relation([f_map[v] for v in lam], y_pairs):
+                continue
+            found = [pr for pr in primes
+                     if stable_eq_search(y_n, y_pairs, [k_map[v] for v in pr], lam)]
+            if not _one_stable_class(y_n, y_pairs, found):
+                return False
+    return True
+
+
+def stable_precokernel_property_search(p_map, p_cod, f_map, f_dom, f_cod, probes):
+    """Dual of `stable_prekernel_property_search`: p maps f_cod into p_cod,
+    and every monotone lam from f_cod into a probe with lam o f collapsing
+    the relation of f_dom must be stably equal to lam' o p for a single
+    stable class of monotone lam' out of p_cod."""
+    if not collapses_relation([p_map[v] for v in f_map], f_dom[1]):
+        return False
+    for t_n, t_pairs in probes:
+        afters = brute_monotone_maps(p_cod[0], t_n, p_cod[1], t_pairs)
+        for lam in brute_monotone_maps(f_cod[0], t_n, f_cod[1], t_pairs):
+            if not collapses_relation([lam[v] for v in f_map], f_dom[1]):
+                continue
+            found = [h for h in afters
+                     if stable_eq_search(f_cod[0], f_cod[1], [h[v] for v in p_map], lam)]
+            if not _one_stable_class(p_cod[0], p_cod[1], found):
+                return False
+    return True
+
+
 def brute_reflexive_relations(n):
     """Every reflexive relation on n points as a frozenset of pairs."""
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]

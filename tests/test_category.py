@@ -307,6 +307,23 @@ class TestProduct:
         with pytest.raises(BudgetError):
             product([trivial_object(4)] * 4, budget=10)
 
+    def test_budget_bounds_matrix_cells_before_allocating(self):
+        # 10 ** 6 tuples fit the default budget, their 10 ** 12 relation
+        # cells do not: nothing of that size is allocated
+        factors = [trivial_object(10)] * 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                product(factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # a 4 x 4 carrier holds 256 cells
+        with pytest.raises(BudgetError):
+            product([chain(2)] * 4, budget=255)
+        assert product([chain(2)] * 4, budget=256)[0].n == 16
+
     def test_universal_property_by_enumeration_n3(self, objects2, objects3):
         def check(a1, a2, probes):
             p, projections = product([a1, a2])

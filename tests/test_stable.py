@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from preord import (
@@ -14,6 +15,10 @@ from preord import (
     symmetric_core, torsion_sequence, trivial_object,
     verify_coproduct_preservation, verify_stable_cokernel,
     verify_stable_kernel, quotient_poset,
+)
+
+from .oracles import (
+    stable_precokernel_property_search, stable_prekernel_property_search,
 )
 
 MIXED = make_object(3, [(0, 1), (1, 0), (1, 2)], mode="close")
@@ -258,6 +263,109 @@ class TestStableKernels:
         f = identity(chain(2))
         assert not verify_stable_kernel(StableHom(identity(chain(2))), f,
                                         [trivial_object(1)])
+
+
+class TestStableVerifiersAgainstLiteralOracle:
+    """Seeded random (k, f) and (p, f) at n <= 3 with probes n <= 2: the
+    stable verifiers against a map-by-map oracle built on clopen-existential
+    stable equality.  A quarter of the candidates are the canonical ones."""
+
+    @staticmethod
+    def spec(a):
+        return a.n, list(a.rel.pairs())
+
+    @staticmethod
+    def pick(rng, items):
+        return items[rng.integers(len(items))]
+
+    def test_kernel_verifier_matches_oracle(self, objects2, objects3):
+        rng = np.random.default_rng(1902066941)
+        probes = [self.spec(y) for y in objects2]
+        seen = set()
+        for _ in range(1000):
+            a, b, x = (self.pick(rng, objects3) for _ in range(3))
+            f = self.pick(rng, hom_enumerate(a, b))
+            canonical = rng.random() < 0.25
+            k = prekernel(f) if canonical else self.pick(rng, hom_enumerate(x, a))
+            want = stable_prekernel_property_search(k.map, self.spec(k.dom), f.map,
+                                                    self.spec(a), self.spec(b), probes)
+            assert verify_stable_kernel(StableHom(k), f, objects2) == want
+            seen.add((canonical, want))
+        assert {(True, True), (False, True), (False, False)} <= seen
+
+    def test_cokernel_verifier_matches_oracle(self, objects2, objects3):
+        rng = np.random.default_rng(1902066942)
+        probes = [self.spec(t) for t in objects2]
+        seen = set()
+        for _ in range(1000):
+            a, b, y = (self.pick(rng, objects3) for _ in range(3))
+            f = self.pick(rng, hom_enumerate(a, b))
+            canonical = rng.random() < 0.25
+            p = precokernel(f) if canonical else self.pick(rng, hom_enumerate(b, y))
+            want = stable_precokernel_property_search(p.map, self.spec(p.cod), f.map,
+                                                      self.spec(a), self.spec(b), probes)
+            assert verify_stable_cokernel(StableHom(p), f, objects2) == want
+            seen.add((canonical, want))
+        assert {(True, True), (False, True), (False, False)} <= seen
+
+
+class TestWitnesses:
+    # (n, pairs) of each object of size <= 3, with the maps of the left and
+    # right witnesses that classify_short_exact returns for its torsion
+    # sequence against the probes of size <= 2
+    TORSION_WITNESSES = [
+        (1, [], (0,), (0,)),
+        (2, [], (0, 1), (0, 0)),
+        (2, [(1, 0)], (0, 1), (0, 1)),
+        (2, [(0, 1)], (0, 1), (0, 1)),
+        (2, [(0, 1), (1, 0)], (0, 1), (0,)),
+        (3, [], (0, 1, 2), (0, 0, 0)),
+        (3, [(2, 1)], (0, 1, 2), (0, 1, 2)),
+        (3, [(2, 0)], (0, 1, 2), (0, 0, 2)),
+        (3, [(2, 0), (2, 1)], (0, 1, 2), (0, 1, 2)),
+        (3, [(1, 2)], (0, 1, 2), (0, 1, 2)),
+        (3, [(1, 2), (2, 1)], (0, 1, 2), (0, 0)),
+        (3, [(1, 0)], (0, 1, 2), (0, 1, 0)),
+        (3, [(1, 0), (2, 0)], (0, 1, 2), (0, 1, 2)),
+        (3, [(1, 0), (2, 0), (2, 1)], (0, 1, 2), (0, 1, 2)),
+        (3, [(1, 0), (1, 2)], (0, 1, 2), (0, 1, 2)),
+        (3, [(1, 0), (1, 2), (2, 0)], (0, 1, 2), (0, 1, 2)),
+        (3, [(1, 0), (1, 2), (2, 0), (2, 1)], (0, 1, 2), (0, 1)),
+        (3, [(0, 2)], (0, 1, 2), (0, 0, 2)),
+        (3, [(0, 2), (2, 0)], (0, 1, 2), (0, 0)),
+        (3, [(0, 2), (1, 2)], (0, 1, 2), (0, 1, 2)),
+        (3, [(0, 2), (1, 0), (1, 2)], (0, 1, 2), (0, 1, 2)),
+        (3, [(0, 2), (1, 0), (1, 2), (2, 0)], (0, 1, 2), (0, 1)),
+        (3, [(0, 1)], (0, 1, 2), (0, 1, 0)),
+        (3, [(0, 1), (2, 1)], (0, 1, 2), (0, 1, 2)),
+        (3, [(0, 1), (2, 0), (2, 1)], (0, 1, 2), (0, 1, 2)),
+        (3, [(0, 1), (1, 0)], (0, 1, 2), (0, 0)),
+        (3, [(0, 1), (1, 0), (2, 0), (2, 1)], (0, 1, 2), (0, 1)),
+        (3, [(0, 1), (0, 2)], (0, 1, 2), (0, 1, 2)),
+        (3, [(0, 1), (0, 2), (2, 1)], (0, 1, 2), (0, 1, 2)),
+        (3, [(0, 1), (0, 2), (2, 0), (2, 1)], (0, 1, 2), (0, 1)),
+        (3, [(0, 1), (0, 2), (1, 2)], (0, 1, 2), (0, 1, 2)),
+        (3, [(0, 1), (0, 2), (1, 2), (2, 1)], (0, 1, 2), (0, 1)),
+        (3, [(0, 1), (0, 2), (1, 0), (1, 2)], (0, 1, 2), (0, 1)),
+        (3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)], (0, 1, 2), (0,)),
+    ]
+
+    def test_stable_inverse_is_the_first_in_lexicographic_order_n2(self, objects2):
+        for a in objects2:
+            for b in objects2:
+                for f in hom_enumerate(a, b):
+                    first = next((g for g in hom_enumerate(b, a)
+                                  if stable_eq_oracle(compose(g, f), identity(a))
+                                  and stable_eq_oracle(compose(f, g), identity(b))), None)
+                    assert stable_inverse(f) == first
+
+    def test_classify_witnesses_are_pinned_n3(self, objects2, objects3):
+        got = []
+        for a in objects3:
+            seq = torsion_sequence(a)
+            _, left, right = classify_short_exact(seq.f, seq.g, objects2)
+            got.append((a.n, sorted(a.rel.pairs()), left.map, right.map))
+        assert got == self.TORSION_WITNESSES
 
 
 class TestClassify:
