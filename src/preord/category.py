@@ -4,12 +4,20 @@ Objects pair a carrier {0..n-1} with a reflexive transitive relation;
 morphisms are relation-preserving maps.  Everything here is structural:
 two objects are equal iff they have the same carrier size and the same
 relation matrix, and isomorphism is a separate search.
+
+Hom sets come from candidate grids: every map between two carriers, one
+per row.  A hom table filters one grid against a whole run of same-size
+objects at once, one column per object, with bit masks: for maps out of
+the objects, the pairs each row sends to forbidden cells against each
+object's related pairs; for maps into them, the objects relating each
+cell a row's related pairs land on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -108,13 +116,6 @@ class Morph:
         return f"Morph({list(self.map)}: {self.dom.n}->{self.cod.n})"
 
 
-def monotone_mask(vals: np.ndarray, dom: Rel, cod: Rel) -> np.ndarray:
-    """Row mask of the maps in `vals` (one image row each) that send every
-    related pair of dom to a related pair of cod."""
-    u, v = dom.pair_index
-    return np.logical_and.reduce(cod.bits.ravel()[vals[:, u] * cod.n + vals[:, v]], axis=1)
-
-
 def inverse_map(map_: Sequence[int], n: int) -> np.ndarray:
     """A preimage under the map of each point of {0..n-1}, -1 off the image."""
     inv = np.full(n, -1)
@@ -183,27 +184,171 @@ def _candidate_grid(dom_n: int, cod_n: int) -> np.ndarray:
 _cached_grid = lru_cache(maxsize=64)(_candidate_grid)
 
 
+def candidate_grid(dom_n: int, cod_n: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Every map {0..dom_n-1} -> {0..cod_n-1}, one per row, lexicographic:
+    the row index of a map is its image tuple read in base cod_n.
+
+    The budget bounds the grid, cod_n ** dom_n maps of dom_n cells each:
+    BudgetError is raised, before anything is allocated, when that cell
+    count exceeds it.  Only small grids are kept for reuse; every grid is
+    write-protected.
+    """
+    cells = cod_n ** dom_n * dom_n
+    if cells > budget:
+        raise BudgetError(f"{cod_n ** dom_n} candidate maps x {dom_n} cells "
+                          f"exceed budget {budget}")
+    return (_cached_grid if cells <= _GRID_CACHE_CELLS else _candidate_grid)(dom_n, cod_n)
+
+
+@lru_cache(maxsize=None)
+def _place_values(width: int, base: int) -> np.ndarray:
+    return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def grid_index(rows: np.ndarray, base: int) -> np.ndarray:
+    """Row index in `candidate_grid(rows.shape[1], base)` of each map (one
+    per row) into {0..base-1}."""
+    return rows @ _place_values(rows.shape[1], base)
+
+
+# ----------------------------------------------------------------------
+# hom tables: the maps of one candidate grid against many objects at once
+
+@lru_cache(maxsize=None)
+def _off_diagonal(m: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.nonzero(~np.eye(m, dtype=bool))
+
+
+@lru_cache(maxsize=None)
+def _bits(cols: int) -> np.ndarray:
+    """The place value of each of up to 64 columns, in the narrowest
+    unsigned dtype that holds them all."""
+    dtype = np.dtype(f"u{next(b for b in (1, 2, 4, 8) if 8 * b >= cols)}")
+    return np.left_shift(1, np.arange(cols, dtype=dtype), dtype=dtype)
+
+
+def _pack(marks: np.ndarray) -> np.ndarray:
+    """Rows x words: the marked columns of each row as a bit mask, in the
+    narrowest unsigned words that hold it, 64 columns per word when more
+    are needed (one word at least)."""
+    cols = marks.shape[1]
+    if cols <= 64:
+        return (marks @ _bits(cols))[:, None]
+    return np.stack([marks[:, k:k + 64] @ _bits(marks[:, k:k + 64].shape[1]).astype(np.uint64)
+                     for k in range(0, cols, 64)], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class ProbeRun:
+    """Consecutive objects of one size m with what the tables read of them,
+    built on first use: `pairs`, words x objects, holds each object's
+    related pairs of distinct points as a bit mask (for
+    `maps_into_table`); `cells`, m * m cells (row-major) x bytes, holds
+    the objects relating each cell as a bit mask (for `maps_out_table`)."""
+
+    objs: tuple[PreObj, ...]
+
+    @property
+    def m(self) -> int:
+        return self.objs[0].n
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        i, j = _off_diagonal(self.m)
+        return _pack(np.stack([a.rel.bits[i, j] for a in self.objs])).T
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        return np.packbits(np.stack([a.rel.bits.ravel() for a in self.objs], axis=1),
+                           axis=1, bitorder="little")
+
+
+@lru_cache(maxsize=64)
+def _probe_runs(objs: tuple[PreObj, ...]) -> tuple[ProbeRun, ...]:
+    return tuple(ProbeRun(tuple(run)) for _, run in groupby(objs, key=lambda a: a.n))
+
+
+def same_size_runs(objs: Iterable[PreObj]) -> tuple[ProbeRun, ...]:
+    """The maximal runs of consecutive objects of one size, in order, with
+    their masks; kept for reuse per sequence of objects."""
+    return _probe_runs(tuple(objs))
+
+
+def table_slices(cols: int, rows: int, budget: int) -> list[slice]:
+    """Slices, in order, of `cols` columns such that a table of `rows` grid
+    rows x the slice's columns stays within the budget (one column at
+    least)."""
+    step = max(1, budget // rows)
+    return [slice(i, i + step) for i in range(0, cols, step)]
+
+
+def _disjoint(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Rows of words x columns of masks: do the two bit masks share no bit?"""
+    out = (words[:, :1] & masks[0]) == 0
+    for w in range(1, len(masks)):
+        out &= (words[:, w:w + 1] & masks[w]) == 0
+    return out
+
+
+def _by_row_slices(table, grid: np.ndarray, width: int, cols: int, budget: int) -> np.ndarray:
+    """table(rows), a bool table of rows x cols, for the whole grid, in
+    slices of rows that keep the table and table's intermediates of
+    `width` cells per row within the budget."""
+    step = max(1, budget // max(width, cols))
+    if len(grid) <= step:
+        return table(grid)
+    out = np.empty((len(grid), cols), dtype=bool)
+    for s in range(0, len(grid), step):
+        out[s:s + step] = table(grid[s:s + step])
+    return out
+
+
+def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slice,
+                    budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Grid rows x the objects run.objs[cols]: does the map (a grid row,
+    from the objects' common carrier into the points indexing the square
+    matrix `bad`) send no related pair of the object to a cell of `bad`?
+    Each row's pairs that land on `bad` are packed like `run.pairs`.  With
+    bad = ~cod.rel.bits the table says which rows are monotone maps from
+    each object into cod.
+    """
+    i, j = _off_diagonal(run.m)
+    incidence = run.pairs[:, cols]
+    return _by_row_slices(lambda rows: _disjoint(_pack(bad[rows[:, i], rows[:, j]]), incidence),
+                          grid, len(i), incidence.shape[1], budget)
+
+
+def maps_out_table(grid: np.ndarray, dom: PreObj, run: ProbeRun, cols: slice,
+                   budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Grid rows x the objects run.objs[cols]: is the map (a grid row, from
+    dom into the objects' common carrier) monotone into the object?  A row
+    keeps the objects in the `run.cells` masks of all cells its related
+    pairs of dom land on.
+    """
+    u, v = dom.rel.pair_index
+    count = len(range(*cols.indices(len(run.objs))))
+    skip = cols.start % 8
+    masks = run.cells[:, cols.start // 8:-(-(cols.start + count) // 8)]
+
+    def table(rows):
+        kept = np.bitwise_and.reduce(masks[rows[:, u] * run.m + rows[:, v]], axis=1)
+        return np.unpackbits(kept, axis=1, count=skip + count,
+                             bitorder="little")[:, skip:].view(bool)
+    return _by_row_slices(table, grid, len(u) * masks.shape[1], count, budget)
+
+
 @lru_cache(maxsize=8192)
 def monotone_maps(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All monotone maps dom -> cod as an int array, one map per row.
 
     Rows come in lexicographic order of the image tuple.  The budget
-    bounds the candidate grid, cod.n ** dom.n maps of dom.n cells each:
-    BudgetError is raised, before anything is allocated, when that cell
-    count exceeds it.  The grid is filtered in slices of bounded size, and
-    only small grids are kept for reuse.
+    bounds the candidate grid as in `candidate_grid` (BudgetError before
+    anything is allocated) and every intermediate of the filter.
     The returned array is cached and write-protected; copy before mutating.
     """
-    cells = cod.n ** dom.n * dom.n
-    if cells > budget:
-        raise BudgetError(f"{cod.n ** dom.n} candidate maps x {dom.n} cells "
-                          f"exceed budget {budget}")
-    grid = (_cached_grid if cells <= _GRID_CACHE_CELLS else _candidate_grid)(dom.n, cod.n)
-    step = _GRID_CACHE_CELLS // max(1, dom.rel.pair_index.shape[1])
-    keep = np.empty(len(grid), dtype=bool)
-    for i in range(0, len(grid), step):
-        keep[i:i + step] = monotone_mask(grid[i:i + step], dom.rel, cod.rel)
-    out = grid[keep]
+    grid = candidate_grid(dom.n, cod.n, budget)
+    out = grid[maps_into_table(grid, ~cod.rel.bits, same_size_runs([dom])[0], slice(0, 1),
+                               budget)[:, 0]]
     out.setflags(write=False)
     return out
 

@@ -8,12 +8,18 @@ Both exist canonically and are unique up to a unique isomorphism, which
 is what `is_prekernel` / `is_precokernel` exploit: instead of quantifying
 over the whole (infinite) category they compare against the canonical
 construction.  The definitional verifiers below do quantify, over a
-finite list of probe objects, and serve as independent oracles.  They run
-on one engine that checks the whole hom array of each probe at once; the
-class-relative checks of `preord.pretorsion` share it, passing their own
-row-wise triviality predicate, and the stable verifiers of `preord.stable`
-pass a canonicalizer `canon(rows, dom)`, so that maps are compared up to
-stable equality.
+finite list of probe objects, and serve as independent oracles.
+
+They run on one engine that checks all probes of one size in one array
+pass: consecutive same-size probes share a candidate grid of maps, and
+each test (monotone, trivial, factors) is a table of grid rows x probes,
+read from bit masks (`category.maps_into_table`,
+`category.maps_out_table`).  Plain triviality (related points share an
+image) is a table too.  The class-relative checks of `preord.pretorsion`
+share the engine, passing a row-wise triviality predicate that is asked,
+probe by probe, only of the rows that fail to factor; the stable verifiers
+of `preord.stable` pass a canonicalizer `canon(rows, dom)`, so that maps
+are compared up to stable equality.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .category import (
-    Morph, PreObj, compose, inverse_map, is_epi, is_iso_map, is_mono,
-    is_trivial_morphism, monotone_mask, monotone_maps,
+    Morph, PreObj, candidate_grid, compose, grid_index, inverse_map, is_epi,
+    is_iso_map, is_mono, is_trivial_morphism, maps_into_table, maps_out_table,
+    same_size_runs, table_slices,
     DEFAULT_BUDGET,
 )
 from .errors import ValidationError
@@ -153,73 +160,114 @@ def is_precokernel(p: Morph, f: Morph) -> bool:
 # ----------------------------------------------------------------------
 # the universal-property engine and the definitional verifiers
 
-def plain_trivial(rows: np.ndarray, dom: PreObj, cod: PreObj) -> np.ndarray:
-    """Row-wise triviality predicate of the engine: related points share an
-    image.  A class-relative predicate has the same signature."""
+def plain_trivial(rows: np.ndarray, dom: PreObj) -> np.ndarray:
+    """Row mask of the maps out of dom (one per row) that are trivial:
+    related points share an image."""
     u, v = dom.rel.pair_index
     return np.logical_and.reduce(rows[:, u] == rows[:, v], axis=1)
 
 
+def _is_trivial(trivial, g: Morph) -> bool:
+    """One morphism against the engine's triviality (None: plain)."""
+    if trivial is None:
+        return is_trivial_morphism(g)
+    return bool(trivial(np.array([g.map]), g.dom, g.cod)[0])
+
+
 def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:
     """One integer code per row of entries in [-1, base)."""
-    return (rows + 1) @ (base + 1) ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    return grid_index(rows + 1, base + 1)
 
 
 def _exactly_one_match(targets: np.ndarray, candidates: np.ndarray, base: int,
-                       classes: np.ndarray | None = None) -> np.ndarray:
-    """Per target row: does exactly one candidate row equal it?  Rows hold
-    entries in [-1, base) and are compared by integer codes.  Given
-    `classes` (a code per candidate), equal candidates of one class count
-    once, so a match is one class of candidates."""
+                       classes: np.ndarray) -> np.ndarray:
+    """Per target row: does exactly one class of candidate rows equal it?
+    Rows hold entries in [-1, base) and are compared by integer codes;
+    `classes` holds a code per candidate, and equal candidates of one
+    class count once."""
     have = _row_codes(candidates, base)
-    if classes is None:
-        have = np.sort(have)
-    else:
-        order = np.lexsort((classes, have))
-        have, classes = have[order], classes[order]
-        new = np.concatenate(([True], (have[1:] != have[:-1]) | (classes[1:] != classes[:-1])))
-        have = have[new]
+    order = np.lexsort((classes, have))
+    have, classes = have[order], classes[order]
+    new = np.concatenate(([True], (have[1:] != have[:-1]) | (classes[1:] != classes[:-1])))
+    have = have[new]
     codes = _row_codes(targets, base)
     return np.searchsorted(have, codes, "right") - np.searchsorted(have, codes) == 1
 
 
+def _count_table(index: np.ndarray, table: np.ndarray, rows: int) -> np.ndarray:
+    """rows x columns: per row r of a grid and per column of `table`, how
+    many marked rows of `table` have grid index r in `index`?"""
+    cols = table.shape[1]
+    codes = index[:, None] * cols + np.arange(cols)
+    return np.bincount(codes.ravel(), weights=table.ravel(),
+                       minlength=rows * cols).reshape(rows, cols)
+
+
 def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,
                        budget: int, canon=None) -> bool:
-    """The prekernel universal property over probes, one hom array at a time.
+    """The prekernel universal property over probes, a run of same-size
+    probes at a time.
 
     f o k must be trivial, and for every probe Y and every lam: Y -> dom(f)
     with f o lam trivial there must be exactly one lam' with k o lam' = lam.
-    `trivial(rows, dom, cod)` says which rows of maps dom -> cod count as
-    trivial.  For injective k, lam' = k^-1 o lam must exist and be monotone;
-    otherwise the factorizations are counted by matching row codes against
-    k o hom(Y, dom k).  Triviality is asked only of the rows that fail to
-    factor, so a costly class-relative predicate runs rarely.
+    `trivial` is None for plain triviality (related points share an
+    image), or a predicate `trivial(rows, dom, cod)` saying which rows of
+    maps dom -> cod count as trivial, e.g. relative to a class.
+
+    The probes of one size share the candidate grid of maps Y -> dom(f),
+    and one table says which rows are monotone out of which probe; with
+    plain triviality the same table also asks f o lam to be trivial.  For
+    injective k, lam' = k^-1 o lam must exist and be monotone; otherwise
+    the monotone lam' of a second grid are counted per row they reach
+    through k.  A predicate is asked, probe by probe, only of the rows
+    that fail to factor, so a costly class-relative search runs rarely.
 
     With `canon(rows, dom)`, which maps each row of maps out of dom to a
     canonical row of its class, both equalities hold up to that class:
-    the canonical rows are matched, and the factorizations lam' are
-    counted once per class.
+    per probe the canonical rows of the tables' maps are matched, and the
+    factorizations lam' are counted once per class.
+
+    Budgets are those of `monotone_maps` on the same hom sets, checked
+    before each run; the tables are cut so that none exceeds the budget.
     """
     if k.cod != f.dom:
         raise ValidationError("candidate prekernel must land in the domain of f")
-    if not trivial(np.array([compose(f, k).map]), k.dom, f.cod)[0]:
+    if not _is_trivial(trivial, compose(f, k)):
         return False
+    a, x = f.dom, k.dom
     fmap, kmap = np.array(f.map), np.array(k.map)
-    inv = inverse_map(k.map, f.dom.n) if is_mono(k) and canon is None else None
-    for y in tests:
-        lams = monotone_maps(y, f.dom, budget)
-        if canon is not None:
-            primes = monotone_maps(y, k.dom, budget)
-            ok = _exactly_one_match(canon(lams, y), canon(kmap[primes], y), f.dom.n,
-                                    _row_codes(canon(primes, y), k.dom.n))
-        elif inv is not None:
-            primes = inv[lams]
-            ok = (primes >= 0).all(axis=1)
-            ok[ok] = monotone_mask(primes[ok], y.rel, k.dom.rel)
+    lam_bad = ~a.rel.bits if trivial is not None else ~a.rel.bits | (fmap[:, None] != fmap)
+    inv = inverse_map(k.map, a.n) if is_mono(k) and canon is None else None
+    if inv is not None:
+        k_bad = ~x.rel.bits[inv][:, inv]  # off the image of k, in_image rules
+    for run in same_size_runs(tests):
+        m = run.m
+        grid = candidate_grid(m, a.n, budget)
+        if inv is not None:
+            primes, in_image = grid, (inv[grid] >= 0).all(axis=1)
         else:
-            ok = _exactly_one_match(lams, kmap[monotone_maps(y, k.dom, budget)], f.dom.n)
-        if not ok.all() and trivial(fmap[lams[~ok]], y, f.cod).any():
-            return False
+            primes = candidate_grid(m, x.n, budget)
+            reach = grid_index(kmap[primes], a.n) if canon is None else None
+        for cols in table_slices(len(run.objs), max(len(grid), len(primes)), budget):
+            part = run.objs[cols]
+            lam = maps_into_table(grid, lam_bad, run, cols, budget)
+            if inv is not None:
+                ok = in_image[:, None] & maps_into_table(grid, k_bad, run, cols, budget)
+            elif canon is None:
+                ok = _count_table(reach, maps_into_table(primes, ~x.rel.bits, run, cols, budget),
+                                  len(grid)) == 1
+            else:
+                after = maps_into_table(primes, ~x.rel.bits, run, cols, budget)
+                ok = np.zeros_like(lam)
+                for j, y in enumerate(part):
+                    lams, lps = grid[lam[:, j]], primes[after[:, j]]
+                    ok[lam[:, j], j] = _exactly_one_match(
+                        canon(lams, y), canon(kmap[lps], y), a.n, _row_codes(canon(lps, y), x.n))
+            fail = lam & ~ok
+            if fail.any() and (trivial is None or any(
+                    fail[:, j].any() and trivial(fmap[grid[fail[:, j]]], y, f.cod).any()
+                    for j, y in enumerate(part))):
+                return False
     return True
 
 
@@ -228,30 +276,55 @@ def precokernel_property(p: Morph, f: Morph, tests: list[PreObj], trivial,
     """Dual engine: p o f trivial, and unique factorization lam = lam' o p
     for every lam: cod(f) -> T with lam o f trivial.
 
-    For surjective p, lam' is forced through a section of p: it must be
-    consistent on the fibres of p and monotone.  Otherwise the
-    factorizations are counted by matching row codes, up to the classes
-    of `canon` when it is given.
+    The probes of one size share the candidate grid of maps cod(f) -> T,
+    and one table, read from the cells that each row's related pairs hit,
+    says which rows are monotone into which probe; plain triviality of
+    lam o f does not depend on the probe.  For surjective p, lam' is
+    forced through a section of p: it must be consistent on the fibres of
+    p and monotone.  Otherwise the monotone lam' of a second grid are
+    counted per row they reach through p, up to the classes of `canon`
+    when it is given.  Triviality, budgets and slicing are as in
+    `prekernel_property`.
     """
     if p.dom != f.cod:
         raise ValidationError("candidate precokernel must start at the codomain of f")
-    if not trivial(np.array([compose(p, f).map]), f.dom, p.cod)[0]:
+    if not _is_trivial(trivial, compose(p, f)):
         return False
+    a, q = f.cod, p.cod
     fmap, pmap = np.array(f.map), np.array(p.map)
-    section = inverse_map(p.map, p.cod.n) if is_epi(p) and canon is None else None
-    for t in tests:
-        lams = monotone_maps(f.cod, t, budget)
-        if canon is not None:
-            after = monotone_maps(p.cod, t, budget)
-            ok = _exactly_one_match(canon(lams, f.cod), canon(after[:, pmap], f.cod), t.n,
-                                    _row_codes(canon(after, p.cod), t.n))
-        elif section is not None:
-            forced = lams[:, section]
-            ok = (forced[:, pmap] == lams).all(axis=1) & monotone_mask(forced, p.cod.rel, t.rel)
+    section = inverse_map(p.map, q.n) if is_epi(p) and canon is None else None
+    for run in same_size_runs(tests):
+        m = run.m
+        grid = candidate_grid(a.n, m, budget)
+        if section is not None:
+            afters = grid[:, section]
+            consistent = (afters[:, pmap] == grid).all(axis=1)
         else:
-            ok = _exactly_one_match(lams, monotone_maps(p.cod, t, budget)[:, pmap], t.n)
-        if not ok.all() and trivial(lams[~ok][:, fmap], f.dom, t).any():
-            return False
+            afters = candidate_grid(q.n, m, budget)
+            if canon is None:
+                reach = grid_index(afters[:, pmap], m)
+            else:
+                lam_canon, reach_canon = canon(grid, a), canon(afters[:, pmap], a)
+                classes = _row_codes(canon(afters, q), m)
+        needed = plain_trivial(grid[:, fmap], f.dom)[:, None] if trivial is None else True
+        for cols in table_slices(len(run.objs), max(len(grid), len(afters)), budget):
+            part = run.objs[cols]
+            lam = maps_out_table(grid, a, run, cols, budget) & needed
+            after = maps_out_table(afters, q, run, cols, budget)
+            if section is not None:
+                ok = consistent[:, None] & after
+            elif canon is None:
+                ok = _count_table(reach, after, len(grid)) == 1
+            else:
+                ok = np.zeros_like(lam)
+                for j in range(len(part)):
+                    ok[lam[:, j], j] = _exactly_one_match(
+                        lam_canon[lam[:, j]], reach_canon[after[:, j]], m, classes[after[:, j]])
+            fail = lam & ~ok
+            if fail.any() and (trivial is None or any(
+                    fail[:, j].any() and trivial(grid[fail[:, j]][:, fmap], f.dom, t).any()
+                    for j, t in enumerate(part))):
+                return False
     return True
 
 
@@ -261,17 +334,17 @@ def verify_prekernel_definitional(k: Morph, f: Morph, tests: list[PreObj],
 
     For every probe Y and every morphism lam: Y -> dom(f) with f o lam
     trivial there must be exactly one lam' with k o lam' = lam.  This is
-    `prekernel_property` with plain triviality, which checks each probe's
-    whole hom array at once.
+    `prekernel_property` with plain triviality, which checks all probes
+    of one size in one array pass.
     """
-    return prekernel_property(k, f, tests, plain_trivial, budget)
+    return prekernel_property(k, f, tests, None, budget)
 
 
 def verify_precokernel_definitional(p: Morph, f: Morph, tests: list[PreObj],
                                     budget: int = DEFAULT_BUDGET) -> bool:
     """Dual check: unique factorization through p for every lam with
     lam o f trivial, by `precokernel_property` with plain triviality."""
-    return precokernel_property(p, f, tests, plain_trivial, budget)
+    return precokernel_property(p, f, tests, None, budget)
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 
-from .category import Morph, PreObj, make_object
+from .category import DEFAULT_BUDGET, Morph, PreObj, make_object
 from .decompose import quotient_poset, symmetric_core
-from .errors import ParseError, ValidationError
+from .errors import BudgetError, ParseError, ValidationError
 from .relations import Partition
 from .topology import components
 
@@ -45,8 +45,12 @@ def _parse_json(text: str):
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
 
 
-def load_object(text: str) -> PreObj:
-    """Parse an object file; errors name the violated invariant."""
+def load_object(text: str, budget: int = DEFAULT_BUDGET) -> PreObj:
+    """Parse an object file; errors name the violated invariant.
+
+    The budget bounds the n x n cells of the relation matrix: BudgetError
+    is raised before anything is allocated when they exceed it.
+    """
     data = _parse_json(text)
     if not isinstance(data, dict):
         raise ValidationError("object file must be a JSON object")
@@ -68,6 +72,8 @@ def load_object(text: str) -> PreObj:
         if p[0] == p[1]:
             raise ValidationError(f"diagonal pair {p!r} must not be listed")
         cleaned.append((p[0], p[1]))
+    if n * n > budget:
+        raise BudgetError(f"relation of {n} x {n} cells exceeds budget {budget}")
     return make_object(n, cleaned, mode=data["mode"])
 
 

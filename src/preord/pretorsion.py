@@ -13,12 +13,14 @@ F = objects whose relation is a partial order, Z = equality-relation
 objects, and the canonical sequence of any object is its symmetric-core
 inclusion followed by the quotient-poset projection.
 
-The checks run a whole hom array at a time.  The relative pre(co)kernel
-checks hand each probe's `monotone_maps` array to the engine of
-`preord.exactness` with a row-wise triviality predicate: one column
-comparison per related pair when Z is exactly the equality-relation
-objects, a factorization search per row otherwise.  Axiom 2 applies the
-same predicate to each hom array from a T-member to an F-member.
+The checks run many hom sets at a time.  The relative pre(co)kernel
+checks hand the probes to the engine of `preord.exactness`, which checks
+all probes of one size in one array pass, with plain triviality when Z is
+exactly the equality-relation objects and a factorization search per row
+otherwise.  Axiom 2 and `closure_prop_check` take, per T-member, one table
+of maps into each run of consecutive same-size F-members, so maps are
+still visited in the order of the classes' candidates and, within a hom
+set, lexicographically.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from typing import Callable
 import numpy as np
 
 from .category import (
-    Morph, PreObj, is_iso_map, is_trivial_morphism, is_trivial_object,
-    monotone_maps, DEFAULT_BUDGET,
+    Morph, PreObj, candidate_grid, is_iso_map, is_trivial_morphism, is_trivial_object,
+    maps_out_table, monotone_maps, same_size_runs, table_slices,
+    DEFAULT_BUDGET,
 )
 from .decompose import quotient_poset, symmetric_core
 from .errors import ValidationError
@@ -116,8 +119,6 @@ def factors_through(f: Morph, cls: ObjClass, budget: int = DEFAULT_BUDGET) -> bo
 
 def _map_factors_through(map_row, dom: PreObj, cod: PreObj, cls: ObjClass,
                          budget: int) -> bool:
-    if cls.trivial_exact:
-        return all(map_row[a] == map_row[b] for a, b in dom.rel.pair_list)
     row = np.asarray(map_row)
     for z0 in cls.candidates(dom.n):
         outs, ins = monotone_maps(dom, z0, budget), monotone_maps(z0, cod, budget)
@@ -128,14 +129,42 @@ def _map_factors_through(map_row, dom: PreObj, cod: PreObj, cls: ObjClass,
 
 
 def _class_trivial(cls: ObjClass, budget: int):
-    """Row-wise triviality relative to the class, as the engine expects it:
-    the pairwise criterion for a trivial_exact class, else a factorization
-    search per row."""
+    """Triviality relative to the class, as the engine takes it: None
+    (plain triviality, checked pairwise as a table) for a trivial_exact
+    class, else a row predicate searching a factorization per row."""
     if cls.trivial_exact:
-        return plain_trivial
+        return None
     return lambda rows, dom, cod: np.array(
         [_map_factors_through(row.tolist(), dom, cod, cls, budget) for row in rows],
         dtype=bool)
+
+
+def _hom_tables(doms: list[PreObj], cods: list[PreObj], budget: int):
+    """Per domain, in order, and per slice of each run of same-size
+    codomains: (domain, codomain slice, candidate grid, table).  Column j
+    of the table marks the grid rows that are monotone maps into the j-th
+    codomain of the slice, in the lexicographic order of `monotone_maps`;
+    budgets are checked per run as `monotone_maps` checks them."""
+    for a in doms:
+        for run in same_size_runs(cods):
+            grid = candidate_grid(a.n, run.m, budget)
+            for cols in table_slices(len(run.objs), len(grid), budget):
+                yield a, run.objs[cols], grid, maps_out_table(grid, a, run, cols, budget)
+
+
+def _nontrivial(trivial, dom: PreObj, cods: list[PreObj], grid: np.ndarray,
+                homs: np.ndarray) -> np.ndarray:
+    """The entries of a `_hom_tables` table whose map is not trivial.  A
+    predicate is asked column by column, up to the first column holding
+    such a map."""
+    if trivial is None:
+        return homs & ~plain_trivial(grid, dom)[:, None]
+    bad = np.zeros_like(homs)
+    for j, cod in enumerate(cods):
+        bad[homs[:, j], j] = ~trivial(grid[homs[:, j]], dom, cod)
+        if bad[:, j].any():
+            break
+    return bad
 
 
 def relative_prekernel_check(k: Morph, f: Morph, cls: ObjClass,
@@ -254,11 +283,12 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
 
     Axiom 1 is checked through the canonical torsion sequence of each
     object (ends in the classes, relative preexactness probed with all
-    objects one size down).  Axiom 2 takes the hom array from every
-    t-member to every f-member and asks each of its rows to factor
-    through the intersection class.  Both test whole arrays at once;
-    maps_checked counts the maps up to and including the first that
-    fails, in the lexicographic order of the hom arrays.
+    objects one size down).  Axiom 2 takes the hom set from every
+    t-member to every f-member and asks each of its maps to factor
+    through the intersection class, one table per t-member and run of
+    same-size f-members; maps_checked counts the maps up to and including
+    the first that fails, in candidate order and, within a hom set,
+    lexicographically.
     """
     z, z_trivial = _null_class(t, f, max_n)
     probes = objects_upto(max(1, max_n - 1), "preorder")
@@ -278,13 +308,17 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
             break
     trivial = _class_trivial(z, budget)
     ax2_witness, maps_checked = None, 0
-    for tb, fb in ((tb, fb) for tb in t.candidates(max_n) for fb in f.candidates(max_n)):
-        rows = monotone_maps(tb, fb, budget)
-        bad = np.flatnonzero(~trivial(rows, tb, fb))
-        maps_checked += int(bad[0]) + 1 if len(bad) else len(rows)
-        if len(bad):
-            ax2_witness = (tb, fb, tuple(int(v) for v in rows[bad[0]]))
-            break
+    for tb, part, grid, homs in _hom_tables(t.candidates(max_n), f.candidates(max_n), budget):
+        bad = _nontrivial(trivial, tb, part, grid, homs)
+        cols = np.flatnonzero(bad.any(axis=0))
+        if not len(cols):
+            maps_checked += int(homs.sum())
+            continue
+        j = cols[0]
+        row = np.flatnonzero(bad[:, j])[0]
+        maps_checked += int(homs[:, :j].sum() + homs[:row + 1, j].sum())
+        ax2_witness = (tb, part[j], tuple(int(v) for v in grid[row]))
+        break
     return PretorsionReport(
         torsion_name=t.name, torsionfree_name=f.name, max_n=max_n,
         axiom1_ok=axiom1_ok, axiom1_counterexample=ax1_witness,
@@ -305,10 +339,10 @@ def closure_prop_check(x: PreObj, t: ObjClass, f: ObjClass, max_n: int,
     """
     z, _ = _null_class(t, f, max_n)
     trivial = _class_trivial(z, budget)
-    hyp_f = all(trivial(monotone_maps(x, fb, budget), x, fb).all()
-                for fb in f.candidates(max_n))
-    imp1 = (not hyp_f) or t.contains(x)
-    hyp_t = all(trivial(monotone_maps(tb, x, budget), tb, x).all()
-                for tb in t.candidates(max_n))
-    imp2 = (not hyp_t) or f.contains(x)
+
+    def all_trivial(doms, cods):
+        return not any(_nontrivial(trivial, *table).any()
+                       for table in _hom_tables(doms, cods, budget))
+    imp1 = (not all_trivial([x], f.candidates(max_n))) or t.contains(x)
+    imp2 = (not all_trivial(t.candidates(max_n), [x])) or f.contains(x)
     return imp1 and imp2

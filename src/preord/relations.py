@@ -80,6 +80,11 @@ class Rel:
                 and np.array_equal(self.bits, other.bits))
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # memoization keys hash the same relation many times
         return hash((self.n, self.bits.tobytes()))
 
     def __getitem__(self, ab: tuple[int, int]) -> bool:

@@ -26,7 +26,7 @@ from .category import (
 )
 from .errors import NotShortExactError, ValidationError
 from .exactness import (
-    image_equivalence, plain_trivial, precokernel, precokernel_property, prekernel,
+    image_equivalence, precokernel, precokernel_property, prekernel,
     prekernel_property,
 )
 from .relations import Rel
@@ -207,13 +207,13 @@ def verify_stable_kernel(k: StableHom, f: Morph, tests: list[PreObj],
     equality: the prekernel engine with plain triviality, comparing
     canonical rows of stable classes.
     """
-    return prekernel_property(k.rep, f, tests, plain_trivial, budget, _stable_canon)
+    return prekernel_property(k.rep, f, tests, None, budget, _stable_canon)
 
 
 def verify_stable_cokernel(p: StableHom, f: Morph, tests: list[PreObj],
                            budget: int = DEFAULT_BUDGET) -> bool:
     """Dual universal property, quantified over probe objects."""
-    return precokernel_property(p.rep, f, tests, plain_trivial, budget, _stable_canon)
+    return precokernel_property(p.rep, f, tests, None, budget, _stable_canon)
 
 
 # ----------------------------------------------------------------------

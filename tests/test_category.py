@@ -12,6 +12,10 @@ from preord import (
     triv_enumerate, trivial_object,
 )
 
+from preord.category import (
+    candidate_grid, maps_into_table, maps_out_table, same_size_runs, table_slices,
+)
+
 from .oracles import brute_monotone_maps
 
 
@@ -162,6 +166,60 @@ class TestHomEnumeration:
                     a.n, b.n, list(a.rel.pairs()), list(b.rel.pairs()))
                 got = monotone_maps(a, b)
                 assert [tuple(r) for r in got] == brute
+
+
+class TestHomTables:
+    """Both table layouts against brute-force hom sets, whole and with a
+    budget so small that every row is a slice of its own."""
+
+    @staticmethod
+    def brute(a, b):
+        return set(brute_monotone_maps(a.n, b.n, list(a.rel.pairs()), list(b.rel.pairs())))
+
+    @pytest.mark.parametrize("budget", [9, 1_000_000])
+    def test_out_tables_mark_the_maps_into_each_object_n3(self, objects3, budget):
+        for a in objects3:
+            for run in same_size_runs(objects3):
+                grid = candidate_grid(a.n, run.m)
+                table = maps_out_table(grid, a, run, slice(0, len(run.objs)), budget)
+                for j, b in enumerate(run.objs):
+                    assert {tuple(r) for r in grid[table[:, j]]} == self.brute(a, b)
+
+    @pytest.mark.parametrize("budget", [9, 1_000_000])
+    def test_into_tables_mark_the_maps_out_of_each_object_n3(self, objects3, budget):
+        for b in objects3:
+            for run in same_size_runs(objects3):
+                grid = candidate_grid(run.m, b.n)
+                table = maps_into_table(grid, ~b.rel.bits, run, slice(0, len(run.objs)), budget)
+                for j, a in enumerate(run.objs):
+                    assert {tuple(r) for r in grid[table[:, j]]} == self.brute(a, b)
+
+    def test_column_slices_match_the_whole_table_n3(self, objects3):
+        # three objects per slice, so most slices start inside a byte of
+        # the packed masks
+        *_, run = same_size_runs(objects3)
+        everyone = slice(0, len(run.objs))
+        for a in objects3:
+            outs, ins = candidate_grid(a.n, run.m), candidate_grid(run.m, a.n)
+            out_whole = maps_out_table(outs, a, run, everyone)
+            in_whole = maps_into_table(ins, ~a.rel.bits, run, everyone)
+            for cols in table_slices(len(run.objs), len(outs), 3 * len(outs)):
+                assert (maps_out_table(outs, a, run, cols) == out_whole[:, cols]).all()
+            for cols in table_slices(len(run.objs), len(ins), 3 * len(ins)):
+                assert (maps_into_table(ins, ~a.rel.bits, run, cols) == in_whole[:, cols]).all()
+
+    def test_masks_wider_than_one_word(self):
+        # 81 cells of a 9-point square and 72 ordered pairs of 9 points
+        nine = [chain(9), make_object(9, [(8, 0), (0, 4)]), trivial_object(9)]
+        run, = same_size_runs(nine)
+        grid = candidate_grid(2, 9)
+        table = maps_out_table(grid, chain(2), run, slice(0, 3))
+        for j, b in enumerate(nine):
+            assert {tuple(r) for r in grid[table[:, j]]} == self.brute(chain(2), b)
+        grid = candidate_grid(9, 2)
+        table = maps_into_table(grid, ~chain(2).rel.bits, run, slice(0, 3))
+        for j, a in enumerate(nine):
+            assert {tuple(r) for r in grid[table[:, j]]} == self.brute(a, chain(2))
 
 
 class TestMonoEpi:

@@ -185,6 +185,12 @@ class TestVerifyAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_oversized_object_is_a_budget_error(self, tmp_path, capsys):
+        p = write(tmp_path, "big.json", '{"n": 1001, "pairs": [], "mode": "close"}')
+        assert main(["check", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

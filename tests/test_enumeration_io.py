@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from preord import (
@@ -104,6 +106,20 @@ class TestObjectFiles:
         with pytest.raises(ValidationError) as exc:
             load_object('{"n": 3, "pairs": [[0, 1], [1, 2]], "mode": "strict"}')
         assert "transitive" in str(exc.value)
+
+    def test_relation_cells_are_budgeted_before_allocating(self):
+        # 1001 x 1001 relation cells exceed the default budget of 10 ** 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                load_object('{"n": 1001, "pairs": [], "mode": "close"}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(BudgetError):
+            load_object('{"n": 4, "pairs": [[0, 1]], "mode": "strict"}', budget=15)
+        assert load_object('{"n": 4, "pairs": [[0, 1]], "mode": "strict"}', budget=16).n == 4
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValidationError) as exc:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from preord import (
-    ALL_PREORDERS, EQUIVALENCES, Morph, ObjClass, PARTIAL_ORDERS,
+    ALL_PREORDERS, BudgetError, EQUIVALENCES, Morph, ObjClass, PARTIAL_ORDERS,
     TRIVIAL_OBJECTS, ValidationError, chain, closure_prop_check, compose,
     ends_trivial_iff_iso, factors_through, hom_enumerate, identity,
     intersect_classes, is_epi, is_mono, is_trivial_morphism,
@@ -184,6 +186,121 @@ class TestRelativeChecksAgainstLiteralOracle:
         assert {(True, True, True), (True, True, False), (False, True, False)} <= seen
 
 
+class TestBatchedEngineAgainstLiteralOracle:
+    """Seeded random (k, f) and (p, f) at n <= 3 against probe lists of
+    sizes 1 to 3 in random order, each with a repeated probe.  The engine
+    decides them with plain triviality, with the trivial class decided by
+    search, and both again under a budget that cuts every table into
+    slices; a per-map search oracle decides them once."""
+
+    SEARCHED = ObjClass("trivial-searched", is_trivial_object,
+                        TRIVIAL_OBJECTS.candidates)
+    # the largest candidate grid at n = 3 (27 maps x 3 cells) just fits
+    SLICING_BUDGET = 81
+
+    @staticmethod
+    def spec(a):
+        return a.n, list(a.rel.pairs())
+
+    @staticmethod
+    def probes(rng, by_size):
+        sizes = rng.integers(1, 4, size=rng.integers(2, 5))
+        ys = [by_size[s][rng.integers(len(by_size[s]))] for s in sizes]
+        ys.append(ys[rng.integers(len(ys))])
+        return [ys[i] for i in rng.permutation(len(ys))]
+
+    def verdicts(self, check, a, b, tests):
+        return {check(a, b, cls, tests, budget)
+                for cls in (TRIVIAL_OBJECTS, self.SEARCHED)
+                for budget in (self.SLICING_BUDGET, 1_000_000)}
+
+    def test_prekernel_engine_matches_oracle(self, objects3):
+        rng = np.random.default_rng(20190611)
+        by_size = {s: [a for a in objects3 if a.n == s] for s in (1, 2, 3)}
+        seen, unsorted = set(), 0
+        for _ in range(500):
+            a, b, x = (objects3[rng.integers(len(objects3))] for _ in range(3))
+            f = hom_enumerate(a, b)[rng.integers(len(hom_enumerate(a, b)))]
+            homs = hom_enumerate(x, a)
+            k = prekernel(f) if rng.random() < 0.25 else homs[rng.integers(len(homs))]
+            tests = self.probes(rng, by_size)
+            want = prekernel_property_search(k.map, self.spec(k.dom), f.map, self.spec(a),
+                                             self.spec(b), [self.spec(y) for y in tests])
+            assert self.verdicts(relative_prekernel_check, k, f, tests) == {want}
+            assert verify_prekernel_definitional(k, f, tests) == want
+            seen.add((is_mono(k), is_trivial_morphism(compose(f, k)), want))
+            unsorted += [y.n for y in tests] != sorted(y.n for y in tests)
+        # the inverse path passes and fails, the count path reaches the probes
+        assert {(True, True, True), (True, True, False), (False, True, False)} <= seen
+        assert unsorted > 100
+
+    def test_precokernel_engine_matches_oracle(self, objects3):
+        rng = np.random.default_rng(20190611)
+        by_size = {s: [a for a in objects3 if a.n == s] for s in (1, 2, 3)}
+        seen, unsorted = set(), 0
+        for _ in range(500):
+            a, b, y = (objects3[rng.integers(len(objects3))] for _ in range(3))
+            f = hom_enumerate(a, b)[rng.integers(len(hom_enumerate(a, b)))]
+            homs = hom_enumerate(b, y)
+            p = precokernel(f) if rng.random() < 0.25 else homs[rng.integers(len(homs))]
+            tests = self.probes(rng, by_size)
+            want = precokernel_property_search(p.map, self.spec(p.cod), f.map, self.spec(a),
+                                               self.spec(b), [self.spec(t) for t in tests])
+            assert self.verdicts(relative_precokernel_check, p, f, tests) == {want}
+            assert verify_precokernel_definitional(p, f, tests) == want
+            seen.add((is_epi(p), is_trivial_morphism(compose(p, f)), want))
+            unsorted += [t.n for t in tests] != sorted(t.n for t in tests)
+        assert {(True, True, True), (True, True, False), (False, True, False)} <= seen
+        assert unsorted > 100
+
+
+class TestEngineBudget:
+    """The engine raises BudgetError exactly where a per-probe hom
+    enumeration would: at the first probe whose candidate grid exceeds the
+    budget, unless an earlier probe already failed, and before allocating."""
+
+    # f o k is trivial, and the identity of chain(2) does not factor through k
+    K = Morph(trivial_object(2), chain(2), (0, 1))
+    F = Morph(chain(2), trivial_object(1), (0, 0))
+    # p o f is trivial, and the identity of chain(2) does not factor through p
+    P = Morph(chain(2), make_object(2, [(0, 1), (1, 0)]), (0, 1))
+    G = Morph(trivial_object(1), chain(2), (0,))
+
+    def test_prekernel_budget_is_checked_probe_by_probe(self):
+        big = trivial_object(7)  # 2 ** 7 maps x 7 cells
+        assert not verify_prekernel_definitional(self.K, self.F, [chain(2), big], budget=100)
+        with pytest.raises(BudgetError):
+            verify_prekernel_definitional(self.K, self.F, [big, chain(2)], budget=100)
+        # the bound is inclusive: 896 cells fit a budget of 896
+        assert verify_prekernel_definitional(self.K, self.F, [trivial_object(1), big], budget=896)
+
+    def test_precokernel_budget_is_checked_probe_by_probe(self):
+        big = trivial_object(11)  # 11 ** 2 maps x 2 cells
+        assert not verify_precokernel_definitional(self.P, self.G, [chain(2), big], budget=100)
+        with pytest.raises(BudgetError):
+            verify_precokernel_definitional(self.P, self.G, [big, chain(2)], budget=100)
+
+    def test_nothing_is_allocated_before_the_budget_error(self):
+        wide = trivial_object(17)  # 2 ** 17 maps x 17 cells into chain(2)
+        tall = trivial_object(1000)  # 1000 ** 2 maps x 2 cells out of chain(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                verify_prekernel_definitional(self.K, self.F, [trivial_object(1), wide])
+            with pytest.raises(BudgetError):
+                verify_precokernel_definitional(self.P, self.G, [trivial_object(1), tall])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_axiom2_raises_at_the_first_grid_over_budget(self):
+        # 3 ** 3 maps x 3 cells from a 3-point T-member into a 3-point F-member
+        assert pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3, budget=81).ok
+        with pytest.raises(BudgetError):
+            pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3, budget=80)
+
+
 class TestRelativePreexact:
     def test_torsion_sequences_n3(self, objects2, objects3):
         for a in objects3:
@@ -317,6 +434,66 @@ class TestPretorsionVerify:
         z = intersect_classes(EQUIVALENCES, PARTIAL_ORDERS)
         for a in objects3:
             assert z.contains(a) == is_trivial_object(a)
+
+
+def _larger_first(cls):
+    return ObjClass(f"{cls.name}-larger-first", cls.contains,
+                    lambda n: sorted(cls.candidates(n), key=lambda a: -a.n),
+                    cls.trivial_exact)
+
+
+class TestCheckOrder:
+    """Axiom 2 and the closure check visit the hom sets in the order of the
+    classes' candidates, which need not be sorted by size, and maps within
+    a hom set lexicographically.  Counts and witnesses are pinned."""
+
+    def test_larger_first_classes_pass_on_every_map(self):
+        report = pretorsion_verify(_larger_first(EQUIVALENCES), _larger_first(PARTIAL_ORDERS), 3)
+        assert report.ok
+        assert (report.objects_checked, report.maps_checked) == (34, 1466)
+
+    @pytest.mark.parametrize("max_n, witness, maps", [
+        (3, (make_object(3, [(2, 1)]), make_object(3, [(1, 2), (2, 1)]), (0, 1, 2)), 164),
+        (4, (make_object(4, [(3, 2)]), make_object(4, [(2, 3), (3, 2)]), (0, 0, 2, 3)), 4346),
+    ])
+    def test_larger_first_swapped_classes_pin_the_axiom2_witness(self, max_n, witness, maps):
+        report = pretorsion_verify(_larger_first(PARTIAL_ORDERS), _larger_first(EQUIVALENCES),
+                                   max_n)
+        assert report.axiom1_counterexample == (
+            make_object(2, [(1, 0)]), "quotient is outside the torsion-free class")
+        assert report.axiom2_counterexample == witness
+        assert report.maps_checked == maps
+
+    def test_searched_null_class_pins_both_axioms(self):
+        # the intersection holds more than the trivial objects, so
+        # triviality is a factorization search per T-member and F-member
+        report = pretorsion_verify(_larger_first(ALL_PREORDERS), _larger_first(EQUIVALENCES), 3)
+        assert not report.null_class_is_trivial
+        assert report.axiom2_ok and report.maps_checked == 2466
+        report = pretorsion_verify(_larger_first(EQUIVALENCES), _larger_first(ALL_PREORDERS), 3)
+        assert report.axiom2_ok and report.maps_checked == 2554
+        assert report.axiom1_counterexample == (
+            make_object(2, [(0, 1), (1, 0)]), "canonical sequence is not relatively preexact")
+
+    def test_sliced_tables_keep_the_order(self):
+        # 81 cells hold one 3-point grid (27 maps x 3 cells) but cut every
+        # table of more than three codomains into slices
+        for t, f in ((PARTIAL_ORDERS, EQUIVALENCES), (EQUIVALENCES, PARTIAL_ORDERS),
+                     (_larger_first(PARTIAL_ORDERS), _larger_first(EQUIVALENCES))):
+            sliced, whole = pretorsion_verify(t, f, 3, budget=81), pretorsion_verify(t, f, 3)
+            assert sliced.axiom2_counterexample == whole.axiom2_counterexample
+            assert sliced.maps_checked == whole.maps_checked
+
+    @pytest.mark.parametrize("t, f, failing", [
+        (EQUIVALENCES, PARTIAL_ORDERS, []),
+        (EQUIVALENCES, ALL_PREORDERS, []),
+        (TRIVIAL_OBJECTS, PARTIAL_ORDERS, [4, 10, 16, 18, 21, 25, 26, 29, 31, 32, 33]),
+        (EQUIVALENCES, TRIVIAL_OBJECTS, [2, 3, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 19, 20,
+                                         21, 22, 23, 24, 26, 27, 28, 29, 30, 31, 32]),
+    ])
+    def test_closure_prop_check_pinned_n3(self, objects3, t, f, failing):
+        assert [i for i, x in enumerate(objects3)
+                if not closure_prop_check(x, t, f, 3)] == failing
 
 
 class TestClosureProp:

@@ -42,6 +42,16 @@ class TestPredicates:
         assert not rel(2, [(0, 1)]).union(rel(2, [(1, 0)])).is_antisymmetric()
 
 
+class TestValueSemantics:
+    def test_equal_relations_hash_equal_and_the_hash_is_kept(self):
+        r = Rel.from_pairs(3, [(0, 1), (1, 2)])
+        same = Rel(3, r.bits.copy())
+        assert r == same and hash(r) == hash(same)
+        assert r != Rel.from_pairs(3, [(0, 1)])
+        # hashed once, then read back: memoization keys hash it many times
+        assert vars(r)["_hash"] == hash(r)
+
+
 class TestTransitiveClosure:
     def test_diagonal_is_a_fixed_point(self):
         assert DIAG3.transitive_closure() == DIAG3
