@@ -7,10 +7,11 @@ relation matrix, and isomorphism is a separate search.
 
 Hom sets come from candidate grids: every map between two carriers, one
 per row.  A hom table filters one grid against a whole run of same-size
-objects at once, one column per object, with bit masks: for maps out of
-the objects, the pairs each row sends to forbidden cells against each
-object's related pairs; for maps into them, the objects relating each
-cell a row's related pairs land on.
+objects at once, one column per object, from one bit mask per cell of
+their common carrier square: the objects relating that cell.  Maps into
+the objects keep those in the masks of all cells a row's related pairs
+land on; maps out of them keep those in no mask of a cell that a row
+sends to a forbidden cell.
 """
 
 from __future__ import annotations
@@ -214,48 +215,17 @@ def grid_index(rows: np.ndarray, base: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # hom tables: the maps of one candidate grid against many objects at once
 
-@lru_cache(maxsize=None)
-def _off_diagonal(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.nonzero(~np.eye(m, dtype=bool))
-
-
-@lru_cache(maxsize=None)
-def _bits(cols: int) -> np.ndarray:
-    """The place value of each of up to 64 columns, in the narrowest
-    unsigned dtype that holds them all."""
-    dtype = np.dtype(f"u{next(b for b in (1, 2, 4, 8) if 8 * b >= cols)}")
-    return np.left_shift(1, np.arange(cols, dtype=dtype), dtype=dtype)
-
-
-def _pack(marks: np.ndarray) -> np.ndarray:
-    """Rows x words: the marked columns of each row as a bit mask, in the
-    narrowest unsigned words that hold it, 64 columns per word when more
-    are needed (one word at least)."""
-    cols = marks.shape[1]
-    if cols <= 64:
-        return (marks @ _bits(cols))[:, None]
-    return np.stack([marks[:, k:k + 64] @ _bits(marks[:, k:k + 64].shape[1]).astype(np.uint64)
-                     for k in range(0, cols, 64)], axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class ProbeRun:
-    """Consecutive objects of one size m with what the tables read of them,
-    built on first use: `pairs`, words x objects, holds each object's
-    related pairs of distinct points as a bit mask (for
-    `maps_into_table`); `cells`, m * m cells (row-major) x bytes, holds
-    the objects relating each cell as a bit mask (for `maps_out_table`)."""
+    """Consecutive objects of one size m with what the tables read of
+    them, built on first use: `cells`, m * m cells (row-major) x bytes,
+    holds the objects relating each cell as a bit mask."""
 
     objs: tuple[PreObj, ...]
 
     @property
     def m(self) -> int:
         return self.objs[0].n
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        i, j = _off_diagonal(self.m)
-        return _pack(np.stack([a.rel.bits[i, j] for a in self.objs])).T
 
     @cached_property
     def cells(self) -> np.ndarray:
@@ -282,25 +252,33 @@ def table_slices(cols: int, rows: int, budget: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, cols, step)]
 
 
-def _disjoint(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Rows of words x columns of masks: do the two bit masks share no bit?"""
-    out = (words[:, :1] & masks[0]) == 0
-    for w in range(1, len(masks)):
-        out &= (words[:, w:w + 1] & masks[w]) == 0
-    return out
-
-
-def _by_row_slices(table, grid: np.ndarray, width: int, cols: int, budget: int) -> np.ndarray:
-    """table(rows), a bool table of rows x cols, for the whole grid, in
-    slices of rows that keep the table and table's intermediates of
-    `width` cells per row within the budget."""
-    step = max(1, budget // max(width, cols))
+def _by_row_slices(table, grid: np.ndarray, width: int, budget: int) -> np.ndarray:
+    """table(rows) for the whole grid, in slices of rows that keep the
+    table and its intermediates of `width` cells per row within the
+    budget."""
+    step = max(1, budget // width)
     if len(grid) <= step:
         return table(grid)
-    out = np.empty((len(grid), cols), dtype=bool)
-    for s in range(0, len(grid), step):
-        out[s:s + step] = table(grid[s:s + step])
-    return out
+    return np.concatenate([table(grid[s:s + step]) for s in range(0, len(grid), step)])
+
+
+def _and_over_pairs(rows: np.ndarray, dom: PreObj, masks: np.ndarray, m: int) -> np.ndarray:
+    """Per map out of dom into m points (one per row): the bitwise AND of
+    the masks, one per cell of the m x m square (row-major), of the cells
+    its related pairs of dom land on."""
+    u, v = dom.rel.pair_index
+    return np.bitwise_and.reduce(masks[rows[:, u] * m + rows[:, v]], axis=1)
+
+
+def _run_bytes(run: ProbeRun, cols: slice):
+    """The bytes of `run.cells` that hold the objects run.objs[cols], their
+    number, and how to unpack a table of such bytes into one bool column
+    per object."""
+    count = len(range(*cols.indices(len(run.objs))))
+    skip = cols.start % 8
+    masks = run.cells[:, cols.start // 8:-(-(cols.start + count) // 8)]
+    return masks, count, lambda packed: np.unpackbits(
+        packed, axis=1, count=skip + count, bitorder="little")[:, skip:].view(bool)
 
 
 def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slice,
@@ -308,14 +286,17 @@ def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slic
     """Grid rows x the objects run.objs[cols]: does the map (a grid row,
     from the objects' common carrier into the points indexing the square
     matrix `bad`) send no related pair of the object to a cell of `bad`?
-    Each row's pairs that land on `bad` are packed like `run.pairs`.  With
-    bad = ~cod.rel.bits the table says which rows are monotone maps from
-    each object into cod.
+    A row keeps the objects in no `run.cells` mask of a cell it sends to
+    `bad`.  With bad = ~cod.rel.bits the table says which rows are
+    monotone maps from each object into cod.
     """
-    i, j = _off_diagonal(run.m)
-    incidence = run.pairs[:, cols]
-    return _by_row_slices(lambda rows: _disjoint(_pack(bad[rows[:, i], rows[:, j]]), incidence),
-                          grid, len(i), incidence.shape[1], budget)
+    m = run.m
+    masks, count, unpack = _run_bytes(run, cols)
+
+    def table(rows):
+        hit = bad[rows[:, :, None], rows[:, None, :]].reshape(len(rows), m * m)
+        return unpack(~np.bitwise_or.reduce(masks * hit[:, :, None], axis=1))
+    return _by_row_slices(table, grid, max(m * m * masks.shape[1], count), budget)
 
 
 def maps_out_table(grid: np.ndarray, dom: PreObj, run: ProbeRun, cols: slice,
@@ -325,16 +306,9 @@ def maps_out_table(grid: np.ndarray, dom: PreObj, run: ProbeRun, cols: slice,
     keeps the objects in the `run.cells` masks of all cells its related
     pairs of dom land on.
     """
-    u, v = dom.rel.pair_index
-    count = len(range(*cols.indices(len(run.objs))))
-    skip = cols.start % 8
-    masks = run.cells[:, cols.start // 8:-(-(cols.start + count) // 8)]
-
-    def table(rows):
-        kept = np.bitwise_and.reduce(masks[rows[:, u] * run.m + rows[:, v]], axis=1)
-        return np.unpackbits(kept, axis=1, count=skip + count,
-                             bitorder="little")[:, skip:].view(bool)
-    return _by_row_slices(table, grid, len(u) * masks.shape[1], count, budget)
+    masks, count, unpack = _run_bytes(run, cols)
+    return _by_row_slices(lambda rows: unpack(_and_over_pairs(rows, dom, masks, run.m)), grid,
+                          max(dom.rel.pair_index.shape[1] * masks.shape[1], count), budget)
 
 
 @lru_cache(maxsize=8192)
@@ -347,8 +321,9 @@ def monotone_maps(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> np.
     The returned array is cached and write-protected; copy before mutating.
     """
     grid = candidate_grid(dom.n, cod.n, budget)
-    out = grid[maps_into_table(grid, ~cod.rel.bits, same_size_runs([dom])[0], slice(0, 1),
-                               budget)[:, 0]]
+    # one object: the cells of its relation matrix are the masks, one bit each
+    out = grid[_by_row_slices(lambda rows: _and_over_pairs(rows, dom, cod.rel.bits.ravel(), cod.n),
+                              grid, max(1, dom.rel.pair_index.shape[1]), budget)]
     out.setflags(write=False)
     return out
 

@@ -304,7 +304,7 @@ def precokernel_property(p: Morph, f: Morph, tests: list[PreObj], trivial,
             if canon is None:
                 reach = grid_index(afters[:, pmap], m)
             else:
-                lam_canon, reach_canon = canon(grid, a), canon(afters[:, pmap], a)
+                reach_canon = canon(afters[:, pmap], a)
                 classes = _row_codes(canon(afters, q), m)
         needed = plain_trivial(grid[:, fmap], f.dom)[:, None] if trivial is None else True
         for cols in table_slices(len(run.objs), max(len(grid), len(afters)), budget):
@@ -316,10 +316,14 @@ def precokernel_property(p: Morph, f: Morph, tests: list[PreObj], trivial,
             elif canon is None:
                 ok = _count_table(reach, after, len(grid)) == 1
             else:
+                # canonical rows only of the lam some probe of the slice keeps
+                rows = np.flatnonzero(lam.any(axis=1))
+                lam_canon = canon(grid[rows], a)
                 ok = np.zeros_like(lam)
                 for j in range(len(part)):
-                    ok[lam[:, j], j] = _exactly_one_match(
-                        lam_canon[lam[:, j]], reach_canon[after[:, j]], m, classes[after[:, j]])
+                    mine = lam[rows, j]
+                    ok[rows[mine], j] = _exactly_one_match(
+                        lam_canon[mine], reach_canon[after[:, j]], m, classes[after[:, j]])
             fail = lam & ~ok
             if fail.any() and (trivial is None or any(
                     fail[:, j].any() and trivial(grid[fail[:, j]][:, fmap], f.dom, t).any()

@@ -45,11 +45,12 @@ def _parse_json(text: str):
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
 
 
-def load_object(text: str, budget: int = DEFAULT_BUDGET) -> PreObj:
+def load_object(text: str) -> PreObj:
     """Parse an object file; errors name the violated invariant.
 
-    The budget bounds the n x n cells of the relation matrix: BudgetError
-    is raised before anything is allocated when they exceed it.
+    DEFAULT_BUDGET bounds the n x n cells of the relation matrix:
+    BudgetError is raised before anything is allocated when they exceed
+    it.
     """
     data = _parse_json(text)
     if not isinstance(data, dict):
@@ -72,8 +73,8 @@ def load_object(text: str, budget: int = DEFAULT_BUDGET) -> PreObj:
         if p[0] == p[1]:
             raise ValidationError(f"diagonal pair {p!r} must not be listed")
         cleaned.append((p[0], p[1]))
-    if n * n > budget:
-        raise BudgetError(f"relation of {n} x {n} cells exceeds budget {budget}")
+    if n * n > DEFAULT_BUDGET:
+        raise BudgetError(f"relation of {n} x {n} cells exceeds budget {DEFAULT_BUDGET}")
     return make_object(n, cleaned, mode=data["mode"])
 
 

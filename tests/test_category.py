@@ -13,7 +13,8 @@ from preord import (
 )
 
 from preord.category import (
-    candidate_grid, maps_into_table, maps_out_table, same_size_runs, table_slices,
+    _probe_runs, candidate_grid, maps_into_table, maps_out_table, same_size_runs,
+    table_slices,
 )
 
 from .oracles import brute_monotone_maps
@@ -169,7 +170,7 @@ class TestHomEnumeration:
 
 
 class TestHomTables:
-    """Both table layouts against brute-force hom sets, whole and with a
+    """Both hom tables against brute-force hom sets, whole and with a
     budget so small that every row is a slice of its own."""
 
     @staticmethod
@@ -208,16 +209,24 @@ class TestHomTables:
             for cols in table_slices(len(run.objs), len(ins), 3 * len(ins)):
                 assert (maps_into_table(ins, ~a.rel.bits, run, cols) == in_whole[:, cols]).all()
 
-    def test_masks_wider_than_one_word(self):
-        # 81 cells of a 9-point square and 72 ordered pairs of 9 points
-        nine = [chain(9), make_object(9, [(8, 0), (0, 4)]), trivial_object(9)]
+    def test_hom_sets_of_one_pair_leave_the_run_cache_alone(self):
+        # a sparse 40-point domain into a point: one candidate map
+        dom = make_object(40, [(i, i + 1) for i in range(0, 38, 2)])
+        before = _probe_runs.cache_info()
+        assert monotone_maps(dom, chain(1)).tolist() == [[0] * 40]
+        assert _probe_runs.cache_info() == before
+
+    def test_nine_point_carriers_over_two_mask_bytes(self):
+        # 81 cells of a 9-point square; ten objects fill more than one byte
+        nine = [chain(9), make_object(9, [(8, 0), (0, 4)]), trivial_object(9)] + [
+            make_object(9, [(i, (i + 1) % 9), (8 - i, 4)]) for i in range(7)]
         run, = same_size_runs(nine)
         grid = candidate_grid(2, 9)
-        table = maps_out_table(grid, chain(2), run, slice(0, 3))
+        table = maps_out_table(grid, chain(2), run, slice(0, len(nine)))
         for j, b in enumerate(nine):
             assert {tuple(r) for r in grid[table[:, j]]} == self.brute(chain(2), b)
         grid = candidate_grid(9, 2)
-        table = maps_into_table(grid, ~chain(2).rel.bits, run, slice(0, 3))
+        table = maps_into_table(grid, ~chain(2).rel.bits, run, slice(0, len(nine)))
         for j, a in enumerate(nine):
             assert {tuple(r) for r in grid[table[:, j]]} == self.brute(a, chain(2))
 

@@ -117,9 +117,10 @@ class TestObjectFiles:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        with pytest.raises(BudgetError):
-            load_object('{"n": 4, "pairs": [[0, 1]], "mode": "strict"}', budget=15)
-        assert load_object('{"n": 4, "pairs": [[0, 1]], "mode": "strict"}', budget=16).n == 4
+
+    def test_relation_of_exactly_the_budget_loads(self):
+        # 1000 x 1000 cells are the default budget itself
+        assert load_object('{"n": 1000, "pairs": [[0, 999]], "mode": "strict"}').n == 1000
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValidationError) as exc:
