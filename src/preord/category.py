@@ -76,9 +76,12 @@ def make_object(n: int, pairs: Iterable[tuple[int, int]] = (),
     if mode == "close":
         return PreObj(r.transitive_closure())
     if mode == "strict":
-        if not r.is_transitive():
-            raise ValidationError("pairs are not transitive (strict mode)")
-        return PreObj(r)
+        # r is non-empty and reflexive, so PreObj can only reject it as
+        # not transitive; its check is the only one
+        try:
+            return PreObj(r)
+        except ValidationError as e:
+            raise ValidationError("pairs are not transitive (strict mode)") from e
     raise ValidationError(f"unknown mode {mode!r} (expected 'strict' or 'close')")
 
 
@@ -177,7 +180,11 @@ _GRID_CACHE_CELLS = 1 << 14
 
 def _candidate_grid(dom_n: int, cod_n: int) -> np.ndarray:
     """Every map {0..dom_n-1} -> {0..cod_n-1}, one per row, lexicographic."""
-    grid = np.indices((cod_n,) * dom_n).reshape(dom_n, -1).T
+    if cod_n == 1:
+        # np.indices takes at most 64 axes; the one constant map needs none
+        grid = np.zeros((1, dom_n), dtype=int)
+    else:
+        grid = np.indices((cod_n,) * dom_n).reshape(dom_n, -1).T
     grid.setflags(write=False)
     return grid
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .category import DEFAULT_BUDGET, Morph, PreObj, make_object
 from .decompose import quotient_poset, symmetric_core
 from .errors import BudgetError, ParseError, ValidationError
-from .relations import Partition
+from .relations import Partition, Rel
 from .topology import components
 
 __all__ = ["save_object", "load_object", "load_morphism", "export_dot"]
@@ -93,12 +95,10 @@ def load_morphism(text: str, dom: PreObj, cod: PreObj) -> Morph:
 # DOT export
 
 def _hasse_edges(q: PreObj) -> list[tuple[int, int]]:
-    strict = {(a, b) for a, b in q.rel.pairs()}
-    out = []
-    for a, b in sorted(strict):
-        if not any((a, m) in strict and (m, b) in strict for m in range(q.n)):
-            out.append((a, b))
-    return out
+    """Covering pairs in row-major order: strict pairs with no strict
+    two-step path."""
+    strict = Rel(q.n, q.rel.bits & ~np.eye(q.n, dtype=bool))
+    return list(Rel(q.n, strict.bits & ~strict.compose(strict).bits).pairs())
 
 
 def export_dot(a: PreObj, hasse: bool = False, color_components: bool = False) -> str:

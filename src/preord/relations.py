@@ -1,10 +1,21 @@
 """Boolean relation algebra on the finite carriers {0, ..., n-1}.
 
 A relation is a dense n x n boolean matrix; entry (a, b) means "a is
-related to b".  Carriers are tiny (exhaustive verification dominates
-cost), so O(n^3) closures are deliberately preferred over anything
-clever.  Carrier size 0 is allowed here for internal convenience; the
-category layer rejects empty objects.
+related to b".  Carrier size 0 is allowed here for internal convenience;
+the category layer rejects empty objects.
+
+Composition and transitive closure have two exact kernels, chosen by
+carrier size alone.  Below `_PACKED_MIN_N` points they use numpy's
+bool matrix product (closure by repeated squaring): a few microseconds at
+the n <= 5 of exhaustive verification, which makes tens of thousands of
+such calls.  From `_PACKED_MIN_N` points on, rows are packed into 64-bit
+words: a composition is one bitwise-OR reduction over the packed rows,
+and a closure is Warshall's algorithm (J. ACM 9, 1962), one pass that ORs
+row k into every row holding bit k.  The bool product does O(n^3) work
+with no BLAS and squares up to log2(n) times; on a 298-point preorder
+from an object file it takes 19 ms per transitivity check and 58 ms per
+equivalence closure, where the packed kernels take 2.5 ms and 5 ms.  The
+switch sits at the measured crossover (see `_PACKED_MIN_N`).
 """
 
 from __future__ import annotations
@@ -27,6 +38,56 @@ def _freeze(n: int, bits) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)
     return a
+
+
+# Carriers of at least this many points take the packed kernels.  Measured
+# crossover on random preorders, equivalences and chains: the packed
+# composition wins from about 32 points and Warshall's closure from 40 to
+# 48; below, the bool product is cheaper (at n <= 5, 3-19 us against 13-44
+# us for the packed kernels).
+_PACKED_MIN_N = 48
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The rows of an n x n bool matrix as n x ceil(n / 64) uint64 words."""
+    n = len(bits)
+    rows = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    rows.view(np.uint8)[:, :-(-n // 8)] = np.packbits(bits, axis=1)
+    return rows
+
+
+def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n).view(bool)
+
+
+def _compose(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The relation product r;s of two n x n bool matrices: a related to c
+    when a r b and b s c for some b."""
+    n = len(r)
+    if n < _PACKED_MIN_N:
+        return r @ s
+    rows = _pack(s)
+    # row a of r;s is the OR of the rows of s that row a of r selects
+    return _unpack(np.bitwise_or.reduce(np.broadcast_to(rows, (n,) + rows.shape), axis=1,
+                                        where=r[:, :, None], initial=0), n)
+
+
+def _closure(bits: np.ndarray) -> np.ndarray:
+    """The transitive closure of an n x n bool matrix, as a new array."""
+    n = len(bits)
+    if n < _PACKED_MIN_N:
+        cur = bits.copy()
+        while True:
+            nxt = cur | (cur @ cur)
+            if np.array_equal(nxt, cur):
+                return cur
+            cur = nxt
+    rows = _pack(bits)
+    # np.packbits puts bit k of a row at 0x80 >> k % 8 of its byte k // 8
+    row_bytes = rows.view(np.uint8)
+    for k in range(n):
+        rows[(row_bytes[:, k >> 3] & (0x80 >> (k & 7))).nonzero()[0]] |= rows[k]
+    return _unpack(rows, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +183,7 @@ class Rel:
 
     def is_transitive(self) -> bool:
         b = self.bits
-        return bool(((b @ b) <= b).all())
+        return bool((_compose(b, b) <= b).all())
 
     def is_symmetric(self) -> bool:
         return bool((self.bits == self.bits.T).all())
@@ -145,12 +206,7 @@ class Rel:
 
     def transitive_closure(self) -> "Rel":
         """Smallest transitive relation containing this one."""
-        cur = self.bits.copy()
-        while True:
-            nxt = cur | (cur @ cur)
-            if np.array_equal(nxt, cur):
-                return Rel(self.n, cur)
-            cur = nxt
+        return Rel(self.n, _closure(self.bits))
 
     def reflexive_closure(self) -> "Rel":
         return Rel(self.n, self.bits | np.eye(self.n, dtype=bool))
@@ -166,6 +222,11 @@ class Rel:
 
     def converse(self) -> "Rel":
         return Rel(self.n, self.bits.T)
+
+    def compose(self, other: "Rel") -> "Rel":
+        """Relational composition: a related to c when a self b and b other c."""
+        self._same_carrier(other)
+        return Rel(self.n, _compose(self.bits, other.bits))
 
     def meet(self, other: "Rel") -> "Rel":
         """Pointwise intersection; the meet in the lattice of relations."""

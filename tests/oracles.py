@@ -262,6 +262,17 @@ def naive_is_transitive(pairs):
                for a, b in pairs for c, d in pairs if b == c)
 
 
+def naive_compose(r_pairs, s_pairs):
+    return {(a, d) for a, b in r_pairs for c, d in s_pairs if b == c}
+
+
+def naive_covering_pairs(n, pairs):
+    """Strict pairs with no strict two-step path, sorted."""
+    strict = {(a, b) for a, b in pairs if a != b}
+    return [(a, b) for a, b in sorted(strict)
+            if not any((a, m) in strict and (m, b) in strict for m in range(n))]
+
+
 def count_preorders_brute(n):
     return sum(1 for rel in brute_reflexive_relations(n) if naive_is_transitive(rel))
 

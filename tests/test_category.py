@@ -151,6 +151,15 @@ class TestHomEnumeration:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_one_point_codomain_takes_any_domain_size(self):
+        # np.indices takes at most 64 axes, one per domain point
+        homs = hom_enumerate(trivial_object(64), trivial_object(1))
+        assert [f.map for f in homs] == [(0,) * 64]
+        assert monotone_maps(chain(100), trivial_object(1)).tolist() == [[0] * 100]
+        # 2 ** 64 rows of 64 cells: the budget refuses before any grid exists
+        with pytest.raises(BudgetError):
+            monotone_maps(trivial_object(64), trivial_object(2))
+
     def test_only_small_candidate_grids_are_cached(self):
         from preord.category import _cached_grid
         before = _cached_grid.cache_info().currsize

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -5,11 +7,13 @@ import pytest
 from preord import (
     BudgetError, ParseError, ValidationError, chain, coproduct,
     count_objects, enumerate_objects, export_dot, load_morphism, load_object,
-    make_object, save_object, trivial_object,
+    make_object, quotient_poset, save_object, trivial_object,
 )
+from preord.io import _hasse_edges
 
 from .oracles import (
     count_equivalences_brute, count_partial_orders_brute, count_preorders_brute,
+    naive_covering_pairs,
 )
 
 
@@ -148,7 +152,36 @@ class TestMorphismFiles:
             load_morphism('{"mapping": [0]}', trivial_object(1), trivial_object(1))
 
 
+def seeded_preorder(seed):
+    rng = random.Random(seed)
+    n = rng.randint(100, 300)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(int(n * rng.uniform(0.5, 2.0)))]
+    return make_object(n, [(a, b) for a, b in pairs if a != b], mode="close")
+
+
+def dot_digest(objects):
+    h = hashlib.sha256()
+    for a in objects:
+        h.update(export_dot(a, hasse=True).encode())
+    return h.hexdigest()
+
+
 class TestDot:
+    # The digests pin the Hasse texts written by the loop over strict pairs
+    # x points that the array version replaced.
+    def test_hasse_text_pinned_on_every_object_n4(self, objects4):
+        assert dot_digest(objects4) == (
+            "e360c2a945c34e983db05c92871b4a64a79f17570ab5841c30e0f6198ddb083e")
+
+    def test_hasse_text_pinned_on_hundreds_of_points(self):
+        assert dot_digest(seeded_preorder(seed) for seed in range(4)) == (
+            "d79cde9d6185ba9cc171692288f33f910fbee15b6556b6f3a4bfb3afbc26a20f")
+
+    @pytest.mark.parametrize("seed", range(4, 10))
+    def test_hasse_edges_are_the_covering_pairs(self, seed):
+        q, _ = quotient_poset(seeded_preorder(seed))
+        assert _hasse_edges(q) == naive_covering_pairs(q.n, list(q.rel.pairs()))
+
     def test_trivial_object_has_no_edges(self):
         text = export_dot(trivial_object(2))
         assert "->" not in text

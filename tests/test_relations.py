@@ -1,16 +1,19 @@
+import hypothesis
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import preord.relations
 from preord import (
-    Partition, Rel, ValidationError, generated_equivalence, join_preorders,
-    make_object,
+    Partition, Rel, ValidationError, components, generated_equivalence,
+    join_preorders, make_object,
 )
 
 from .oracles import (
-    naive_equivalence_closure, naive_transitive_closure, union_find_blocks,
+    naive_compose, naive_equivalence_closure, naive_transitive_closure,
+    union_find_blocks,
 )
 from .strategies import relations
 
@@ -19,6 +22,20 @@ DIAG3 = Rel.identity(3)
 
 def rel(n, pairs, reflexive=True):
     return Rel.from_pairs(n, pairs, reflexive=reflexive)
+
+
+def digraph(bits):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(bits)))
+    g.add_edges_from(zip(*np.nonzero(bits)))
+    return g
+
+
+def networkx_closure(bits):
+    expected = np.zeros(bits.shape, dtype=bool)
+    for a, b in nx.transitive_closure(digraph(bits), reflexive=False).edges:
+        expected[a, b] = True
+    return expected
 
 
 class TestPredicates:
@@ -89,17 +106,60 @@ class TestTransitiveClosure:
     @settings(max_examples=5, deadline=None)
     def test_matches_networkx_on_hundreds_of_points(self, n, degree, seed):
         bits = np.random.default_rng(seed).random((n, n)) < degree / n
-        g = nx.DiGraph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(zip(*np.nonzero(bits)))
-        expected = np.zeros((n, n), dtype=bool)
-        for a, b in nx.transitive_closure(g, reflexive=False).edges:
-            expected[a, b] = True
+        expected = networkx_closure(bits)
         r = Rel(n, bits)
         closed = r.transitive_closure()
         assert np.array_equal(closed.bits, expected)
         assert closed.is_transitive()
         assert r.is_transitive() == (r == closed)
+
+
+# the last size on the bool product, the first on the packed kernels
+# (preord.relations._PACKED_MIN_N) and one above
+SWITCH_SIZES = (47, 48, 49)
+
+
+class TestKernelSizeSwitch:
+    def test_switch_sits_between_the_tested_sizes(self):
+        assert preord.relations._PACKED_MIN_N == SWITCH_SIZES[1]
+
+    @given(n=st.sampled_from(SWITCH_SIZES) | st.integers(100, 300),
+           degree=st.floats(0.3, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    @hypothesis.seed(5)
+    def test_closure_matches_networkx(self, n, degree, seed):
+        bits = np.random.default_rng(seed).random((n, n)) < degree / n
+        closed = Rel(n, bits).transitive_closure()
+        assert np.array_equal(closed.bits, networkx_closure(bits))
+        assert closed.is_transitive()
+
+    @pytest.mark.parametrize("n", (5,) + SWITCH_SIZES + (150,))
+    def test_compose_matches_naive_product(self, n):
+        rng = np.random.default_rng(n)
+        r, s = (Rel(n, rng.random((n, n)) < 2 / n) for _ in range(2))
+        expected = naive_compose(set(r.pairs(include_diagonal=True)),
+                                 set(s.pairs(include_diagonal=True)))
+        assert set(r.compose(s).pairs(include_diagonal=True)) == expected
+
+    @pytest.mark.parametrize("n", SWITCH_SIZES + (150,))
+    def test_one_missing_composite_breaks_transitivity(self, n):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert rel(n, pairs).is_transitive()
+        pairs.remove((0, n - 1))
+        assert not rel(n, pairs).is_transitive()
+        with pytest.raises(ValidationError, match="not transitive"):
+            make_object(n, pairs, mode="strict")
+
+    @given(n=st.sampled_from(SWITCH_SIZES) | st.integers(100, 300),
+           degree=st.floats(0.3, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=15, deadline=None)
+    @hypothesis.seed(7)
+    def test_components_match_networkx(self, n, degree, seed):
+        bits = np.random.default_rng(seed).random((n, n)) < degree / n
+        a = make_object(n, list(zip(*np.nonzero(bits))), mode="close")
+        expected = sorted(tuple(sorted(c)) for c in
+                          nx.weakly_connected_components(digraph(bits)))
+        assert components(a).blocks == tuple(expected)
 
 
 class TestEquivalenceClosure:
