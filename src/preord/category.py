@@ -12,6 +12,12 @@ their common carrier square: the objects relating that cell.  Maps into
 the objects keep those in the masks of all cells a row's related pairs
 land on; maps out of them keep those in no mask of a cell that a row
 sends to a forbidden cell.
+
+Both tables take a leading sequence axis: given a stack of forbidden-cell
+matrices, or the `PairRows` of a stack of same-size domains (read on
+their own related pairs, never padded), they return sequences x grid
+rows x objects, cut into slices of sequences, or of one sequence's rows,
+that keep the table and every intermediate within the budget.
 """
 
 from __future__ import annotations
@@ -53,6 +59,16 @@ class PreObj:
             raise ValidationError("object relation must be reflexive")
         if not self.rel.is_transitive():
             raise ValidationError("object relation must be transitive")
+
+    @classmethod
+    def _trusted(cls, rel: Rel) -> "PreObj":
+        """The object on a relation the caller already knows to be a
+        non-empty preorder, built without checking it again.  Only for
+        relations produced by a preorder-preserving construction, such as
+        the enumeration's batched filter or a quotient of a preorder."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rel", rel)
+        return obj
 
     @property
     def n(self) -> int:
@@ -214,9 +230,9 @@ def _place_values(width: int, base: int) -> np.ndarray:
 
 
 def grid_index(rows: np.ndarray, base: int) -> np.ndarray:
-    """Row index in `candidate_grid(rows.shape[1], base)` of each map (one
-    per row) into {0..base-1}."""
-    return rows @ _place_values(rows.shape[1], base)
+    """Row index in `candidate_grid(rows.shape[-1], base)` of each map (one
+    per row, on the last axis) into {0..base-1}."""
+    return rows @ _place_values(rows.shape[-1], base)
 
 
 # ----------------------------------------------------------------------
@@ -259,33 +275,97 @@ def table_slices(cols: int, rows: int, budget: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, cols, step)]
 
 
-def _by_row_slices(table, grid: np.ndarray, width: int, budget: int) -> np.ndarray:
-    """table(rows) for the whole grid, in slices of rows that keep the
-    table and its intermediates of `width` cells per row within the
-    budget."""
-    step = max(1, budget // width)
-    if len(grid) <= step:
-        return table(grid)
-    return np.concatenate([table(grid[s:s + step]) for s in range(0, len(grid), step)])
+def _by_slices(table, seqs: int, grid: np.ndarray, width: int, budget: int) -> np.ndarray:
+    """sequences x grid rows x ...: table(s, rows) for the sequences of
+    slice s on the grid rows `rows`, in slices that keep `width` cells per
+    sequence and row within the budget (whole grids for as many sequences
+    as fit, else rows of one sequence)."""
+    per = max(1, budget // width)
+    if seqs * len(grid) <= per:
+        return table(slice(None), grid)
+    if len(grid) <= per:
+        step = per // len(grid)
+        parts = [table(slice(i, i + step), grid) for i in range(0, seqs, step)]
+    else:
+        parts = [np.concatenate([table(slice(i, i + 1), grid[r:r + per])
+                                 for r in range(0, len(grid), per)], axis=1)
+                 for i in range(seqs)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _and_over_pairs(rows: np.ndarray, dom: PreObj, masks: np.ndarray, m: int) -> np.ndarray:
-    """Per map out of dom into m points (one per row): the bitwise AND of
-    the masks, one per cell of the m x m square (row-major), of the cells
-    its related pairs of dom land on."""
-    u, v = dom.rel.pair_index
-    return np.bitwise_and.reduce(masks[rows[:, u] * m + rows[:, v]], axis=1)
+def stack_bits(objs: Sequence[PreObj]) -> np.ndarray:
+    """The relation matrices of objects of one size, stacked."""
+    return objs[0].rel.bits[None] if len(objs) == 1 else np.stack([a.rel.bits for a in objs])
+
+
+class PairRows:
+    """The off-diagonal related pairs of a stack of objects, one row per
+    object: row s holds its `count[s]` pairs, in row-major order, in the
+    first columns of `u` (sources) and `v` (targets); the columns after
+    them are padding."""
+
+    # a plain class: without a bytecode cache a dataclass costs each import
+    # of the package about 0.4 ms
+    __slots__ = ("count", "u", "v")
+
+    def __init__(self, count: np.ndarray, u: np.ndarray, v: np.ndarray):
+        self.count, self.u, self.v = count, u, v
+
+    @classmethod
+    def of(cls, objs: Sequence[PreObj]) -> "PairRows":
+        """The pairs of objects of one size."""
+        if len(objs) == 1:
+            u, v = objs[0].rel.pair_index
+            return cls(np.array([len(u)]), u[None], v[None])
+        which, u, v = np.nonzero(stack_bits(objs) & ~np.eye(objs[0].n, dtype=bool))
+        count = np.bincount(which, minlength=len(objs))
+        pos = np.arange(len(which)) - (np.cumsum(count) - count)[which]
+        us, vs = (np.zeros((len(objs), count.max()), dtype=np.intp) for _ in range(2))
+        us[which, pos], vs[which, pos] = u, v
+        return cls(count, us, vs)
+
+    def __getitem__(self, idx) -> "PairRows":
+        if isinstance(idx, slice) and idx == slice(None):
+            return self
+        return PairRows(self.count[idx], self.u[idx], self.v[idx])
+
+    def through(self, maps: np.ndarray) -> "PairRows":
+        """The pairs carried by one map per row (as image rows)."""
+        rows = np.arange(len(maps))[:, None]
+        return PairRows(self.count, maps[rows, self.u], maps[rows, self.v])
+
+    def groups(self):
+        """Per number p of pairs: the positions of the rows with p pairs,
+        and their first p columns of u and v."""
+        if len(self.count) == 1:
+            p = self.count[0]
+            return [(slice(None), self.u[:, :p], self.v[:, :p])]
+        out = []
+        for p in np.unique(self.count):
+            at = np.flatnonzero(self.count == p)
+            out.append((at, self.u[at, :p], self.v[at, :p]))
+        return out
+
+
+def _and_over_pairs(rows: np.ndarray, u: np.ndarray, v: np.ndarray, masks: np.ndarray,
+                    m: int) -> np.ndarray:
+    """Per pair list (a row of u and v, sources and targets) and per map
+    into m points (a row of `rows`): the bitwise AND of the masks, one per
+    cell of the m x m square (row-major), of the cells its pairs land on;
+    pair lists x rows (x mask bytes)."""
+    cols = rows.T
+    return np.bitwise_and.reduce(masks[cols[u] * m + cols[v]], axis=1)
 
 
 def _run_bytes(run: ProbeRun, cols: slice):
     """The bytes of `run.cells` that hold the objects run.objs[cols], their
-    number, and how to unpack a table of such bytes into one bool column
-    per object."""
+    number, and how to unpack a table of such bytes (on its last axis) into
+    one bool column per object."""
     count = len(range(*cols.indices(len(run.objs))))
     skip = cols.start % 8
     masks = run.cells[:, cols.start // 8:-(-(cols.start + count) // 8)]
     return masks, count, lambda packed: np.unpackbits(
-        packed, axis=1, count=skip + count, bitorder="little")[:, skip:].view(bool)
+        packed, axis=-1, count=skip + count, bitorder="little")[..., skip:].view(bool)
 
 
 def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slice,
@@ -296,26 +376,45 @@ def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slic
     A row keeps the objects in no `run.cells` mask of a cell it sends to
     `bad`.  With bad = ~cod.rel.bits the table says which rows are
     monotone maps from each object into cod.
+
+    With a stack of matrices `bad`, one per sequence, the result is
+    sequences x grid rows x objects.
     """
     m = run.m
     masks, count, unpack = _run_bytes(run, cols)
+    stack = bad if bad.ndim == 3 else bad[None]
 
-    def table(rows):
-        hit = bad[rows[:, :, None], rows[:, None, :]].reshape(len(rows), m * m)
-        return unpack(~np.bitwise_or.reduce(masks * hit[:, :, None], axis=1))
-    return _by_row_slices(table, grid, max(m * m * masks.shape[1], count), budget)
+    def table(s, rows):
+        hit = stack[s][:, rows[:, :, None], rows[:, None, :]].reshape(-1, len(rows), m * m)
+        return unpack(~np.bitwise_or.reduce(masks * hit[..., None], axis=2))
+    out = _by_slices(table, len(stack), grid, max(m * m * masks.shape[1], count), budget)
+    return out if bad.ndim == 3 else out[0]
 
 
-def maps_out_table(grid: np.ndarray, dom: PreObj, run: ProbeRun, cols: slice,
+def maps_out_table(grid: np.ndarray, dom, run: ProbeRun, cols: slice,
                    budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Grid rows x the objects run.objs[cols]: is the map (a grid row, from
     dom into the objects' common carrier) monotone into the object?  A row
     keeps the objects in the `run.cells` masks of all cells its related
     pairs of dom land on.
+
+    With the `PairRows` of a stack of domains of one size instead of dom,
+    the result is domains x grid rows x objects, a group of domains with
+    equally many pairs at a time.
     """
     masks, count, unpack = _run_bytes(run, cols)
-    return _by_row_slices(lambda rows: unpack(_and_over_pairs(rows, dom, masks, run.m)), grid,
-                          max(dom.rel.pair_index.shape[1] * masks.shape[1], count), budget)
+    pairs = PairRows.of([dom]) if isinstance(dom, PreObj) else dom
+    parts = [(at, _by_slices(
+        lambda s, rows: unpack(_and_over_pairs(rows, u[s], v[s], masks, run.m)),
+        len(u), grid, max(u.shape[1] * masks.shape[1], count), budget))
+        for at, u, v in pairs.groups()]
+    if len(parts) == 1:
+        out = parts[0][1]
+    else:
+        out = np.empty((len(pairs.count), len(grid), count), dtype=bool)
+        for at, table in parts:
+            out[at] = table
+    return out[0] if isinstance(dom, PreObj) else out
 
 
 @lru_cache(maxsize=8192)
@@ -328,9 +427,11 @@ def monotone_maps(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> np.
     The returned array is cached and write-protected; copy before mutating.
     """
     grid = candidate_grid(dom.n, cod.n, budget)
+    u, v = dom.rel.pair_index
     # one object: the cells of its relation matrix are the masks, one bit each
-    out = grid[_by_row_slices(lambda rows: _and_over_pairs(rows, dom, cod.rel.bits.ravel(), cod.n),
-                              grid, max(1, dom.rel.pair_index.shape[1]), budget)]
+    out = grid[_by_slices(lambda s, rows: _and_over_pairs(rows, u[None], v[None],
+                                                          cod.rel.bits.ravel(), cod.n),
+                          1, grid, max(1, len(u)), budget)[0]]
     out.setflags(write=False)
     return out
 

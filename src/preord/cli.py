@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .category import DEFAULT_BUDGET, is_trivial_object
-from .decompose import quotient_poset, symmetric_core
+from .decompose import core_quotient
 from .enumeration import KINDS, enumerate_objects
 from .errors import NotShortExactError, PreordError
 from .exactness import Seq, is_prekernel, is_precokernel, is_short_preexact, \
@@ -51,8 +51,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     a = _obj(args.object)
-    part = Partition.from_equivalence(symmetric_core(a))
-    q, proj = quotient_poset(a)
+    part, q, proj = core_quotient(a)
     print(f"torsion blocks: {_blocks_str(part.blocks)}")
     print(f"quotient poset pairs: {sorted(q.rel.pairs())}")
     print(f"projection: {list(proj.map)}")

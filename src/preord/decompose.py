@@ -30,11 +30,17 @@ def quotient_poset(a: PreObj) -> tuple[PreObj, Morph]:
     Blocks are indexed by smallest member; the second component is the
     canonical projection.
     """
+    return core_quotient(a)[1:]
+
+
+def core_quotient(a: PreObj) -> tuple[Partition, PreObj, Morph]:
+    """The blocks of the symmetric core with `quotient_poset`, built from
+    one partition, for callers that need both."""
     part = Partition.from_equivalence(symmetric_core(a))
     reps = [blk[0] for blk in part.blocks]
-    bits = a.rel.bits[np.ix_(reps, reps)]
-    q = PreObj(Rel(part.size, bits))
-    return q, Morph(a, q, part.class_of)
+    # a preorder restricted to some of its points is again a preorder
+    q = PreObj._trusted(Rel(part.size, a.rel.bits[np.ix_(reps, reps)]))
+    return part, q, Morph(a, q, part.class_of)
 
 
 def assemble_preorder(sim: Rel, leq: Rel, part: Partition) -> PreObj:
@@ -54,8 +60,7 @@ def assemble_preorder(sim: Rel, leq: Rel, part: Partition) -> PreObj:
 def roundtrip_check(a: PreObj) -> bool:
     """Decompose then reassemble (and vice versa); both must be identities."""
     sim = symmetric_core(a)
-    part = Partition.from_equivalence(sim)
-    q, _ = quotient_poset(a)
+    part, q, _ = core_quotient(a)
     back = assemble_preorder(sim, q.rel, part)
     if back.rel != a.rel:
         return False

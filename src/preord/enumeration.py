@@ -63,8 +63,9 @@ def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
             ok &= (bits == bits.transpose(0, 2, 1)).all(axis=(1, 2))
         elif kind == "partial_order":
             ok &= ((bits & bits.transpose(0, 2, 1)) <= eye).all(axis=(1, 2))
+        # the filter keeps only preorders, so the objects skip a second check
         for idx in np.nonzero(ok)[0]:
-            yield PreObj(Rel(n, bits[idx]))
+            yield PreObj._trusted(Rel(n, bits[idx]))
 
 
 @lru_cache(maxsize=None)

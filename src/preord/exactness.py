@@ -10,28 +10,31 @@ over the whole (infinite) category they compare against the canonical
 construction.  The definitional verifiers below do quantify, over a
 finite list of probe objects, and serve as independent oracles.
 
-They run on one engine that checks all probes of one size in one array
-pass: consecutive same-size probes share a candidate grid of maps, and
-each test (monotone, trivial, factors) is a table of grid rows x probes,
-read from bit masks (`category.maps_into_table`,
-`category.maps_out_table`).  Plain triviality (related points share an
-image) is a table too.  The class-relative checks of `preord.pretorsion`
-share the engine, passing a row-wise triviality predicate that is asked,
-probe by probe, only of the rows that fail to factor; the stable verifiers
-of `preord.stable` pass a canonicalizer `canon(rows, dom)`, so that maps
-are compared up to stable equality.
+They run on one engine (`prekernel_batch`, `precokernel_batch`) that
+checks a `SeqBatch` of same-shape sequences X --k--> A --g--> C against
+all probes of one size in one array pass: consecutive same-size probes
+share a candidate grid of maps, and each test (monotone, trivial,
+factors) is a table of sequences x grid rows x probes, read from the
+probes' bit masks (`category.maps_into_table`, `maps_out_table`) and cut
+into slices of probes, then of sequences, within the budget.  A single
+morphism is a batch of one.  The class-relative checks of
+`preord.pretorsion` pass a row-wise triviality predicate, asked only of
+the rows that fail to factor; the stable verifiers of `preord.stable`
+pass a canonicalizer `canon(rows, dom)`, so that maps are compared up to
+stable equality.  Both loop over the sequences of a batch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .category import (
-    Morph, PreObj, candidate_grid, compose, grid_index, inverse_map, is_epi,
-    is_iso_map, is_mono, is_trivial_morphism, maps_into_table, maps_out_table,
-    same_size_runs, table_slices,
+    Morph, PairRows, PreObj, candidate_grid, compose, grid_index, is_iso_map,
+    is_trivial_morphism, maps_into_table, maps_out_table, same_size_runs, stack_bits,
+    table_slices,
     DEFAULT_BUDGET,
 )
 from .errors import ValidationError
@@ -70,7 +73,8 @@ def prekernel(f: Morph) -> Morph:
     """Canonical prekernel: the identity map out of the domain with the
     relation cut down to pairs sharing an f-image."""
     a = f.dom
-    k_dom = PreObj(a.rel.meet(kernel_pair_equiv(f)))
+    # a preorder meets an equivalence in a preorder
+    k_dom = PreObj._trusted(a.rel.meet(kernel_pair_equiv(f)))
     return Morph(k_dom, a, tuple(range(a.n)))
 
 
@@ -88,7 +92,8 @@ def quotient_object(a: PreObj, sim: Rel) -> tuple[PreObj, Morph]:
     if not sim.is_subrel(a.rel):
         raise ValidationError("equivalence is not contained in the relation")
     reps = [blk[0] for blk in part.blocks]
-    q = PreObj(Rel(part.size, a.rel.bits[np.ix_(reps, reps)]))
+    # a preorder restricted to some of its points is again a preorder
+    q = PreObj._trusted(Rel(part.size, a.rel.bits[np.ix_(reps, reps)]))
     return q, Morph(a, q, part.class_of)
 
 
@@ -104,8 +109,9 @@ def precokernel(f: Morph) -> Morph:
     and carry the join of the codomain relation with it."""
     b = f.cod
     zeta = image_equivalence(f)
-    joined = join_preorders(b.rel, zeta)
-    q, proj = quotient_object(PreObj(joined), zeta)
+    # the join of two preorders: the transitive closure of their union
+    joined = PreObj._trusted(b.rel.union(zeta).transitive_closure())
+    q, proj = quotient_object(joined, zeta)
     return Morph(b, q, proj.map)
 
 
@@ -167,11 +173,62 @@ def plain_trivial(rows: np.ndarray, dom: PreObj) -> np.ndarray:
     return np.logical_and.reduce(rows[:, u] == rows[:, v], axis=1)
 
 
-def _is_trivial(trivial, g: Morph) -> bool:
-    """One morphism against the engine's triviality (None: plain)."""
+class SeqBatch:
+    """Composable pairs X --k--> A --g--> C of one shape (the same sizes of
+    X, A and C), stacked: the objects of each sequence, and k and g as the
+    rows of two int arrays."""
+
+    # a plain class: without a bytecode cache a dataclass costs each import
+    # of the package about 0.4 ms
+    __slots__ = ("xs", "mids", "cs", "k", "g")
+
+    def __init__(self, xs: tuple, mids: tuple, cs: tuple, k: np.ndarray, g: np.ndarray):
+        self.xs, self.mids, self.cs, self.k, self.g = xs, mids, cs, k, g
+
+    @classmethod
+    def of(cls, pairs) -> "SeqBatch":
+        """From composable pairs (k, g) of morphisms."""
+        return cls(tuple(k.dom for k, _ in pairs), tuple(k.cod for k, _ in pairs),
+                   tuple(g.cod for _, g in pairs), np.array([k.map for k, _ in pairs]),
+                   np.array([g.map for _, g in pairs]))
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def take(self, idx) -> "SeqBatch":
+        """The sequences at the positions idx, in that order."""
+        return SeqBatch(tuple(self.xs[i] for i in idx), tuple(self.mids[i] for i in idx),
+                        tuple(self.cs[i] for i in idx), self.k[idx], self.g[idx])
+
+    def trivial_composites(self, trivial) -> np.ndarray:
+        """Per sequence: is g o k trivial?  `trivial` as in the engine."""
+        comp = self.g[np.arange(len(self))[:, None], self.k]
+        if trivial is None:
+            apart = comp[:, :, None] != comp[:, None, :]
+            return ~(apart & stack_bits(self.xs)).any(axis=(1, 2))
+        return np.array([trivial(comp[i:i + 1], x, c)[0]
+                         for i, (x, c) in enumerate(zip(self.xs, self.cs))], dtype=bool)
+
+
+def _all_take(maps: np.ndarray, size: int, what: str) -> bool:
+    """Does every map of a batch (one per row) take `size` distinct
+    values?  The engine's path depends on it, so a batch must not mix."""
+    found = {len(set(row)) == size for row in maps.tolist()}
+    if len(found) > 1:
+        raise ValidationError(f"a batch mixes {what} and other maps")
+    return found.pop()
+
+
+def _failing(fail: np.ndarray, trivial, args) -> np.ndarray:
+    """Per sequence of a `fail` table (sequences x grid rows x probes):
+    does a marked lam break the property?  Without a predicate every one
+    does; else the predicate is asked, on args(i, j), probe by probe."""
+    bad = fail.any(axis=(1, 2))
     if trivial is None:
-        return is_trivial_morphism(g)
-    return bool(trivial(np.array([g.map]), g.dom, g.cod)[0])
+        return bad
+    return np.array([b and any(fail[i, :, j].any() and trivial(*args(i, j)).any()
+                               for j in range(fail.shape[2])) for i, b in enumerate(bad)],
+                    dtype=bool)
 
 
 def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:
@@ -179,157 +236,234 @@ def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:
     return grid_index(rows + 1, base + 1)
 
 
-def _exactly_one_match(targets: np.ndarray, candidates: np.ndarray, base: int,
-                       classes: np.ndarray) -> np.ndarray:
-    """Per target row: does exactly one class of candidate rows equal it?
-    Rows hold entries in [-1, base) and are compared by integer codes;
-    `classes` holds a code per candidate, and equal candidates of one
-    class count once."""
-    have = _row_codes(candidates, base)
+def _exactly_one_match(codes: np.ndarray, have: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Per target code: does exactly one class of candidates have it?
+    `have` holds the candidates' codes and `classes` a class code per
+    candidate; equal candidates of one class count once."""
     order = np.lexsort((classes, have))
     have, classes = have[order], classes[order]
     new = np.concatenate(([True], (have[1:] != have[:-1]) | (classes[1:] != classes[:-1])))
     have = have[new]
-    codes = _row_codes(targets, base)
     return np.searchsorted(have, codes, "right") - np.searchsorted(have, codes) == 1
 
 
 def _count_table(index: np.ndarray, table: np.ndarray, rows: int) -> np.ndarray:
-    """rows x columns: per row r of a grid and per column of `table`, how
-    many marked rows of `table` have grid index r in `index`?"""
-    cols = table.shape[1]
-    codes = index[:, None] * cols + np.arange(cols)
+    """sequences x rows x columns: per sequence, row r of a grid and column
+    of `table` (sequences x marked rows x columns), how many marked rows of
+    the sequence have grid index r in its row of `index`?"""
+    seqs, _, cols = table.shape
+    codes = (index + rows * np.arange(seqs)[:, None])[:, :, None] * cols + np.arange(cols)
     return np.bincount(codes.ravel(), weights=table.ravel(),
-                       minlength=rows * cols).reshape(rows, cols)
+                       minlength=seqs * rows * cols).reshape(seqs, rows, cols)
+
+
+# A slice of sequences holds at most this many table cells, or the budget
+# when that is smaller: larger slices ran max_n = 5 in 10.5 s at 52 MB
+# peak RSS, against 8.4 s at 46 MB.
+_SLICE_CELLS = 1 << 16
+
+
+def _slices(alive: np.ndarray, run, rows: int, width: int, budget: int):
+    """The (probe slice, sequences) pieces of one run for the sequences
+    still alive: probe columns as in `table_slices`, then sequences, so
+    that `rows` grid rows x probes, at least `width` cells per entry, stay
+    within `_SLICE_CELLS` and the budget.  Sequences come as positions, or
+    as a slice when all fit in one piece."""
+    cells = min(budget, _SLICE_CELLS)
+    if alive.all() and len(alive) * rows * max(len(run.objs), width) <= cells:
+        yield slice(0, len(run.objs)), slice(None)
+        return
+    live = np.flatnonzero(alive)
+    for cols in table_slices(len(run.objs), rows, budget):
+        count = len(range(*cols.indices(len(run.objs))))
+        for part in table_slices(len(live), rows * max(count, width), cells):
+            yield cols, live[part]
+
+
+def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
+                    canon=None, stats: Counter | None = None) -> np.ndarray:
+    """The prekernel property of k for g over probes, one bool per
+    sequence X --k--> A --g--> C of the batch.
+
+    g o k must be trivial, and for every probe Y and every lam: Y -> A
+    with g o lam trivial there must be exactly one lam' with k o lam' = lam.
+    `trivial` is None for plain triviality (related points share an
+    image), or a predicate `trivial(rows, dom, cod)` saying which rows of
+    maps dom -> cod count as trivial, asked sequence by sequence and probe
+    by probe only of the rows that fail to factor.  With `canon(rows,
+    dom)`, mapping each map out of dom to a canonical row of its class,
+    both equalities hold up to that class.
+
+    The probes of one size share the candidate grid of maps Y -> A; each
+    test is a table of sequences x grid rows x probes.  For injective k,
+    lam' = k^-1 o lam must exist and be monotone; otherwise the monotone
+    lam' of a second grid are counted per row they reach through k.  All
+    k of a batch must take the same path.  A failed sequence skips later
+    runs.  Budgets are those of `monotone_maps` on the same hom sets,
+    checked before each run that a sequence still has to pass, and the
+    tables are cut so that none, nor an intermediate, exceeds the budget.
+    `stats`, a Counter, gains the sequences and the table cells (lam
+    tables: sequences x grid rows x probes) checked.
+    """
+    if not len(seqs):
+        return np.zeros(0, dtype=bool)
+    kmap, fmap = seqs.k, seqs.g
+    xn, an = kmap.shape[1], fmap.shape[1]
+    alive = seqs.trivial_composites(trivial)
+    a_bad = ~stack_bits(seqs.mids)
+    lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
+    x_bad = ~stack_bits(seqs.xs)
+    inv = None
+    if canon is None and _all_take(kmap, xn, "injective"):
+        rows = np.arange(len(seqs))[:, None]
+        inv = np.full((len(seqs), an), -1)
+        inv[rows, kmap] = np.arange(xn)
+        # off the image of k, in_image rules
+        k_bad = x_bad[rows[:, :, None], inv[:, :, None], inv[:, None, :]]
+    for run in same_size_runs(tests):
+        if not alive.any():
+            break
+        m = run.m
+        grid = candidate_grid(m, an, budget)
+        primes = grid if inv is not None else candidate_grid(m, xn, budget)
+        for cols, idx in _slices(alive, run, max(len(grid), len(primes)), max(m, an), budget):
+            part = run.objs[cols]
+            lam = maps_into_table(grid, lam_bad[idx], run, cols, budget)
+            if inv is not None:
+                ok = (inv[idx][:, grid] >= 0).all(axis=2)[:, :, None] & maps_into_table(
+                    grid, k_bad[idx], run, cols, budget)
+            elif canon is None:
+                ok = _count_table(grid_index(kmap[idx][:, primes], an),
+                                  maps_into_table(primes, x_bad[idx], run, cols, budget),
+                                  len(grid)) == 1
+            else:
+                after = maps_into_table(primes, x_bad[idx], run, cols, budget)
+                ok = np.zeros_like(lam)
+                # codes of maps Y -> A carry the probe j as their leading digit
+                tag = (an + 1) ** m
+                for i, s in enumerate(np.arange(len(seqs))[idx]):
+                    lam_i, after_i = lam[i], after[i]
+                    codes, have, classes = [], [], []
+                    for j, y in enumerate(part):
+                        lams, lps = grid[lam_i[:, j]], primes[after_i[:, j]]
+                        # one canonicalization of all three row sets, all maps out of y
+                        both = canon(np.concatenate([lams, kmap[s][lps], lps]), y)
+                        t = len(lams)
+                        codes.append(_row_codes(both[:t], an) + j * tag)
+                        have.append(_row_codes(both[t:t + len(lps)], an) + j * tag)
+                        classes.append(_row_codes(both[t + len(lps):], xn))
+                    j, r = np.nonzero(lam_i.T)
+                    ok[i, r, j] = _exactly_one_match(np.concatenate(codes), np.concatenate(have),
+                                                     np.concatenate(classes))
+            fail = lam & ~ok
+            if fail.any():
+                at = np.arange(len(seqs))[idx]
+                alive[idx] &= ~_failing(fail, trivial, lambda i, j: (
+                    fmap[at[i]][grid[fail[i, :, j]]], part[j], seqs.cs[at[i]]))
+            if stats is not None:
+                stats["cells"] += lam.size
+    if stats is not None:
+        stats["sequences"] += len(seqs)
+    return alive
+
+
+def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
+                      canon=None, stats: Counter | None = None) -> np.ndarray:
+    """Dual engine, one bool per sequence X --f--> A --p--> C: p o f
+    trivial, and unique factorization lam = lam' o p for every lam: A -> T
+    with lam o f trivial.
+
+    The probes of one size share the candidate grid of maps A -> T; plain
+    triviality of lam o f does not depend on the probe (lam must send the
+    image under f of each related pair of X to one point).  For surjective
+    p, lam' is forced through a section: lam must be constant on the
+    fibres of p, and monotone on the pairs of C carried by the section.
+    Otherwise the monotone lam' of a second grid are counted per row they
+    reach through p, up to the classes of `canon` when it is given.
+    Triviality, paths, budgets, slicing and `stats` are as in
+    `prekernel_batch`.
+    """
+    if not len(seqs):
+        return np.zeros(0, dtype=bool)
+    fmap, pmap = seqs.k, seqs.g
+    an, cn = pmap.shape[1], seqs.cs[0].n
+    rows = np.arange(len(seqs))[:, None]
+    alive = seqs.trivial_composites(trivial)
+    a_pairs, c_pairs = PairRows.of(seqs.mids), PairRows.of(seqs.cs)
+    if trivial is None:
+        # the cells of A x A that lam o f trivial asks lam to send to equal points
+        carried = PairRows.of(seqs.xs).through(fmap)
+        joined = np.zeros((len(seqs), an * an), dtype=bool)
+        joined[rows, carried.u * an + carried.v] = True
+    section = None
+    if canon is None and _all_take(pmap, cn, "surjective"):
+        section = np.empty((len(seqs), cn), dtype=int)
+        section[rows, pmap] = np.arange(an)
+        fibres = section[rows, pmap]
+        c_pairs = c_pairs.through(section)
+    for run in same_size_runs(tests):
+        if not alive.any():
+            break
+        m = run.m
+        grid = candidate_grid(an, m, budget)
+        afters = grid if section is not None else candidate_grid(cn, m, budget)
+        if trivial is None:
+            apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
+        for cols, idx in _slices(alive, run, max(len(grid), len(afters)), max(m, an), budget):
+            part = run.objs[cols]
+            lam = maps_out_table(grid, a_pairs[idx], run, cols, budget)
+            if trivial is None:
+                lam &= ~(joined[idx] @ apart.T)[:, :, None]
+            if section is not None:
+                consistent = (grid[:, fibres[idx]] == grid[:, None, :]).all(axis=2).T
+                ok = consistent[:, :, None] & maps_out_table(grid, c_pairs[idx], run, cols, budget)
+            elif canon is None:
+                ok = _count_table(grid_index(afters[:, pmap[idx]], m).T,
+                                  maps_out_table(afters, c_pairs[idx], run, cols, budget),
+                                  len(grid)) == 1
+            else:
+                after = maps_out_table(afters, c_pairs[idx], run, cols, budget)
+                ok = np.zeros_like(lam)
+                # codes of maps A -> T carry the probe j as their leading digit
+                tag = (m + 1) ** an
+                for i, s in enumerate(np.arange(len(seqs))[idx]):
+                    classes = _row_codes(canon(afters, seqs.cs[s]), m)
+                    # canonical rows only of the lam some probe of the slice keeps,
+                    # with those of the lam' o p, all maps out of A
+                    keep = np.flatnonzero(lam[i].any(axis=1))
+                    both = _row_codes(canon(np.concatenate([afters[:, pmap[s]], grid[keep]]),
+                                            seqs.mids[s]), m)
+                    reach, lams = both[:len(afters)], both[len(afters):]
+                    j, r = np.nonzero(lam[i][keep].T)
+                    aj, ar = np.nonzero(after[i].T)
+                    ok[i, keep[r], j] = _exactly_one_match(lams[r] + j * tag, reach[ar] + aj * tag,
+                                                           classes[ar])
+            fail = lam & ~ok
+            if fail.any():
+                at = np.arange(len(seqs))[idx]
+                alive[idx] &= ~_failing(fail, trivial, lambda i, j: (
+                    grid[fail[i, :, j]][:, fmap[at[i]]], seqs.xs[at[i]], part[j]))
+            if stats is not None:
+                stats["cells"] += lam.size
+    if stats is not None:
+        stats["sequences"] += len(seqs)
+    return alive
 
 
 def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,
                        budget: int, canon=None) -> bool:
-    """The prekernel universal property over probes, a run of same-size
-    probes at a time.
-
-    f o k must be trivial, and for every probe Y and every lam: Y -> dom(f)
-    with f o lam trivial there must be exactly one lam' with k o lam' = lam.
-    `trivial` is None for plain triviality (related points share an
-    image), or a predicate `trivial(rows, dom, cod)` saying which rows of
-    maps dom -> cod count as trivial, e.g. relative to a class.
-
-    The probes of one size share the candidate grid of maps Y -> dom(f),
-    and one table says which rows are monotone out of which probe; with
-    plain triviality the same table also asks f o lam to be trivial.  For
-    injective k, lam' = k^-1 o lam must exist and be monotone; otherwise
-    the monotone lam' of a second grid are counted per row they reach
-    through k.  A predicate is asked, probe by probe, only of the rows
-    that fail to factor, so a costly class-relative search runs rarely.
-
-    With `canon(rows, dom)`, which maps each row of maps out of dom to a
-    canonical row of its class, both equalities hold up to that class:
-    per probe the canonical rows of the tables' maps are matched, and the
-    factorizations lam' are counted once per class.
-
-    Budgets are those of `monotone_maps` on the same hom sets, checked
-    before each run; the tables are cut so that none exceeds the budget.
-    """
+    """`prekernel_batch` on the one sequence k, f."""
     if k.cod != f.dom:
         raise ValidationError("candidate prekernel must land in the domain of f")
-    if not _is_trivial(trivial, compose(f, k)):
-        return False
-    a, x = f.dom, k.dom
-    fmap, kmap = np.array(f.map), np.array(k.map)
-    lam_bad = ~a.rel.bits if trivial is not None else ~a.rel.bits | (fmap[:, None] != fmap)
-    inv = inverse_map(k.map, a.n) if is_mono(k) and canon is None else None
-    if inv is not None:
-        k_bad = ~x.rel.bits[inv][:, inv]  # off the image of k, in_image rules
-    for run in same_size_runs(tests):
-        m = run.m
-        grid = candidate_grid(m, a.n, budget)
-        if inv is not None:
-            primes, in_image = grid, (inv[grid] >= 0).all(axis=1)
-        else:
-            primes = candidate_grid(m, x.n, budget)
-            reach = grid_index(kmap[primes], a.n) if canon is None else None
-        for cols in table_slices(len(run.objs), max(len(grid), len(primes)), budget):
-            part = run.objs[cols]
-            lam = maps_into_table(grid, lam_bad, run, cols, budget)
-            if inv is not None:
-                ok = in_image[:, None] & maps_into_table(grid, k_bad, run, cols, budget)
-            elif canon is None:
-                ok = _count_table(reach, maps_into_table(primes, ~x.rel.bits, run, cols, budget),
-                                  len(grid)) == 1
-            else:
-                after = maps_into_table(primes, ~x.rel.bits, run, cols, budget)
-                ok = np.zeros_like(lam)
-                for j, y in enumerate(part):
-                    lams, lps = grid[lam[:, j]], primes[after[:, j]]
-                    ok[lam[:, j], j] = _exactly_one_match(
-                        canon(lams, y), canon(kmap[lps], y), a.n, _row_codes(canon(lps, y), x.n))
-            fail = lam & ~ok
-            if fail.any() and (trivial is None or any(
-                    fail[:, j].any() and trivial(fmap[grid[fail[:, j]]], y, f.cod).any()
-                    for j, y in enumerate(part))):
-                return False
-    return True
+    return bool(prekernel_batch(SeqBatch.of([(k, f)]), tests, trivial, budget, canon)[0])
 
 
 def precokernel_property(p: Morph, f: Morph, tests: list[PreObj], trivial,
                          budget: int, canon=None) -> bool:
-    """Dual engine: p o f trivial, and unique factorization lam = lam' o p
-    for every lam: cod(f) -> T with lam o f trivial.
-
-    The probes of one size share the candidate grid of maps cod(f) -> T,
-    and one table, read from the cells that each row's related pairs hit,
-    says which rows are monotone into which probe; plain triviality of
-    lam o f does not depend on the probe.  For surjective p, lam' is
-    forced through a section of p: it must be consistent on the fibres of
-    p and monotone.  Otherwise the monotone lam' of a second grid are
-    counted per row they reach through p, up to the classes of `canon`
-    when it is given.  Triviality, budgets and slicing are as in
-    `prekernel_property`.
-    """
+    """`precokernel_batch` on the one sequence f, p."""
     if p.dom != f.cod:
         raise ValidationError("candidate precokernel must start at the codomain of f")
-    if not _is_trivial(trivial, compose(p, f)):
-        return False
-    a, q = f.cod, p.cod
-    fmap, pmap = np.array(f.map), np.array(p.map)
-    section = inverse_map(p.map, q.n) if is_epi(p) and canon is None else None
-    for run in same_size_runs(tests):
-        m = run.m
-        grid = candidate_grid(a.n, m, budget)
-        if section is not None:
-            afters = grid[:, section]
-            consistent = (afters[:, pmap] == grid).all(axis=1)
-        else:
-            afters = candidate_grid(q.n, m, budget)
-            if canon is None:
-                reach = grid_index(afters[:, pmap], m)
-            else:
-                reach_canon = canon(afters[:, pmap], a)
-                classes = _row_codes(canon(afters, q), m)
-        needed = plain_trivial(grid[:, fmap], f.dom)[:, None] if trivial is None else True
-        for cols in table_slices(len(run.objs), max(len(grid), len(afters)), budget):
-            part = run.objs[cols]
-            lam = maps_out_table(grid, a, run, cols, budget) & needed
-            after = maps_out_table(afters, q, run, cols, budget)
-            if section is not None:
-                ok = consistent[:, None] & after
-            elif canon is None:
-                ok = _count_table(reach, after, len(grid)) == 1
-            else:
-                # canonical rows only of the lam some probe of the slice keeps
-                rows = np.flatnonzero(lam.any(axis=1))
-                lam_canon = canon(grid[rows], a)
-                ok = np.zeros_like(lam)
-                for j in range(len(part)):
-                    mine = lam[rows, j]
-                    ok[rows[mine], j] = _exactly_one_match(
-                        lam_canon[mine], reach_canon[after[:, j]], m, classes[after[:, j]])
-            fail = lam & ~ok
-            if fail.any() and (trivial is None or any(
-                    fail[:, j].any() and trivial(grid[fail[:, j]][:, fmap], f.dom, t).any()
-                    for j, t in enumerate(part))):
-                return False
-    return True
+    return bool(precokernel_batch(SeqBatch.of([(f, p)]), tests, trivial, budget, canon)[0])
 
 
 def verify_prekernel_definitional(k: Morph, f: Morph, tests: list[PreObj],

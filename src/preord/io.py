@@ -15,9 +15,9 @@ import json
 import numpy as np
 
 from .category import DEFAULT_BUDGET, Morph, PreObj, make_object
-from .decompose import quotient_poset, symmetric_core
+from .decompose import core_quotient
 from .errors import BudgetError, ParseError, ValidationError
-from .relations import Partition, Rel
+from .relations import Rel
 from .topology import components
 
 __all__ = ["save_object", "load_object", "load_morphism", "export_dot"]
@@ -109,9 +109,9 @@ def export_dot(a: PreObj, hasse: bool = False, color_components: bool = False) -
     connected component.
     """
     if hasse:
-        q, _ = quotient_poset(a)
+        part, q, _ = core_quotient(a)
         part_a = components(a)
-        blocks = Partition.from_equivalence(symmetric_core(a)).blocks
+        blocks = part.blocks
         names = [str(blk[0]) for blk in blocks]
         labels = ["{" + ",".join(str(x) for x in blk) + "}" if len(blk) > 1
                   else str(blk[0]) for blk in blocks]

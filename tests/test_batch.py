@@ -1,0 +1,176 @@
+"""The engine's sequence axis: a batch of same-shape sequences gets, per
+sequence, the verdict of a call on that sequence alone and of the
+map-by-map search oracles."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from preord import (
+    ObjClass, TRIVIAL_OBJECTS, ValidationError, chain, hom_enumerate, is_trivial_object,
+    make_object, objects_upto, torsion_sequence, trivial_object,
+)
+from preord.category import same_size_runs
+from preord.exactness import (
+    SeqBatch, _slices, precokernel_batch, precokernel_property, prekernel_batch,
+    prekernel_property,
+)
+from preord.pretorsion import _class_trivial, _torsion_batches
+from preord.stable import _stable_canon
+
+from .oracles import (
+    precokernel_property_search, prekernel_property_search,
+    stable_precokernel_property_search, stable_prekernel_property_search,
+)
+
+SEARCHED = ObjClass("trivial-searched", is_trivial_object, TRIVIAL_OBJECTS.candidates)
+# the largest candidate grid of these shapes (2 ** 2 maps x 2 cells) just
+# fits, and a 2-point probe run gets one sequence per slice
+ONE_SEQUENCE_BUDGET = 8
+
+
+def spec(a):
+    return a.n, list(a.rel.pairs())
+
+
+@lru_cache(maxsize=None)
+def shapes(prop: str) -> dict:
+    """Every composable pair X --k--> A --g--> C with carriers of at most
+    2 points, grouped by shape: the three sizes and the engine's path
+    (injective k for the prekernel, surjective g for the precokernel)."""
+    objs = objects_upto(2)
+    groups = {}
+    for x in objs:
+        for a in objs:
+            for c in objs:
+                for k in hom_enumerate(x, a):
+                    for g in hom_enumerate(a, c):
+                        path = (len(set(k.map)) == x.n if prop == "pre"
+                                else len(set(g.map)) == c.n)
+                        groups.setdefault((x.n, a.n, c.n, path), []).append((k, g))
+    return groups
+
+
+def engine(check, budget):
+    """(trivial, canon) of the engine: plain triviality, triviality decided
+    by a factorization search, or plain triviality up to stable equality."""
+    return {"plain": (None, None), "searched": (_class_trivial(SEARCHED, budget), None),
+            "stable": (None, _stable_canon)}[check]
+
+
+def single(prop, k, g, probes, check, budget):
+    trivial, canon = engine(check, budget)
+    if prop == "pre":
+        return prekernel_property(k, g, probes, trivial, budget, canon)
+    return precokernel_property(g, k, probes, trivial, budget, canon)
+
+
+def oracle(prop, check, k, g, probes):
+    specs = [spec(y) for y in probes]
+    stable = check == "stable"
+    if prop == "pre":
+        search = stable_prekernel_property_search if stable else prekernel_property_search
+        return search(k.map, spec(k.dom), g.map, spec(k.cod), spec(g.cod), specs)
+    search = stable_precokernel_property_search if stable else precokernel_property_search
+    return search(g.map, spec(g.cod), k.map, spec(k.dom), spec(k.cod), specs)
+
+
+def batch(prop, seqs, probes, check, budget):
+    run = prekernel_batch if prop == "pre" else precokernel_batch
+    trivial, canon = engine(check, budget)
+    return run(seqs, probes, trivial, budget, canon).tolist()
+
+
+# a point alone lets sequences without an injective k or a surjective g
+# pass, so that their counting path gets passing and failing sequences too
+PROBE_LISTS = {"n<=2": objects_upto(2), "point": [trivial_object(1)]}
+
+
+@pytest.mark.parametrize("probes", sorted(PROBE_LISTS))
+@pytest.mark.parametrize("check", ["plain", "searched", "stable"])
+@pytest.mark.parametrize("prop", ["pre", "co"])
+def test_every_shape_batch_matches_single_calls_and_the_oracle(prop, check, probes):
+    tests = PROBE_LISTS[probes]
+    mixed = 0
+    for group in shapes(prop).values():
+        want = [oracle(prop, check, k, g, tests) for k, g in group]
+        for budget in (ONE_SEQUENCE_BUDGET, 1_000_000):
+            assert [single(prop, k, g, tests, check, budget) for k, g in group] == want
+            assert batch(prop, SeqBatch.of(group), tests, check, budget) == want
+        mixed += len(set(want)) == 2
+    # some batches hold passing and failing sequences
+    assert mixed >= 1
+
+
+def test_the_small_budget_cuts_slices_of_one_sequence(objects2):
+    *_, run = same_size_runs(objects2)
+    pieces = list(_slices(np.ones(6, dtype=bool), run, 4, 2, ONE_SEQUENCE_BUDGET))
+    assert all(len(idx) == 1 for _, idx in pieces)
+    assert sorted(int(i) for _, idx in pieces for i in idx) == sorted(list(range(6)) * 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_batches_match_single_calls(data):
+    prop = data.draw(st.sampled_from(["pre", "co"]))
+    groups = shapes(prop)
+    group = groups[data.draw(st.sampled_from(sorted(groups)))]
+    picks = data.draw(st.lists(st.integers(0, len(group) - 1), min_size=1, max_size=12))
+    seqs = [group[i] for i in picks]
+    probes = data.draw(st.permutations(objects_upto(2) + [trivial_object(1)]))
+    probes = probes[:data.draw(st.integers(1, len(probes)))]
+    budget = data.draw(st.sampled_from([ONE_SEQUENCE_BUDGET, 40, 1_000_000]))
+    check = data.draw(st.sampled_from(["plain", "searched", "stable"]))
+    assert batch(prop, SeqBatch.of(seqs), probes, check, budget) == [
+        single(prop, k, g, probes, check, budget) for k, g in seqs]
+
+
+def test_a_batch_of_one_path_only():
+    # k = identity is injective, k = constant is not
+    a = chain(2)
+    with pytest.raises(ValidationError):
+        prekernel_batch(SeqBatch.of([(hom_enumerate(a, a)[1], hom_enumerate(a, a)[0]),
+                                     (hom_enumerate(a, a)[0], hom_enumerate(a, a)[0])]),
+                        [trivial_object(1)], None, 1_000_000)
+
+
+class TestTorsionBatches:
+    def test_batches_equal_the_torsion_sequences_n4(self, objects4):
+        for n in range(1, 5):
+            objs = [b for b in objects4 if b.n == n]
+            seen = []
+            for at, seqs in _torsion_batches(objs):
+                for i, pos in enumerate(at):
+                    want = torsion_sequence(objs[pos])
+                    assert (seqs.xs[i], seqs.mids[i], seqs.cs[i]) == (
+                        want.f.dom, want.f.cod, want.g.cod)
+                    assert tuple(seqs.k[i]) == want.f.map
+                    assert tuple(seqs.g[i]) == want.g.map
+                seen.extend(at)
+            # the first object alone, then every other object once
+            assert seen[0] == 0 and sorted(seen) == list(range(len(objs)))
+
+    @pytest.mark.parametrize("trivial_class", [None, SEARCHED])
+    def test_a_wrong_quotient_fails_among_torsion_sequences(self, objects2, objects3,
+                                                           trivial_class):
+        objs = [b for b in objects3 if b.n == 3]
+        (at, seqs), = [(at, s) for at, s in _torsion_batches(objs)
+                       if len(at) > 1 and s.cs[0].n == 2]
+        # the projection onto a 2-point quotient, read as a map onto the
+        # full relation: still monotone and onto, but lam' must now join
+        # what lam keeps apart
+        wrong = 1
+        cs = list(seqs.cs)
+        cs[wrong] = make_object(2, [(0, 1), (1, 0)])
+        broken = SeqBatch(seqs.xs, seqs.mids, tuple(cs), seqs.k, seqs.g)
+        trivial = None if trivial_class is None else _class_trivial(trivial_class, 1_000_000)
+        got = precokernel_batch(broken, objects2, trivial, 1_000_000).tolist()
+        assert got == [i != wrong for i in range(len(at))]
+        assert prekernel_batch(broken, objects2, trivial, 1_000_000).all()
+        specs = [spec(y) for y in objects2]
+        assert [precokernel_property_search(broken.g[i].tolist(), spec(broken.cs[i]),
+                                            broken.k[i].tolist(), spec(broken.xs[i]),
+                                            spec(broken.mids[i]), specs)
+                for i in range(len(at))] == got

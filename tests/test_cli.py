@@ -69,6 +69,31 @@ class TestBasicCommands:
         assert out_file.read_text() == export_dot(chain(2), hasse=True)
 
 
+class TestOnePartition:
+    """`decompose` and `dot --hasse` build the symmetric-core partition once,
+    and print the same text as before."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["decompose"], "torsion blocks: {0,1} {2}\nquotient poset pairs: [(0, 1)]\n"
+                        "projection: [0, 0, 1]\n"),
+        (["dot", "--hasse"], 'digraph preord {\n  0 [label="{0,1}"];\n  2 [label="2"];\n'
+                             "  0 -> 2;\n}\n"),
+    ])
+    def test_core_partition_is_built_once(self, mixed_file, capsys, monkeypatch, argv, want):
+        core = symmetric_core(load_object(MIXED_TEXT))
+        built = []
+        orig = Partition.from_equivalence.__func__
+
+        def counting(cls, rel):
+            built.append(rel == core)
+            return orig(cls, rel)
+        monkeypatch.setattr(Partition, "from_equivalence", classmethod(counting))
+        assert main([argv[0], mixed_file, *argv[1:]]) == 0
+        assert capsys.readouterr().out == want
+        # `dot` also builds the components' partition, of another relation
+        assert built.count(True) == 1
+
+
 class TestMorphismCommands:
     def test_prekernel(self, tmp_path, capsys):
         dom = write(tmp_path, "dom.json",
@@ -157,6 +182,17 @@ class TestVerifyAndErrors:
         assert main(["verify-pretorsion", "--max-n", "2"]) == 0
         out = capsys.readouterr().out
         assert "verdict: pass" in out
+
+    def test_verify_pretorsion_stdout_is_pinned(self, capsys):
+        assert main(["verify-pretorsion", "--max-n", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "pretorsion check for (equivalences, partial-orders) up to n=3\n"
+            "null class = intersection; members on range are exactly the trivial objects\n"
+            "axiom 1 (canonical sequence is relatively preexact with ends in the classes): "
+            "pass on 34 objects\n"
+            "axiom 2 (every hom from torsion to torsion-free is null-trivial): "
+            "pass on 1466 maps\n"
+            "verdict: pass\n")
 
     def test_missing_file_is_a_usage_error(self, capsys):
         assert main(["check", "/nonexistent/x.json"]) == 2

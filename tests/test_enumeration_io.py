@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from preord import (
-    BudgetError, ParseError, ValidationError, chain, coproduct,
+    BudgetError, ParseError, PreObj, Rel, ValidationError, chain, coproduct,
     count_objects, enumerate_objects, export_dot, load_morphism, load_object,
     make_object, quotient_poset, save_object, trivial_object,
 )
@@ -40,6 +40,14 @@ class TestEnumeration:
         assert count_objects(5) == 6942
         assert count_objects(5, "equivalence") == 52
         assert count_objects(5, "partial_order") == 4231
+
+    @pytest.mark.parametrize("kind", ["preorder", "equivalence", "partial_order", "trivial"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unchecked_objects_equal_validated_ones(self, n, kind):
+        # the enumeration builds its objects without a second check; each
+        # must pass the check and equal the object it validates into
+        objs = list(enumerate_objects(n, kind))
+        assert objs == [PreObj(Rel(a.n, a.rel.bits)) for a in objs]
 
     def test_lexicographic_bit_order_n2(self):
         got = [sorted(a.rel.pairs()) for a in enumerate_objects(2)]

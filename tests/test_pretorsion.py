@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -294,6 +295,23 @@ class TestEngineBudget:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_axiom1_raises_exactly_where_the_object_order_meets_the_budget(self):
+        # at max_n = 2 every 2-point sequence meets a grid of 2 cells; the
+        # first 2-point object, trivial(2), stops axiom 1 before it when its
+        # torsion part is outside T, although later objects would reach it
+        points = lambda n: [trivial_object(1)]  # small candidates keep axiom 2 in budget
+        everything = ObjClass("all", lambda a: True, points)
+        no_trivial_part = ObjClass("no-trivial-part", lambda a: a.n == 1 or not
+                                   is_trivial_object(a), points)
+        report = pretorsion_verify(no_trivial_part, everything, 2, budget=1)
+        assert report.axiom1_counterexample == (
+            trivial_object(2), "torsion part is outside the torsion class")
+        assert report.objects_checked == 2
+        with pytest.raises(BudgetError):
+            pretorsion_verify(everything, everything, 2, budget=1)
+        assert pretorsion_verify(everything, everything, 2, budget=2).axiom1_counterexample == (
+            trivial_object(2), "canonical sequence is not relatively preexact")
+
     def test_axiom2_raises_at_the_first_grid_over_budget(self):
         # 3 ** 3 maps x 3 cells from a 3-point T-member into a 3-point F-member
         assert pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3, budget=81).ok
@@ -429,6 +447,30 @@ class TestPretorsionVerify:
         assert report.axiom2_counterexample == (
             make_object(2, [(1, 0)]), make_object(2, [(0, 1), (1, 0)]), (0, 1))
         assert report.maps_checked == 79
+
+    def test_report_text_is_pinned_n3(self):
+        assert str(pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3)) == (
+            "pretorsion check for (equivalences, partial-orders) up to n=3\n"
+            "null class = intersection; members on range are exactly the trivial objects\n"
+            "axiom 1 (canonical sequence is relatively preexact with ends in the classes): "
+            "pass on 34 objects\n"
+            "axiom 2 (every hom from torsion to torsion-free is null-trivial): "
+            "pass on 1466 maps\n"
+            "verdict: pass")
+
+    def test_work_counters_count_every_table_cell_n3(self, objects2, objects3):
+        # each object's prekernel check reads a table of the maps from each
+        # probe of size m into it (n ** m grid rows), its precokernel check
+        # one of the maps out of it (m ** n rows); axiom 2 one of the maps
+        # from each T-member into each F-member
+        report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3)
+        sizes = Counter(y.n for y in objects2)
+        assert report.sequences_checked == 2 * len(objects3)
+        assert report.axiom1_cells == sum((b.n ** m + m ** b.n) * count
+                                          for b in objects3 for m, count in sizes.items())
+        assert report.axiom2_cells == sum(f.n ** t.n for t in EQUIVALENCES.candidates(3)
+                                          for f in PARTIAL_ORDERS.candidates(3))
+        assert report.axiom1_s > 0 and report.axiom2_s > 0
 
     def test_null_class_is_exactly_the_trivial_objects_n3(self, objects3):
         z = intersect_classes(EQUIVALENCES, PARTIAL_ORDERS)
