@@ -22,8 +22,9 @@ that keep the table and every intermediate within the budget.
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -261,9 +262,12 @@ def _probe_runs(objs: tuple[PreObj, ...]) -> tuple[ProbeRun, ...]:
     return tuple(ProbeRun(tuple(run)) for _, run in groupby(objs, key=lambda a: a.n))
 
 
-def same_size_runs(objs: Iterable[PreObj]) -> tuple[ProbeRun, ...]:
+def same_size_runs(objs: Iterable[PreObj] | tuple[ProbeRun, ...]) -> tuple[ProbeRun, ...]:
     """The maximal runs of consecutive objects of one size, in order, with
-    their masks; kept for reuse per sequence of objects."""
+    their masks; kept for reuse per sequence of objects.  Runs already
+    built, such as the enumeration catalogue's, are taken as they are."""
+    if isinstance(objs, tuple) and objs and isinstance(objs[0], ProbeRun):
+        return objs
     return _probe_runs(tuple(objs))
 
 
@@ -341,7 +345,8 @@ class PairRows:
             p = self.count[0]
             return [(slice(None), self.u[:, :p], self.v[:, :p])]
         out = []
-        for p in np.unique(self.count):
+        # sorted(set()) rather than np.unique, which imports numpy.ma on first use
+        for p in sorted(set(self.count.tolist())):
             at = np.flatnonzero(self.count == p)
             out.append((at, self.u[at, :p], self.v[at, :p]))
         return out
@@ -417,14 +422,55 @@ def maps_out_table(grid: np.ndarray, dom, run: ProbeRun, cols: slice,
     return out[0] if isinstance(dom, PreObj) else out
 
 
-@lru_cache(maxsize=8192)
+class ByteLRU:
+    """A least-recently-used cache of arrays bounded by the `nbytes` of the
+    arrays it holds, shared by the functions it decorates (of hashable
+    arguments, returning arrays).  An array larger than the bound is
+    returned without being kept.  Each decorated function counts its hits
+    and misses in `cache_info()`, as under `functools.lru_cache`."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes, self.nbytes = max_bytes, 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def __call__(self, fn):
+        counts = [0, 0]
+
+        @wraps(fn)
+        def cached(*args, **kwargs):
+            key = (fn, args, tuple(kwargs.items()))
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                counts[0] += 1
+                return self._entries[key]
+            counts[1] += 1
+            value = fn(*args, **kwargs)
+            if value.nbytes <= self.max_bytes:
+                self._entries[key] = value
+                self.nbytes += value.nbytes
+                while self.nbytes > self.max_bytes:
+                    self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+            return value
+        cached.cache_info = lambda: CacheInfo(*counts)
+        return cached
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+# hom sets and per-object layouts, together at most 32 MB; one hom set
+# within DEFAULT_BUDGET cells takes up to 8 MB
+array_cache = ByteLRU(32 << 20)
+
+
+@array_cache
 def monotone_maps(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All monotone maps dom -> cod as an int array, one map per row.
 
     Rows come in lexicographic order of the image tuple.  The budget
     bounds the candidate grid as in `candidate_grid` (BudgetError before
     anything is allocated) and every intermediate of the filter.
-    The returned array is cached and write-protected; copy before mutating.
+    The returned array is write-protected (copy before mutating) and kept
+    in `array_cache`, which is bounded by bytes.
     """
     grid = candidate_grid(dom.n, cod.n, budget)
     u, v = dom.rel.pair_index

@@ -1,19 +1,31 @@
 """Exhaustive enumeration of labeled objects on tiny carriers.
 
 Objects come out in lexicographic order of the row-major off-diagonal
-bit string (the diagonal is forced).  Sizes are hard-capped: the counts
-grow like labeled topologies, and pairwise hom scans beyond n = 5 are
+bit string (the diagonal is forced), that is by increasing code, the bit
+string read as a binary number.  Sizes are hard-capped: the counts grow
+like labeled topologies, and pairwise hom scans beyond n = 5 are
 hopeless at desk scale anyway.
+
+Every kind is read from one catalogue per carrier size, built once per
+process on first use: the labeled preorders on n points as a stack of
+relation matrices sorted by code, with their objects and a mask per kind.
+Removing the last point of a preorder leaves a preorder, so the
+preorders on n points are those on n - 1 points, each with a down-set
+and an up-set for the new last point that keep it transitive (one-point
+extension, the step of exhaustive generation in McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998).  The candidates are checked
+in chunks, one batched transitivity test per chunk.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
 
-from .category import PreObj
+from .category import PreObj, ProbeRun
 from .errors import BudgetError, ValidationError
 from .relations import Rel
 
@@ -22,55 +34,105 @@ __all__ = ["KINDS", "HARD_CAP", "enumerate_objects", "count_objects", "objects_u
 KINDS = ("preorder", "equivalence", "partial_order", "trivial")
 HARD_CAP = 5
 
-
-def _cells(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
+# candidates checked per chunk of the extension: at most 4,096 matrices of
+# n * n cells, far below DEFAULT_BUDGET cells at the cap
 _CHUNK = 4096
 
 
-def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
-    """All labeled objects of the kind on exactly n elements.
+def _codes(bits: np.ndarray) -> np.ndarray:
+    """The code of each relation of a stack: its row-major off-diagonal
+    bits read as a binary number, the first off-diagonal cell highest."""
+    n = bits.shape[-1]
+    off = ~np.eye(n, dtype=bool).ravel()
+    weights = 1 << np.arange(n * (n - 1) - 1, -1, -1, dtype=np.int64)
+    return bits.reshape(len(bits), n * n)[:, off] @ weights
 
-    Candidate bit patterns are generated and filtered in vectorized
-    chunks; at the n = 5 cap that is 2^20 candidate matrices.
-    """
+
+class Catalogue:
+    """The labeled preorders on n points in increasing code: `bits`
+    (objects x n x n), their sorted `codes`, a mask over them per kind
+    (`masks`) and, built on first use, their objects and probe run."""
+
+    def __init__(self, n: int, bits: np.ndarray):
+        codes = _codes(bits)
+        order = np.argsort(codes)
+        self.n, self.bits, self.codes = n, bits[order], codes[order]
+        both = self.bits & self.bits.transpose(0, 2, 1)
+        self.masks = {
+            "preorder": np.ones(len(order), dtype=bool),
+            "equivalence": (both == self.bits).all(axis=(1, 2)),
+            "partial_order": (both <= np.eye(n, dtype=bool)).all(axis=(1, 2)),
+            "trivial": self.codes == 0,
+        }
+
+    @cached_property
+    def objs(self) -> tuple[PreObj, ...]:
+        # the extension keeps only preorders, so the objects skip a second check
+        return tuple(PreObj._trusted(Rel(self.n, b)) for b in self.bits)
+
+    @cached_property
+    def run(self) -> ProbeRun:
+        """All the objects as one run of probes, masks built once."""
+        return ProbeRun(self.objs)
+
+    def index(self, bits: np.ndarray) -> np.ndarray:
+        """The positions of a stack of preorders on n points."""
+        return np.searchsorted(self.codes, _codes(bits))
+
+
+def _extend(prev: np.ndarray) -> np.ndarray:
+    """The preorders on n points from those on m = n - 1 points (a stack):
+    each with every down-set (column m) and up-set (row m) of the new
+    point, kept when transitive, in chunks of at most `_CHUNK` candidates."""
+    m = prev.shape[-1]
+    n = m + 1
+    subsets = (np.arange(2 ** m)[:, None] >> np.arange(m) & 1).astype(bool)
+    s = len(subsets)
+    per = max(1, _CHUNK // (s * s))
+    kept = []
+    for start in range(0, len(prev), per):
+        part = prev[start:start + per]
+        bits = np.empty((len(part), s, s, n, n), dtype=bool)
+        bits[..., :m, :m] = part[:, None, None]
+        bits[..., :m, m] = subsets[:, None]
+        bits[..., m, :m] = subsets
+        bits[..., m, m] = True
+        bits = bits.reshape(-1, n, n)
+        # float32 counts the (at most n) witnesses exactly and, on batches of
+        # tiny matrices, multiplies faster than bool or uint8
+        w = bits.astype(np.float32)
+        kept.append(bits[((w @ w > 0) <= bits).all(axis=(1, 2))])
+    return np.concatenate(kept)
+
+
+def _check(n: int, kind: str) -> None:
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}, expected one of {KINDS}")
     if n < 1:
         raise ValidationError("objects must be non-empty")
     if n > HARD_CAP:
         raise BudgetError(f"enumeration capped at n <= {HARD_CAP}")
-    if kind == "trivial":
-        yield PreObj(Rel.identity(n))
-        return
-    cells = _cells(n)
-    k = len(cells)
-    eye = np.eye(n, dtype=bool)
-    diag = np.arange(n)
-    for start in range(0, 2 ** k, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, 2 ** k), dtype=np.int64)
-        bits = np.zeros((len(codes), n, n), dtype=bool)
-        bits[:, diag, diag] = True
-        for t, (i, j) in enumerate(cells):
-            bits[:, i, j] = ((codes >> (k - 1 - t)) & 1).astype(bool)
-        # float32 counts the (at most n) witnesses exactly and, on batches of
-        # tiny matrices, multiplies faster than bool or uint8
-        w = bits.astype(np.float32)
-        ok = ((np.matmul(w, w) > 0) <= bits).all(axis=(1, 2))
-        if kind == "equivalence":
-            ok &= (bits == bits.transpose(0, 2, 1)).all(axis=(1, 2))
-        elif kind == "partial_order":
-            ok &= ((bits & bits.transpose(0, 2, 1)) <= eye).all(axis=(1, 2))
-        # the filter keeps only preorders, so the objects skip a second check
-        for idx in np.nonzero(ok)[0]:
-            yield PreObj._trusted(Rel(n, bits[idx]))
+
+
+@lru_cache(maxsize=None)
+def catalogue(n: int) -> Catalogue:
+    """The catalogue of the labeled preorders on n points, 1 <= n <= HARD_CAP."""
+    _check(n, "preorder")
+    return Catalogue(n, np.ones((1, 1, 1), dtype=bool) if n == 1
+                     else _extend(catalogue(n - 1).bits))
+
+
+def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
+    """All labeled objects of the kind on exactly n elements, in
+    lexicographic order, from the catalogue of size n."""
+    yield from _objects_exact(n, kind)
 
 
 @lru_cache(maxsize=None)
 def _objects_exact(n: int, kind: str) -> tuple[PreObj, ...]:
-    return tuple(enumerate_objects(n, kind))
+    _check(n, kind)
+    cat = catalogue(n)
+    return tuple(compress(cat.objs, cat.masks[kind]))
 
 
 def count_objects(n: int, kind: str = "preorder") -> int:

@@ -330,8 +330,11 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             part = run.objs[cols]
             lam = maps_into_table(grid, lam_bad[idx], run, cols, budget)
             if inv is not None:
-                ok = (inv[idx][:, grid] >= 0).all(axis=2)[:, :, None] & maps_into_table(
+                # one table where both read the same cells, as for every
+                # canonical prekernel under plain triviality
+                factors = lam if np.array_equal(k_bad[idx], lam_bad[idx]) else maps_into_table(
                     grid, k_bad[idx], run, cols, budget)
+                ok = (inv[idx][:, grid] >= 0).all(axis=2)[:, :, None] & factors
             elif canon is None:
                 ok = _count_table(grid_index(kmap[idx][:, primes], an),
                                   maps_into_table(primes, x_bad[idx], run, cols, budget),

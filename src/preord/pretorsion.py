@@ -17,11 +17,18 @@ The checks run many hom sets at a time.  The relative pre(co)kernel
 checks hand the probes to the engine of `preord.exactness`, which checks
 all probes of one size in one array pass, with plain triviality when Z is
 exactly the equality-relation objects and a factorization search per row
-otherwise.  Axiom 1 builds the canonical torsion sequences of all objects
-of one size as arrays and checks them in one engine batch per quotient
-size.  Axiom 2 and `closure_prop_check` take, per T-member, one table of
-maps into each run of consecutive same-size F-members, so maps are still
-visited in the order of the classes' candidates and, within a hom set,
+otherwise.  `pretorsion_verify` and `closure_prop_check` read the labeled
+objects from the enumeration's catalogue of each size: a class predicate
+is asked once per labeled object and kept as a bit vector per class and
+size, and whether Z is exactly the trivial objects is an array comparison
+of those bits with the catalogue's trivial mask.  Axiom 1 builds the
+canonical torsion sequences of all objects of one size as arrays, finds
+their cores and quotients in the catalogues by code, reads their
+membership from the bit vectors and checks them in one engine batch per
+quotient size, probed with the catalogues' runs.  Axiom 2 and
+`closure_prop_check` take, per T-member, one table of maps into each run
+of consecutive same-size F-members, so maps are still visited in the
+order of the classes' candidates and, within a hom set,
 lexicographically.
 """
 
@@ -30,14 +37,14 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .category import (
     Morph, PreObj, candidate_grid, is_iso_map, is_trivial_morphism, is_trivial_object,
-    maps_out_table, monotone_maps, same_size_runs, table_slices,
+    maps_out_table, monotone_maps, same_size_runs, stack_bits, table_slices,
     DEFAULT_BUDGET,
 )
 from .decompose import quotient_poset, symmetric_core
@@ -46,8 +53,7 @@ from .exactness import (
     Seq, SeqBatch, plain_trivial, precokernel_batch, precokernel_property,
     prekernel_batch, prekernel_property,
 )
-from .enumeration import objects_upto
-from .relations import Rel
+from .enumeration import catalogue, objects_upto
 
 __all__ = [
     "ObjClass", "EQUIVALENCES", "PARTIAL_ORDERS", "TRIVIAL_OBJECTS",
@@ -66,9 +72,11 @@ class ObjClass:
 
     candidates(n) must list member objects of every size up to n; closure
     under isomorphism is assumed, and only spot-checked by the test
-    suite.  trivial_exact marks a class whose members are exactly the
-    equality-relation objects; factorization through such a class has an
-    exact pairwise criterion, skipping the search.
+    suite.  The predicate must not change its answers: the verifiers ask
+    it once per labeled object and keep them.  trivial_exact marks a class
+    whose members are exactly the equality-relation objects; factorization
+    through such a class has an exact pairwise criterion, skipping the
+    search.
     """
 
     name: str
@@ -154,8 +162,9 @@ def _hom_tables(doms: list[PreObj], cods: list[PreObj], budget: int):
     of the table marks the grid rows that are monotone maps into the j-th
     codomain of the slice, in the lexicographic order of `monotone_maps`;
     budgets are checked per run as `monotone_maps` checks them."""
+    runs = same_size_runs(cods)
     for a in doms:
-        for run in same_size_runs(cods):
+        for run in runs:
             grid = candidate_grid(a.n, run.m, budget)
             for cols in table_slices(len(run.objs), len(grid), budget):
                 yield a, run.objs[cols], grid, maps_out_table(grid, a, run, cols, budget)
@@ -249,10 +258,12 @@ class PretorsionReport:
     null_class_is_trivial: bool = field(default=False)
     # work counters, not printed: sequences given to the engine (once per
     # property), table cells (grid rows x probes, or x F-members for
-    # axiom 2) and wall seconds per axiom
+    # axiom 2) and wall seconds for the catalogues (with the class
+    # membership bits, the null-class test and the probes) and per axiom
     sequences_checked: int = 0
     axiom1_cells: int = 0
     axiom2_cells: int = 0
+    catalogue_s: float = 0.0
     axiom1_s: float = 0.0
     axiom2_s: float = 0.0
 
@@ -283,62 +294,75 @@ class PretorsionReport:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=256)
+def _members(cls: ObjClass, n: int) -> np.ndarray:
+    """Which labeled preorders on n points, in catalogue order, the class
+    holds; its predicate is asked once per object."""
+    return np.fromiter(map(cls.contains, catalogue(n).objs), dtype=bool)
+
+
 def _null_class(t: ObjClass, f: ObjClass, max_n: int) -> tuple[ObjClass, bool]:
     z = intersect_classes(t, f)
-    trivial_on_range = all(
-        z.contains(a) == is_trivial_object(a)
-        for a in objects_upto(max_n, "preorder")
-    )
+    # a list, not a generator: every size gets its membership bits
+    trivial_on_range = all([
+        np.array_equal(_members(t, n) & _members(f, n), catalogue(n).masks["trivial"])
+        for n in range(1, max_n + 1)])
     if trivial_on_range:
         z = ObjClass(z.name, z.contains, z.candidates, trivial_exact=True)
     return z, trivial_on_range
 
 
-def _torsion_batches(objs: list[PreObj]) -> list[tuple[np.ndarray, SeqBatch]]:
+def _torsion_batches(objs: list[PreObj]):
     """The canonical torsion sequences of objects of one size, from
     stacked symmetric cores, projection rows and quotient relations, in
-    batches of one quotient size, each with the positions of its objects.
+    batches of one quotient size: (positions of the batch's objects, the
+    batch, positions of its cores and of its quotients in the catalogues
+    of their sizes).  Cores and quotients are the catalogues' objects,
+    found by code.
 
     The first object comes alone: every sequence of one size meets the
     same candidate grids, so alone it raises BudgetError exactly when an
     object-by-object check would, and the others never do.
     """
     n = objs[0].n
-    bits = np.stack([a.rel.bits for a in objs])
+    bits = stack_bits(objs)
     cores = bits & bits.transpose(0, 2, 1)
+    core_cat = catalogue(n)
+    core_at = core_cat.index(cores)
     reps = cores.argmax(axis=2)  # the smallest member of each point's block
     is_rep = reps == np.arange(n)
     proj = np.take_along_axis(np.cumsum(is_rep, axis=1) - 1, reps, axis=1)
     sizes = is_rep.sum(axis=1)
     group = np.where(np.arange(len(objs)) == 0, 0, sizes)
     batches = []
-    for key in np.unique(group):
+    # sorted(set()) rather than np.unique, which imports numpy.ma on first use
+    for key in sorted(set(group.tolist())):
         at = np.flatnonzero(group == key)
-        q = sizes[at[0]]
+        q = int(sizes[at[0]])
         kept = np.nonzero(is_rep[at])[1].reshape(len(at), q)
-        quotients = bits[at[:, None, None], kept[:, :, None], kept[:, None, :]]
-        # cores and quotients of preorders are preorders
+        quotient_cat = catalogue(q)
+        quotient_at = quotient_cat.index(bits[at[:, None, None], kept[:, :, None],
+                                              kept[:, None, :]])
         batches.append((at, SeqBatch(
-            tuple(PreObj._trusted(Rel(n, c)) for c in cores[at]), tuple(objs[i] for i in at),
-            tuple(PreObj._trusted(Rel(q, r)) for r in quotients),
-            np.broadcast_to(np.arange(n), (len(at), n)), proj[at])))
+            tuple(core_cat.objs[i] for i in core_at[at]), tuple(objs[i] for i in at),
+            tuple(quotient_cat.objs[i] for i in quotient_at),
+            np.broadcast_to(np.arange(n), (len(at), n)), proj[at]), core_at[at], quotient_at))
     return batches
 
 
 def _first_axiom1_failure(objs: list[PreObj], t: ObjClass, f: ObjClass, trivial,
-                          probes: list[PreObj], budget: int,
-                          stats: Counter) -> tuple[int, str] | None:
+                          probes, budget: int, stats: Counter) -> tuple[int, str] | None:
     """The position of the first of the objects (all of one size) whose
     canonical torsion sequence fails axiom 1, with the reason, or None.
     Batches skip the objects after a failure already found."""
     first = None
-    for at, batch in _torsion_batches(objs):
+    for at, batch, cores, quotients in _torsion_batches(objs):
         keep = np.flatnonzero(at < first[0]) if first is not None else np.arange(len(at))
         if not len(keep):
             continue
         at, batch = at[keep], batch.take(keep)
-        why = np.array([1 if not t.contains(x) else 2 if not f.contains(c) else 0
-                        for x, c in zip(batch.xs, batch.cs)])
+        why = np.where(~_members(t, objs[0].n)[cores[keep]], 1,
+                       np.where(~_members(f, batch.cs[0].n)[quotients[keep]], 2, 0))
         members = np.flatnonzero(why == 0)
         exact = prekernel_batch(batch.take(members), probes, trivial, budget, stats=stats)
         exact[exact] = precokernel_batch(batch.take(members[exact]), probes, trivial, budget,
@@ -368,15 +392,21 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     t-member and run of same-size f-members; maps_checked counts the maps
     up to and including the first that fails, in candidate order and,
     within a hom set, lexicographically.
+
+    The catalogues of every size up to max_n are built first (BudgetError
+    beyond the enumeration cap), with each class predicate asked once per
+    labeled object; `catalogue_s`, `axiom1_s` and `axiom2_s` of the report
+    time the three phases.
     """
+    start = time.perf_counter()
+    cats = [catalogue(n) for n in range(1, max_n + 1)]
     z, z_trivial = _null_class(t, f, max_n)
     trivial = _class_trivial(z, budget)
-    probes = objects_upto(max(1, max_n - 1), "preorder")
+    probes = tuple(catalogue(m).run for m in range(1, max(1, max_n - 1) + 1))
     ax1, ax2_cells = Counter(), 0
-    start = time.perf_counter()
+    built = time.perf_counter()
     ax1_witness, checked = None, 0
-    for _, run in groupby(objects_upto(max_n, "preorder"), key=lambda a: a.n):
-        objs = list(run)
+    for objs in (cat.objs for cat in cats):
         failure = _first_axiom1_failure(objs, t, f, trivial, probes, budget, ax1)
         if failure is not None:
             at, why = failure
@@ -404,7 +434,7 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
         objects_checked=checked, maps_checked=maps_checked,
         null_class_is_trivial=z_trivial,
         sequences_checked=ax1["sequences"], axiom1_cells=ax1["cells"], axiom2_cells=ax2_cells,
-        axiom1_s=mid - start, axiom2_s=time.perf_counter() - mid,
+        catalogue_s=built - start, axiom1_s=mid - built, axiom2_s=time.perf_counter() - mid,
     )
 
 

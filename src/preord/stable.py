@@ -15,14 +15,13 @@ precokernel constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from .category import (
     Morph, PreObj, compose, coproduct, is_trivial_morphism, iso_search,
-    monotone_maps, DEFAULT_BUDGET,
+    array_cache, monotone_maps, DEFAULT_BUDGET,
 )
 from .errors import NotShortExactError, ValidationError
 from .exactness import (
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8192)
+@array_cache
 def _component_layout(a: PreObj) -> np.ndarray:
     """Pairs x points incidence: does the component of each related pair of
     `a.rel.pair_index` hold the point?  Computed once per object."""

@@ -12,7 +12,9 @@ from preord import (
     ObjClass, TRIVIAL_OBJECTS, ValidationError, chain, hom_enumerate, is_trivial_object,
     make_object, objects_upto, torsion_sequence, trivial_object,
 )
+from preord import exactness
 from preord.category import same_size_runs
+from preord.enumeration import catalogue
 from preord.exactness import (
     SeqBatch, _slices, precokernel_batch, precokernel_property, prekernel_batch,
     prekernel_property,
@@ -141,22 +143,49 @@ class TestTorsionBatches:
         for n in range(1, 5):
             objs = [b for b in objects4 if b.n == n]
             seen = []
-            for at, seqs in _torsion_batches(objs):
+            for at, seqs, cores, quotients in _torsion_batches(objs):
                 for i, pos in enumerate(at):
                     want = torsion_sequence(objs[pos])
                     assert (seqs.xs[i], seqs.mids[i], seqs.cs[i]) == (
                         want.f.dom, want.f.cod, want.g.cod)
                     assert tuple(seqs.k[i]) == want.f.map
                     assert tuple(seqs.g[i]) == want.g.map
+                    # the objects are the catalogues', at the positions given
+                    assert seqs.xs[i] is catalogue(n).objs[cores[i]]
+                    assert seqs.cs[i] is catalogue(want.g.cod.n).objs[quotients[i]]
                 seen.extend(at)
             # the first object alone, then every other object once
             assert seen[0] == 0 and sorted(seen) == list(range(len(objs)))
+
+    def test_canonical_prekernels_read_one_table_per_run(self, objects2, monkeypatch):
+        # under plain triviality the factor table of a canonical prekernel
+        # reads the same cells as its lam table, so it is not built again;
+        # a searched null class keeps two tables per run unless every
+        # object of the batch is its own core
+        calls = []
+        orig = exactness.maps_into_table
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(exactness, "maps_into_table", counting)
+        runs = len(same_size_runs(objects2))
+        specs = [spec(y) for y in objects2]
+        for _, seqs, *_ in _torsion_batches(catalogue(3).objs):
+            want = [prekernel_property_search(
+                seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(), spec(seqs.mids[i]),
+                spec(seqs.cs[i]), specs) for i in range(len(seqs))]
+            searched = runs if seqs.xs == seqs.mids else 2 * runs
+            for trivial, tables in ((None, runs), (_class_trivial(SEARCHED, 1_000_000), searched)):
+                calls.clear()
+                assert prekernel_batch(seqs, objects2, trivial, 1_000_000).tolist() == want
+                assert len(calls) == tables
 
     @pytest.mark.parametrize("trivial_class", [None, SEARCHED])
     def test_a_wrong_quotient_fails_among_torsion_sequences(self, objects2, objects3,
                                                            trivial_class):
         objs = [b for b in objects3 if b.n == 3]
-        (at, seqs), = [(at, s) for at, s in _torsion_batches(objs)
+        (at, seqs), = [(at, s) for at, s, *_ in _torsion_batches(objs)
                        if len(at) > 1 and s.cs[0].n == 2]
         # the projection onto a 2-point quotient, read as a map onto the
         # full relation: still monotone and onto, but lam' must now join

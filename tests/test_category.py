@@ -13,8 +13,8 @@ from preord import (
 )
 
 from preord.category import (
-    _probe_runs, candidate_grid, maps_into_table, maps_out_table, same_size_runs,
-    table_slices,
+    ByteLRU, _probe_runs, array_cache, candidate_grid, maps_into_table, maps_out_table,
+    same_size_runs, table_slices,
 )
 
 from .oracles import brute_monotone_maps
@@ -168,6 +168,49 @@ class TestHomEnumeration:
                                                     [(0, 1), (1, 2), (0, 2)]))
         assert _cached_grid.cache_info().currsize == before
         assert _cached_grid.cache_info().maxsize is not None
+
+    def test_large_hom_sets_stay_within_the_byte_bound(self):
+        # each hom set is 4 ** 8 maps x 8 int64 cells = 4 MB (a distinct
+        # budget per call makes a distinct entry); a cache bounded by count
+        # would hold all twelve, 48 MB
+        dom, cod = trivial_object(8), trivial_object(4)
+        tracemalloc.start()
+        try:
+            for i in range(12):
+                rows = monotone_maps(dom, cod, 1_000_000 + i)
+                assert rows.nbytes == 4 << 20
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert array_cache.nbytes <= array_cache.max_bytes
+        assert held <= array_cache.max_bytes + (1 << 20)
+        # the latest entry is kept, the first one is gone
+        hits = monotone_maps.cache_info().hits
+        assert monotone_maps(dom, cod, 1_000_000 + 11) is rows
+        assert monotone_maps.cache_info().hits == hits + 1
+        misses = monotone_maps.cache_info().misses
+        monotone_maps(dom, cod, 1_000_000)
+        assert monotone_maps.cache_info().misses == misses + 1
+
+    def test_byte_lru_evicts_the_least_recent_and_skips_oversized_arrays(self):
+        cache = ByteLRU(100)
+        made = []
+
+        @cache
+        def zeros(n):
+            made.append(n)
+            return np.zeros(n, dtype=np.uint8)
+
+        @cache
+        def ones(n):
+            return np.ones(n, dtype=np.uint8)
+        zeros(60), ones(30), zeros(60)
+        assert made == [60] and cache.nbytes == 90
+        ones(20)  # 110 bytes: the least recent, ones(30), goes
+        assert cache.nbytes == 80 and ones.cache_info() == (0, 2)
+        zeros(200)  # larger than the bound: returned, not kept
+        zeros(60)
+        assert made == [60, 200] and cache.nbytes == 80 and zeros.cache_info() == (2, 2)
 
     def test_counts_match_brute_force_n3(self, objects3):
         for a in objects3:

@@ -1,19 +1,22 @@
 import hashlib
 import random
 import tracemalloc
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from preord import (
-    BudgetError, ParseError, PreObj, Rel, ValidationError, chain, coproduct,
-    count_objects, enumerate_objects, export_dot, load_morphism, load_object,
+    DEFAULT_BUDGET, KINDS, BudgetError, ParseError, PreObj, Rel, ValidationError, chain,
+    coproduct, count_objects, enumerate_objects, export_dot, load_morphism, load_object,
     make_object, quotient_poset, save_object, trivial_object,
 )
+from preord.enumeration import _extend, catalogue
 from preord.io import _hasse_edges
 
 from .oracles import (
-    count_equivalences_brute, count_partial_orders_brute, count_preorders_brute,
-    naive_covering_pairs,
+    brute_reflexive_relations, count_equivalences_brute, count_partial_orders_brute,
+    count_preorders_brute, naive_covering_pairs, naive_is_transitive,
 )
 
 
@@ -72,6 +75,68 @@ class TestEnumeration:
             list(enumerate_objects(0))
         with pytest.raises(ValidationError):
             list(enumerate_objects(2, "poset"))
+
+
+@lru_cache(maxsize=None)
+def brute_preorders(n):
+    """The preorders on n points in the order the oracle generates the
+    reflexive relations: lexicographic in the row-major off-diagonal bits."""
+    return [rel for rel in brute_reflexive_relations(n) if naive_is_transitive(rel)]
+
+
+BRUTE_KINDS = {
+    "preorder": lambda rel, n: True,
+    "equivalence": lambda rel, n: all((b, a) in rel for a, b in rel),
+    "partial_order": lambda rel, n: all(a == b for a, b in rel if (b, a) in rel),
+    "trivial": lambda rel, n: len(rel) == n,
+}
+
+
+def stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+class TestCatalogue:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_kind_is_the_brute_force_filter_in_order(self, n, kind):
+        want = [rel for rel in brute_preorders(n) if BRUTE_KINDS[kind](rel, n)]
+        assert [set(a.rel.pairs(include_diagonal=True))
+                for a in enumerate_objects(n, kind)] == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equivalence_plus_partial_order_decomposition_counts(self, n):
+        # a preorder is an equivalence (a set partition into k blocks) with
+        # a partial order on its blocks: sum_k S(n, k) * P(k) = A000798(n),
+        # with P(k) the labeled posets of A001035
+        a000798 = [1, 1, 4, 29, 355, 6942]
+        a001035 = [1, 1, 3, 19, 219, 4231]
+        assert [count_objects(k, "partial_order") for k in range(1, n + 1)] == a001035[1:n + 1]
+        assert sum(stirling2(n, k) * a001035[k] for k in range(1, n + 1)) \
+            == a000798[n] == count_objects(n)
+
+    def test_codes_are_sorted_and_find_every_object(self):
+        for n in range(1, 6):
+            cat = catalogue(n)
+            assert (np.diff(cat.codes) > 0).all()
+            assert cat.index(cat.bits).tolist() == list(range(len(cat.codes)))
+
+    def test_extension_chunks_stay_within_the_budget(self):
+        # one chunk holds at most _CHUNK candidate matrices; all 90,880
+        # candidates at n = 5 at once would take 9 MB of float32 alone
+        prev = catalogue(4).bits
+        tracemalloc.start()
+        try:
+            bits = _extend(prev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bits) == 6942
+        assert peak < 4 * DEFAULT_BUDGET  # bytes: DEFAULT_BUDGET float32 cells
 
 
 class TestObjectFiles:

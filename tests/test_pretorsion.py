@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from preord import (
     torsion_sequence, torsionfree_part, trivial_object,
     verify_precokernel_definitional, verify_prekernel_definitional,
 )
+
+import preord
 
 from .oracles import precokernel_property_search, prekernel_property_search
 
@@ -471,6 +478,47 @@ class TestPretorsionVerify:
         assert report.axiom2_cells == sum(f.n ** t.n for t in EQUIVALENCES.candidates(3)
                                           for f in PARTIAL_ORDERS.candidates(3))
         assert report.axiom1_s > 0 and report.axiom2_s > 0
+
+    def test_catalogue_and_axioms_account_for_the_verdict_n3(self):
+        start = time.perf_counter()
+        report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3)
+        wall = time.perf_counter() - start
+        parts = (report.catalogue_s, report.axiom1_s, report.axiom2_s)
+        assert all(p > 0 for p in parts) and sum(parts) <= wall
+        assert "catalogue" not in str(report)
+
+    def test_each_predicate_is_asked_once_per_labeled_object(self, objects3):
+        # across a verdict and a later closure check on the same range;
+        # the closure check may ask the predicates of x itself once more
+        asked = Counter()
+
+        def counting(cls):
+            def contains(a):
+                asked[cls.name, a] += 1
+                return cls.contains(a)
+            return ObjClass(cls.name, contains, cls.candidates, cls.trivial_exact)
+        t, f = counting(EQUIVALENCES), counting(PARTIAL_ORDERS)
+        assert pretorsion_verify(t, f, 3).ok
+        assert max(asked.values()) == 1
+        assert set(asked) == {(c.name, a) for c in (t, f) for a in objects3}
+        x = objects3[-1]
+        assert closure_prop_check(x, t, f, 3)
+        assert asked.pop((t.name, x)) == 2  # x, the full relation, is an equivalence
+        assert asked.pop((f.name, x)) <= 2
+        assert max(asked.values()) == 1
+
+    def test_the_verdict_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, 13 ms of a cold verdict
+        code = ("import sys\n"
+                "from preord import EQUIVALENCES, PARTIAL_ORDERS, pretorsion_verify\n"
+                "assert pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3).ok\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(preord.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_null_class_is_exactly_the_trivial_objects_n3(self, objects3):
         z = intersect_classes(EQUIVALENCES, PARTIAL_ORDERS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from preord import (
-    ValidationError, chain, clopen_enumerate, components, compose, coproduct,
+    Rel, ValidationError, chain, clopen_enumerate, components, compose, coproduct,
     coproduct_decomposition, identity, is_clopen, is_indecomposable,
     is_minimal, is_open, is_trivial_object, make_object, minimal_part,
     open_sets, restrict, specialization_preorder, subset_mask, trivial_object,
@@ -85,6 +85,17 @@ class TestComponents:
         for a in objects4:
             expected = union_find_blocks(a.n, list(a.rel.pairs()))
             assert list(components(a).blocks) == expected
+
+    def test_no_second_equivalence_check_on_300_points(self, monkeypatch):
+        # the closure is an equivalence by construction
+        pairs = [(i, i + 1) for i in range(0, 299, 3)] + [(i + 2, i) for i in range(0, 297, 7)]
+        a = make_object(300, pairs, mode="close")
+        checked = []
+        orig = Rel.is_transitive
+        monkeypatch.setattr(Rel, "is_transitive", lambda r: checked.append(r.n) or orig(r))
+        part = components(a)
+        assert checked == []
+        assert list(part.blocks) == union_find_blocks(300, pairs)
 
 
 class TestIndecomposable:
