@@ -262,12 +262,9 @@ def _probe_runs(objs: tuple[PreObj, ...]) -> tuple[ProbeRun, ...]:
     return tuple(ProbeRun(tuple(run)) for _, run in groupby(objs, key=lambda a: a.n))
 
 
-def same_size_runs(objs: Iterable[PreObj] | tuple[ProbeRun, ...]) -> tuple[ProbeRun, ...]:
+def same_size_runs(objs: Iterable[PreObj]) -> tuple[ProbeRun, ...]:
     """The maximal runs of consecutive objects of one size, in order, with
-    their masks; kept for reuse per sequence of objects.  Runs already
-    built, such as the enumeration catalogue's, are taken as they are."""
-    if isinstance(objs, tuple) and objs and isinstance(objs[0], ProbeRun):
-        return objs
+    their masks; kept for reuse per sequence of objects."""
     return _probe_runs(tuple(objs))
 
 

@@ -8,7 +8,8 @@ hopeless at desk scale anyway.
 
 Every kind is read from one catalogue per carrier size, built once per
 process on first use: the labeled preorders on n points as a stack of
-relation matrices sorted by code, with their objects and a mask per kind.
+relation matrices sorted by code, with a mask per kind.  A kind's objects
+are built from its masked matrices only.
 Removing the last point of a preorder leaves a preorder, so the
 preorders on n points are those on n - 1 points, each with a down-set
 and an up-set for the new last point that keep it transitive (one-point
@@ -19,13 +20,12 @@ in chunks, one batched transitivity test per chunk.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import compress
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .category import PreObj, ProbeRun
+from .category import PreObj
 from .errors import BudgetError, ValidationError
 from .relations import Rel
 
@@ -50,8 +50,8 @@ def _codes(bits: np.ndarray) -> np.ndarray:
 
 class Catalogue:
     """The labeled preorders on n points in increasing code: `bits`
-    (objects x n x n), their sorted `codes`, a mask over them per kind
-    (`masks`) and, built on first use, their objects and probe run."""
+    (objects x n x n), their sorted `codes` and a mask over them per kind
+    (`masks`)."""
 
     def __init__(self, n: int, bits: np.ndarray):
         codes = _codes(bits)
@@ -65,15 +65,10 @@ class Catalogue:
             "trivial": self.codes == 0,
         }
 
-    @cached_property
+    @property
     def objs(self) -> tuple[PreObj, ...]:
-        # the extension keeps only preorders, so the objects skip a second check
-        return tuple(PreObj._trusted(Rel(self.n, b)) for b in self.bits)
-
-    @cached_property
-    def run(self) -> ProbeRun:
-        """All the objects as one run of probes, masks built once."""
-        return ProbeRun(self.objs)
+        """All the objects, in code order: the preorder kind's."""
+        return _objects_exact(self.n, "preorder")
 
     def index(self, bits: np.ndarray) -> np.ndarray:
         """The positions of a stack of preorders on n points."""
@@ -125,18 +120,21 @@ def catalogue(n: int) -> Catalogue:
 def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
     """All labeled objects of the kind on exactly n elements, in
     lexicographic order, from the catalogue of size n."""
-    yield from _objects_exact(n, kind)
+    _check(n, kind)
+    cat = catalogue(n)
+    # the extension keeps only preorders, so the objects skip a second check
+    for bits in cat.bits[cat.masks[kind]]:
+        yield PreObj._trusted(Rel(n, bits))
 
 
 @lru_cache(maxsize=None)
 def _objects_exact(n: int, kind: str) -> tuple[PreObj, ...]:
-    _check(n, kind)
-    cat = catalogue(n)
-    return tuple(compress(cat.objs, cat.masks[kind]))
+    return tuple(enumerate_objects(n, kind))
 
 
 def count_objects(n: int, kind: str = "preorder") -> int:
-    return len(_objects_exact(n, kind))
+    _check(n, kind)
+    return int(catalogue(n).masks[kind].sum())
 
 
 def objects_upto(max_n: int, kind: str = "preorder") -> list[PreObj]:

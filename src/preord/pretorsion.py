@@ -25,11 +25,10 @@ of those bits with the catalogue's trivial mask.  Axiom 1 builds the
 canonical torsion sequences of all objects of one size as arrays, finds
 their cores and quotients in the catalogues by code, reads their
 membership from the bit vectors and checks them in one engine batch per
-quotient size, probed with the catalogues' runs.  Axiom 2 and
-`closure_prop_check` take, per T-member, one table of maps into each run
-of consecutive same-size F-members, so maps are still visited in the
-order of the classes' candidates and, within a hom set,
-lexicographically.
+quotient size.  Axiom 2 and `closure_prop_check` take, per T-member, one
+table of maps into each run of consecutive same-size F-members, so maps
+are still visited in the order of the classes' candidates and, within a
+hom set, lexicographically.
 """
 
 from __future__ import annotations
@@ -402,7 +401,7 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     cats = [catalogue(n) for n in range(1, max_n + 1)]
     z, z_trivial = _null_class(t, f, max_n)
     trivial = _class_trivial(z, budget)
-    probes = tuple(catalogue(m).run for m in range(1, max(1, max_n - 1) + 1))
+    probes = objects_upto(max(1, max_n - 1), "preorder")
     ax1, ax2_cells = Counter(), 0
     built = time.perf_counter()
     ax1_witness, checked = None, 0

@@ -319,6 +319,12 @@ class Partition:
     def from_equivalence(cls, rel: Rel) -> "Partition":
         if not rel.is_equivalence():
             raise ValidationError("relation is not an equivalence")
+        return cls._of_equivalence(rel)
+
+    @classmethod
+    def _of_equivalence(cls, rel: Rel) -> "Partition":
+        """`from_equivalence` without the check, for a relation known to
+        be an equivalence."""
         # representative of a class = its smallest member = first True column
         reps = rel.bits.argmax(axis=1)
         return cls.from_class_ids(int(r) for r in reps)

@@ -76,9 +76,8 @@ def open_sets(a: PreObj) -> list[np.ndarray]:
 
 def components(a: PreObj) -> Partition:
     """Connected components: the classes of the equivalence generated by the relation."""
-    # an equivalence by construction, so no second check: each point's
-    # class is named by its first related point, as in from_equivalence
-    return Partition.from_class_ids(a.rel.equivalence_closure().bits.argmax(axis=1).tolist())
+    # an equivalence by construction, so no second check
+    return Partition._of_equivalence(a.rel.equivalence_closure())
 
 
 def is_indecomposable(a: PreObj) -> bool:

@@ -125,6 +125,21 @@ class TestCatalogue:
             assert (np.diff(cat.codes) > 0).all()
             assert cat.index(cat.bits).tolist() == list(range(len(cat.codes)))
 
+    def test_a_kind_builds_only_its_own_objects(self, monkeypatch):
+        built = []
+        trusted = PreObj._trusted
+
+        def counting(rel):
+            built.append(rel)
+            return trusted(rel)
+        monkeypatch.setattr(PreObj, "_trusted", staticmethod(counting))
+        assert len(list(enumerate_objects(5, "trivial"))) == 1
+        assert len(list(enumerate_objects(5, "equivalence"))) == 52
+        assert len(built) == 53
+        built.clear()
+        assert count_objects(5, "partial_order") == 4231
+        assert not built
+
     def test_extension_chunks_stay_within_the_budget(self):
         # one chunk holds at most _CHUNK candidate matrices; all 90,880
         # candidates at n = 5 at once would take 9 MB of float32 alone
