@@ -14,10 +14,11 @@ land on; maps out of them keep those in no mask of a cell that a row
 sends to a forbidden cell.
 
 Both tables take a leading sequence axis: given a stack of forbidden-cell
-matrices, or the `PairRows` of a stack of same-size domains (read on
-their own related pairs, never padded), they return sequences x grid
-rows x objects, cut into slices of sequences, or of one sequence's rows,
-that keep the table and every intermediate within the budget.
+matrices, or the related pairs of a stack of same-size domains (one row
+per domain, padded with the diagonal pair (0, 0) to equal length), they
+return sequences x grid rows x objects, cut into slices of sequences, or
+of one sequence's rows, that keep the table and every intermediate within
+the budget.
 """
 
 from __future__ import annotations
@@ -299,54 +300,21 @@ def stack_bits(objs: Sequence[PreObj]) -> np.ndarray:
     return objs[0].rel.bits[None] if len(objs) == 1 else np.stack([a.rel.bits for a in objs])
 
 
-class PairRows:
-    """The off-diagonal related pairs of a stack of objects, one row per
-    object: row s holds its `count[s]` pairs, in row-major order, in the
-    first columns of `u` (sources) and `v` (targets); the columns after
-    them are padding."""
-
-    # a plain class: without a bytecode cache a dataclass costs each import
-    # of the package about 0.4 ms
-    __slots__ = ("count", "u", "v")
-
-    def __init__(self, count: np.ndarray, u: np.ndarray, v: np.ndarray):
-        self.count, self.u, self.v = count, u, v
-
-    @classmethod
-    def of(cls, objs: Sequence[PreObj]) -> "PairRows":
-        """The pairs of objects of one size."""
-        if len(objs) == 1:
-            u, v = objs[0].rel.pair_index
-            return cls(np.array([len(u)]), u[None], v[None])
-        which, u, v = np.nonzero(stack_bits(objs) & ~np.eye(objs[0].n, dtype=bool))
-        count = np.bincount(which, minlength=len(objs))
-        pos = np.arange(len(which)) - (np.cumsum(count) - count)[which]
-        us, vs = (np.zeros((len(objs), count.max()), dtype=np.intp) for _ in range(2))
-        us[which, pos], vs[which, pos] = u, v
-        return cls(count, us, vs)
-
-    def __getitem__(self, idx) -> "PairRows":
-        if isinstance(idx, slice) and idx == slice(None):
-            return self
-        return PairRows(self.count[idx], self.u[idx], self.v[idx])
-
-    def through(self, maps: np.ndarray) -> "PairRows":
-        """The pairs carried by one map per row (as image rows)."""
-        rows = np.arange(len(maps))[:, None]
-        return PairRows(self.count, maps[rows, self.u], maps[rows, self.v])
-
-    def groups(self):
-        """Per number p of pairs: the positions of the rows with p pairs,
-        and their first p columns of u and v."""
-        if len(self.count) == 1:
-            p = self.count[0]
-            return [(slice(None), self.u[:, :p], self.v[:, :p])]
-        out = []
-        # sorted(set()) rather than np.unique, which imports numpy.ma on first use
-        for p in sorted(set(self.count.tolist())):
-            at = np.flatnonzero(self.count == p)
-            out.append((at, self.u[at, :p], self.v[at, :p]))
-        return out
+def pair_rows(objs: Sequence[PreObj]) -> np.ndarray:
+    """The off-diagonal related pairs of objects of one size, one row per
+    object, as sources u and targets v (2 x objects x columns, so that
+    `u, v = pair_rows(objs)`): each row holds its object's pairs in
+    row-major order, then the diagonal pair (0, 0) up to the longest row.
+    A map sends (0, 0) to a diagonal cell, which every preorder relates,
+    so the padding changes no test a row's pairs make."""
+    if len(objs) == 1:
+        return objs[0].rel.pair_index[:, None]
+    which, u, v = np.nonzero(stack_bits(objs) & ~np.eye(objs[0].n, dtype=bool))
+    count = np.bincount(which, minlength=len(objs))
+    pos = np.arange(len(which)) - (np.cumsum(count) - count)[which]
+    out = np.zeros((2, len(objs), count.max()), dtype=np.intp)
+    out[:, which, pos] = u, v
+    return out
 
 
 def _and_over_pairs(rows: np.ndarray, u: np.ndarray, v: np.ndarray, masks: np.ndarray,
@@ -400,22 +368,14 @@ def maps_out_table(grid: np.ndarray, dom, run: ProbeRun, cols: slice,
     keeps the objects in the `run.cells` masks of all cells its related
     pairs of dom land on.
 
-    With the `PairRows` of a stack of domains of one size instead of dom,
-    the result is domains x grid rows x objects, a group of domains with
-    equally many pairs at a time.
+    With the padded pairs of a stack of domains of one size (as from
+    `pair_rows`) instead of dom, the result is domains x grid rows x
+    objects.
     """
     masks, count, unpack = _run_bytes(run, cols)
-    pairs = PairRows.of([dom]) if isinstance(dom, PreObj) else dom
-    parts = [(at, _by_slices(
-        lambda s, rows: unpack(_and_over_pairs(rows, u[s], v[s], masks, run.m)),
-        len(u), grid, max(u.shape[1] * masks.shape[1], count), budget))
-        for at, u, v in pairs.groups()]
-    if len(parts) == 1:
-        out = parts[0][1]
-    else:
-        out = np.empty((len(pairs.count), len(grid), count), dtype=bool)
-        for at, table in parts:
-            out[at] = table
+    u, v = pair_rows([dom]) if isinstance(dom, PreObj) else dom
+    out = _by_slices(lambda s, rows: unpack(_and_over_pairs(rows, u[s], v[s], masks, run.m)),
+                     len(u), grid, max(u.shape[1] * masks.shape[1], count), budget)
     return out[0] if isinstance(dom, PreObj) else out
 
 

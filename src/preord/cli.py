@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .category import DEFAULT_BUDGET, is_trivial_object
 from .decompose import core_quotient
-from .enumeration import KINDS, enumerate_objects
+from .enumeration import KINDS, enumerate_objects, objects_upto
 from .errors import NotShortExactError, PreordError
 from .exactness import Seq, is_prekernel, is_precokernel, is_short_preexact, \
     precokernel, prekernel
@@ -132,9 +132,7 @@ def _cmd_stable_iso(args) -> int:
 
 def _cmd_classify_exact(args) -> int:
     seq = _load_seq(args)
-    probes = []
-    for n in range(1, args.max_n + 1):
-        probes.extend(enumerate_objects(n, "preorder"))
+    probes = objects_upto(args.max_n, "preorder")
     try:
         sim, left, right = classify_short_exact(seq.f, seq.g, probes, args.budget)
     except NotShortExactError as e:

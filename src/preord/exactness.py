@@ -32,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .category import (
-    Morph, PairRows, PreObj, candidate_grid, compose, grid_index, is_iso_map,
-    is_trivial_morphism, maps_into_table, maps_out_table, same_size_runs, stack_bits,
-    table_slices,
+    Morph, PreObj, candidate_grid, compose, grid_index, inverse_map, is_iso_map,
+    is_trivial_morphism, maps_into_table, maps_out_table, pair_rows, same_size_runs,
+    stack_bits, table_slices,
     DEFAULT_BUDGET,
 )
 from .errors import ValidationError
-from .relations import Partition, Rel, generated_equivalence, join_preorders
+from .relations import Partition, Rel, generated_equivalence
 
 __all__ = [
     "Seq", "kernel_pair_equiv", "prekernel", "quotient_object",
@@ -392,18 +392,20 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     an, cn = pmap.shape[1], seqs.cs[0].n
     rows = np.arange(len(seqs))[:, None]
     alive = seqs.trivial_composites(trivial)
-    a_pairs, c_pairs = PairRows.of(seqs.mids), PairRows.of(seqs.cs)
+    # padded with the diagonal pair (0, 0), which every map below carries
+    # to a diagonal cell: related, and never apart
+    a_pairs, c_pairs = pair_rows(seqs.mids), pair_rows(seqs.cs)
     if trivial is None:
         # the cells of A x A that lam o f trivial asks lam to send to equal points
-        carried = PairRows.of(seqs.xs).through(fmap)
+        u, v = fmap[rows, pair_rows(seqs.xs)]
         joined = np.zeros((len(seqs), an * an), dtype=bool)
-        joined[rows, carried.u * an + carried.v] = True
+        joined[rows, u * an + v] = True
     section = None
     if canon is None and _all_take(pmap, cn, "surjective"):
         section = np.empty((len(seqs), cn), dtype=int)
         section[rows, pmap] = np.arange(an)
         fibres = section[rows, pmap]
-        c_pairs = c_pairs.through(section)
+        c_pairs = section[rows, c_pairs]
     for run in same_size_runs(tests):
         if not alive.any():
             break
@@ -414,18 +416,19 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
         for cols, idx in _slices(alive, run, max(len(grid), len(afters)), max(m, an), budget):
             part = run.objs[cols]
-            lam = maps_out_table(grid, a_pairs[idx], run, cols, budget)
+            lam = maps_out_table(grid, a_pairs[:, idx], run, cols, budget)
             if trivial is None:
                 lam &= ~(joined[idx] @ apart.T)[:, :, None]
             if section is not None:
                 consistent = (grid[:, fibres[idx]] == grid[:, None, :]).all(axis=2).T
-                ok = consistent[:, :, None] & maps_out_table(grid, c_pairs[idx], run, cols, budget)
+                ok = consistent[:, :, None] & maps_out_table(
+                    grid, c_pairs[:, idx], run, cols, budget)
             elif canon is None:
                 ok = _count_table(grid_index(afters[:, pmap[idx]], m).T,
-                                  maps_out_table(afters, c_pairs[idx], run, cols, budget),
+                                  maps_out_table(afters, c_pairs[:, idx], run, cols, budget),
                                   len(grid)) == 1
             else:
-                after = maps_out_table(afters, c_pairs[idx], run, cols, budget)
+                after = maps_out_table(afters, c_pairs[:, idx], run, cols, budget)
                 ok = np.zeros_like(lam)
                 # codes of maps A -> T carry the probe j as their leading digit
                 tag = (m + 1) ** an
@@ -508,33 +511,15 @@ def characterize_preexact(s: Seq) -> tuple[Morph, Morph]:
 
     Returns (left, right) with left: X -> (Y, rel ^ fibre(g)) satisfying
     k o left = f, and right: Z -> quotient satisfying right o g = pi,
-    where k, pi form the canonical sequence built from g.
+    where k, pi form the canonical sequence built from g.  Since f is k
+    up to the iso left, precokernel(f) is pi, and right is the inverse of
+    g's precokernel witness.
     """
     if not is_short_preexact(s):
         raise ValidationError("sequence is not short preexact")
     f, g = s.f, s.g
-    left = prekernel_witness(f, g)
-    if left is None:
-        raise ValidationError("no left witness; sequence is not short preexact")
-    k = prekernel(g)
-    pi = precokernel(k)
-    q = pi.cod
-    right_map: list[int | None] = [None] * g.cod.n
-    for y in range(g.dom.n):
-        z = g.map[y]
-        if right_map[z] is None:
-            right_map[z] = pi.map[y]
-        elif right_map[z] != pi.map[y]:
-            raise ValidationError("right witness is not well defined")
-    if any(v is None for v in right_map):
-        raise ValidationError("second leg is not surjective")
-    vals = [int(v) for v in right_map]
-    if sorted(vals) != list(range(q.n)):
-        raise ValidationError("right witness is not bijective")
-    right = Morph(g.cod, q, tuple(vals))
-    if not is_iso_map(vals, g.cod, q):
-        raise ValidationError("right witness inverse is not monotone")
-    return left, right
+    phi = precokernel_witness(g, f)
+    return prekernel_witness(f, g), Morph(g.cod, phi.dom, inverse_map(phi.map, g.cod.n))
 
 
 def identity_prekernel_test(sigma: Rel, rho: Rel) -> bool:
@@ -554,10 +539,7 @@ def identity_prekernel_test(sigma: Rel, rho: Rel) -> bool:
     closure = sigma.equivalence_closure()
     ok = sigma == rho.meet(closure)
     if ok:
-        a = PreObj(rho)
-        joined = join_preorders(rho, closure)
-        q, proj = quotient_object(PreObj(joined), closure)
-        pi = Morph(a, q, proj.map)
-        k = Morph(PreObj(sigma), a, tuple(range(rho.n)))
-        assert is_prekernel(k, pi), "canonical projection lost its prekernel"
+        # the image equivalence of k is the equivalence closure of sigma
+        k = Morph(PreObj(sigma), PreObj(rho), tuple(range(rho.n)))
+        assert is_prekernel(k, precokernel(k)), "canonical projection lost its prekernel"
     return ok

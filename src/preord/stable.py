@@ -156,18 +156,10 @@ def stable_iso_witness(a: PreObj, b: PreObj) -> tuple[Morph, Morph] | None:
     phi = iso_search(a_sub, b_sub)
     if phi is None:
         return None
-    fwd = [0] * a.n
-    pos_a = {x: i for i, x in enumerate(inc_a.map)}
-    for x in range(a.n):
-        fwd[x] = inc_b.map[phi.map[pos_a[x]]] if ma[x] else 0
-    back = [0] * b.n
-    pos_b = {y: j for j, y in enumerate(inc_b.map)}
-    inv_phi = [0] * a_sub.n
-    for i, v in enumerate(phi.map):
-        inv_phi[v] = i
-    for y in range(b.n):
-        back[y] = inc_a.map[inv_phi[pos_b[y]]] if mb[y] else 0
-    return Morph(a, b, tuple(fwd)), Morph(b, a, tuple(back))
+    ia, ib = np.array(inc_a.map), np.array(inc_b.map)[list(phi.map)]
+    fwd, back = np.zeros(a.n, dtype=int), np.zeros(b.n, dtype=int)
+    fwd[ia], back[ib] = ib, ia
+    return Morph(a, b, fwd), Morph(b, a, back)
 
 
 def stable_iso(a: PreObj, b: PreObj) -> bool:

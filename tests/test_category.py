@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,10 +15,11 @@ from preord import (
 
 from preord.category import (
     ByteLRU, _probe_runs, array_cache, candidate_grid, maps_into_table, maps_out_table,
-    same_size_runs, table_slices,
+    pair_rows, same_size_runs, table_slices,
 )
+from preord.exactness import SeqBatch, precokernel_batch
 
-from .oracles import brute_monotone_maps
+from .oracles import brute_monotone_maps, precokernel_property_search
 
 
 class TestMakeObject:
@@ -260,6 +262,61 @@ class TestHomTables:
                 assert (maps_out_table(outs, a, run, cols) == out_whole[:, cols]).all()
             for cols in table_slices(len(run.objs), len(ins), 3 * len(ins)):
                 assert (maps_into_table(ins, ~a.rel.bits, run, cols) == in_whole[:, cols]).all()
+
+    @staticmethod
+    def one_per_pair_count(objs):
+        """The first object of each number of off-diagonal pairs, fewest first."""
+        by_count = {}
+        for a in objs:
+            by_count.setdefault(len(a.rel.pair_list), a)
+        return [by_count[p] for p in sorted(by_count)]
+
+    def test_pair_rows_pad_with_the_diagonal_pair_n3(self, objects3):
+        stack = self.one_per_pair_count(a for a in objects3 if a.n == 3)
+        counts = [len(a.rel.pair_list) for a in stack]
+        # an antichain, and lists of every length a preorder on 3 points has
+        assert counts == [0, 1, 2, 3, 4, 6]
+        u, v = pair_rows(stack)
+        assert u.shape == v.shape == (len(stack), 6)
+        for a, p, us, vs in zip(stack, counts, u, v):
+            assert list(zip(us[:p].tolist(), vs[:p].tolist())) == a.rel.pair_list
+            assert not us[p:].any() and not vs[p:].any()
+
+    @pytest.mark.parametrize("budget", [9, 1_000_000])
+    def test_out_tables_of_a_padded_stack_match_each_domain_n3(self, objects3, budget):
+        # 9 cells cut the table into slices of one domain, and those of
+        # the 27-row grids into single rows
+        stack = self.one_per_pair_count(a for a in objects3 if a.n == 3)
+        pairs = pair_rows(stack)
+        for run in same_size_runs(objects3):
+            grid, everyone = candidate_grid(3, run.m), slice(0, len(run.objs))
+            table = maps_out_table(grid, pairs, run, everyone, budget)
+            assert table.shape == (len(stack), len(grid), len(run.objs))
+            for a, of_a in zip(stack, table):
+                assert (of_a == maps_out_table(grid, a, run, everyone, budget)).all()
+                for j, b in enumerate(run.objs):
+                    assert {tuple(r) for r in grid[of_a[:, j]]} == self.brute(a, b)
+
+    @pytest.mark.parametrize("budget", [24, 1_000_000])
+    def test_precokernels_over_codomains_of_mixed_pair_counts(self, objects2, objects3, budget):
+        # sequences X --f--> A --p--> C on 2, 3 and 2 points with p onto C
+        # (the section path), a seeded sample mixing every pair count of
+        # X, A and C, zero included
+        sized = {n: [a for a in objects3 if a.n == n] for n in (2, 3)}
+        seqs = [(f, p) for x in sized[2] for a in sized[3] for c in sized[2]
+                for p in hom_enumerate(a, c) if is_epi(p) for f in hom_enumerate(x, a)]
+        sample = random.Random(0).sample(seqs, 150)
+        batch = SeqBatch.of(sample)
+        for objs, most in ((batch.xs, 2), (batch.mids, 6), (batch.cs, 2)):
+            assert {len(a.rel.pair_list) for a in objs} >= {0, 1, most}
+        got = precokernel_batch(batch, objects2, None, budget).tolist()
+
+        def spec(a):
+            return a.n, list(a.rel.pairs())
+        want = [precokernel_property_search(p.map, spec(p.cod), f.map, spec(f.dom),
+                                            spec(f.cod), [spec(y) for y in objects2])
+                for f, p in sample]
+        assert got == want and len(set(want)) == 2
 
     def test_hom_sets_of_one_pair_leave_the_run_cache_alone(self):
         # a sparse 40-point domain into a point: one candidate map

@@ -176,6 +176,13 @@ class TestMorphismCommands:
         assert main(["classify-exact", c, c, c, ident, ident]) == 1
         assert "not short exact" in capsys.readouterr().out
 
+    def test_classify_exact_probes_beyond_the_cap_are_a_usage_error(self, tmp_path, capsys):
+        c = write(tmp_path, "c.json", '{"n": 2, "pairs": [[0, 1]], "mode": "strict"}')
+        ident = write(tmp_path, "id.json", '{"map": [0, 1]}')
+        assert main(["classify-exact", c, c, c, ident, ident, "--max-n", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
 
 class TestVerifyAndErrors:
     def test_verify_pretorsion(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -361,6 +362,31 @@ class TestCharacterize:
         s = Seq(identity(chain(2)), identity(chain(2)))
         with pytest.raises(ValidationError):
             characterize_preexact(s)
+
+    # The digests pin the (left, right) maps of the construction that read
+    # right off g and pi point by point.
+    @staticmethod
+    def witness_digest(seqs):
+        h = hashlib.sha256()
+        for seq in seqs:
+            left, right = characterize_preexact(seq)
+            h.update(repr((left.map, right.map)).encode())
+        return h.hexdigest()
+
+    def test_witnesses_pinned_on_every_torsion_sequence_n4(self, objects4):
+        assert self.witness_digest(torsion_sequence(a) for a in objects4) == (
+            "0ebaf96774ae028290472ca1c8eadf9fcb5dc0240d68f0db85de01cca9100009")
+
+    def test_witnesses_pinned_on_every_canonical_sequence_n3(self, objects3):
+        # the canonical sequence of f depends on its domain and fibres only
+        firsts = {}
+        for a in objects3:
+            for b in objects3:
+                for f in hom_enumerate(a, b):
+                    firsts.setdefault((a.rel, kernel_pair_equiv(f)), f)
+        assert len(firsts) == 154
+        assert self.witness_digest(map(canonical_preexact_from_morphism, firsts.values())) == (
+            "07c01873c3ac00d23fdc2f0965a2761c8eefe540e50ee969f74da48d8c68b9f3")
 
 
 class TestUniqueness:
