@@ -27,6 +27,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce, wraps
 from itertools import groupby
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -122,7 +123,7 @@ class Morph:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "map", tuple(map(int, self.map)))
+        object.__setattr__(self, "map", _int_entries(self.map))
         if len(self.map) != self.dom.n:
             raise ValidationError(
                 f"map length {len(self.map)} does not match domain size {self.dom.n}")
@@ -131,11 +132,32 @@ class Morph:
         if not _monotone_map(self.map, self.dom, self.cod):
             raise ValidationError("map is not monotone")
 
+    @classmethod
+    def _trusted(cls, dom: PreObj, cod: PreObj, map_: tuple[int, ...]) -> "Morph":
+        """The morphism with the image tuple `map_` (of Python ints), built
+        without checking it.  Only for maps monotone by construction, such
+        as composites, canonical (co)kernel maps and recognition witnesses
+        already tested as isomorphisms."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "map", map_)
+        return f
+
     def __call__(self, a: int) -> int:
         return self.map[a]
 
     def __repr__(self) -> str:
         return f"Morph({list(self.map)}: {self.dom.n}->{self.cod.n})"
+
+
+def _int_entries(map_) -> tuple[int, ...]:
+    """The entries of an image tuple as Python ints; an entry that is not
+    an integer (a float, a string) is a ValidationError, not truncated."""
+    try:
+        return tuple(map(index, map_))
+    except TypeError as e:
+        raise ValidationError(f"map entries must be integers: {e}") from None
 
 
 def inverse_map(map_: Sequence[int], n: int) -> np.ndarray:
@@ -160,6 +182,7 @@ def is_iso_map(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
 
 def is_morphism(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
     """Is this image tuple a monotone map dom -> cod?"""
+    map_ = _int_entries(map_)
     if len(map_) != dom.n:
         raise ValidationError("map length does not match domain size")
     if any(not (0 <= x < cod.n) for x in map_):
@@ -168,14 +191,15 @@ def is_morphism(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
 
 
 def identity(a: PreObj) -> Morph:
-    return Morph(a, a, tuple(range(a.n)))
+    return Morph._trusted(a, a, tuple(range(a.n)))
 
 
 def compose(g: Morph, f: Morph) -> Morph:
     """g after f.  Endpoints must match structurally."""
     if f.cod != g.dom:
         raise ValidationError("composition endpoint mismatch")
-    return Morph(f.dom, g.cod, tuple(g.map[x] for x in f.map))
+    # monotone maps compose to a monotone map
+    return Morph._trusted(f.dom, g.cod, tuple(g.map[x] for x in f.map))
 
 
 def is_trivial_object(a: PreObj) -> bool:

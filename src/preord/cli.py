@@ -14,7 +14,7 @@ from pathlib import Path
 from .category import DEFAULT_BUDGET, is_trivial_object
 from .decompose import core_quotient
 from .enumeration import KINDS, enumerate_objects, objects_upto
-from .errors import NotShortExactError, PreordError
+from .errors import NotShortExactError, PreordError, ValidationError
 from .exactness import Seq, is_prekernel, is_precokernel, is_short_preexact, \
     precokernel, prekernel
 from .io import export_dot, load_morphism, load_object, save_object
@@ -131,6 +131,8 @@ def _cmd_stable_iso(args) -> int:
 
 
 def _cmd_classify_exact(args) -> int:
+    if args.max_n < 1:
+        raise ValidationError(f"--max-n must be at least 1, got {args.max_n}")
     seq = _load_seq(args)
     probes = objects_upto(args.max_n, "preorder")
     try:

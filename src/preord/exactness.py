@@ -20,14 +20,16 @@ into slices of probes, then of sequences, within the budget.  A single
 morphism is a batch of one.  The class-relative checks of
 `preord.pretorsion` pass a row-wise triviality predicate, asked only of
 the rows that fail to factor; the stable verifiers of `preord.stable`
-pass a canonicalizer `canon(rows, dom)`, so that maps are compared up to
-stable equality.  Both loop over the sequences of a batch.
+pass a canonicalizer `canon(rows, objs, which)` of maps out of a run of
+same-size objects, so that maps are compared up to stable equality.
+Both loop over the sequences of a batch.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,8 +39,9 @@ from .category import (
     stack_bits, table_slices,
     DEFAULT_BUDGET,
 )
+from .enumeration import HARD_CAP
 from .errors import ValidationError
-from .relations import Partition, Rel, generated_equivalence
+from .relations import Partition, Rel, block_ids, transitive_closure_bits
 
 __all__ = [
     "Seq", "kernel_pair_equiv", "prekernel", "quotient_object",
@@ -69,13 +72,33 @@ def kernel_pair_equiv(f: Morph) -> Rel:
     return Rel(f.dom.n, m[:, None] == m[None, :])
 
 
+# Construction outputs on at most HARD_CAP points are interned, up to this
+# many distinct relations: a recurring prekernel domain or precokernel
+# codomain comes back as the same object, with its pair lists, hash and
+# cached hom sets and layouts already in place.
+_INTERNED = 1024
+
+
+@lru_cache(maxsize=_INTERNED)
+def _interned(n: int, cells: bytes) -> PreObj:
+    return PreObj._trusted(Rel(n, np.frombuffer(cells, dtype=bool).reshape(n, n)))
+
+
+def _constructed(bits: np.ndarray) -> PreObj:
+    """The object on a preorder matrix that a construction built: interned
+    up to HARD_CAP points, never checked again."""
+    n = len(bits)
+    return _interned(n, bits.tobytes()) if n <= HARD_CAP else PreObj._trusted(Rel(n, bits))
+
+
 def prekernel(f: Morph) -> Morph:
     """Canonical prekernel: the identity map out of the domain with the
     relation cut down to pairs sharing an f-image."""
     a = f.dom
+    fmap = np.array(f.map)
     # a preorder meets an equivalence in a preorder
-    k_dom = PreObj._trusted(a.rel.meet(kernel_pair_equiv(f)))
-    return Morph(k_dom, a, tuple(range(a.n)))
+    k_dom = _constructed(a.rel.bits & (fmap[:, None] == fmap[None, :]))
+    return Morph._trusted(k_dom, a, tuple(range(a.n)))
 
 
 def quotient_object(a: PreObj, sim: Rel) -> tuple[PreObj, Morph]:
@@ -97,22 +120,33 @@ def quotient_object(a: PreObj, sim: Rel) -> tuple[PreObj, Morph]:
     return q, Morph(a, q, part.class_of)
 
 
+def _image_bits(f: Morph) -> np.ndarray:
+    """`image_equivalence` of f as a matrix: the closure of the images of
+    the domain's related pairs, both ways round, with the diagonal."""
+    n = f.cod.n
+    u, v = np.array(f.map)[f.dom.rel.pair_index]
+    gens = np.eye(n, dtype=bool)
+    gens[u, v] = gens[v, u] = True
+    return transitive_closure_bits(gens)
+
+
 def image_equivalence(f: Morph) -> Rel:
     """Smallest equivalence on the codomain relating f(a) and f(b) for
     every related pair a, b of the domain."""
-    gens = [(f.map[a], f.map[b]) for a, b in f.dom.rel.pairs(include_diagonal=True)]
-    return generated_equivalence(gens, f.cod.n)
+    return Rel(f.cod.n, _image_bits(f))
 
 
 def precokernel(f: Morph) -> Morph:
     """Canonical precokernel: collapse the codomain by `image_equivalence`
     and carry the join of the codomain relation with it."""
-    b = f.cod
-    zeta = image_equivalence(f)
+    zeta = _image_bits(f)
     # the join of two preorders: the transitive closure of their union
-    joined = PreObj._trusted(b.rel.union(zeta).transitive_closure())
-    q, proj = quotient_object(joined, zeta)
-    return Morph(b, q, proj.map)
+    joined = transitive_closure_bits(f.cod.rel.bits | zeta)
+    proj, is_rep = block_ids(zeta)
+    reps = np.flatnonzero(is_rep)
+    # the join restricted to one point per block of zeta, which it contains
+    q = _constructed(joined[reps][:, reps])
+    return Morph._trusted(f.cod, q, tuple(proj.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +166,7 @@ def prekernel_witness(k: Morph, f: Morph) -> Morph | None:
     x_can = prekernel(f).dom
     if not is_iso_map(k.map, k.dom, x_can):
         return None
-    return Morph(k.dom, x_can, k.map)
+    return Morph._trusted(k.dom, x_can, k.map)
 
 
 def precokernel_witness(p: Morph, f: Morph) -> Morph | None:
@@ -152,7 +186,7 @@ def precokernel_witness(p: Morph, f: Morph) -> Morph | None:
             return None  # p does not respect the canonical collapse
     if None in phi or not is_iso_map(phi, q, p.cod):
         return None
-    return Morph(q, p.cod, tuple(phi))
+    return Morph._trusted(q, p.cod, tuple(phi))
 
 
 def is_prekernel(k: Morph, f: Morph) -> bool:
@@ -291,8 +325,11 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     image), or a predicate `trivial(rows, dom, cod)` saying which rows of
     maps dom -> cod count as trivial, asked sequence by sequence and probe
     by probe only of the rows that fail to factor.  With `canon(rows,
-    dom)`, mapping each map out of dom to a canonical row of its class,
-    both equalities hold up to that class.
+    objs, which)`, mapping each map out of a run of same-size objects
+    (out of objs[which[r]] for row r, or out of the one object of objs
+    when which is None) to a canonical row of its class, both equalities
+    hold up to that class; it is called once per sequence and slice of
+    probes.
 
     The probes of one size share the candidate grid of maps Y -> A; each
     test is a table of sequences x grid rows x probes.  For injective k,
@@ -318,46 +355,45 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
         rows = np.arange(len(seqs))[:, None]
         inv = np.full((len(seqs), an), -1)
         inv[rows, kmap] = np.arange(xn)
-        # off the image of k, in_image rules
-        k_bad = x_bad[rows[:, :, None], inv[:, :, None], inv[:, None, :]]
+        # the cells of X read through k^-1; off the image of k, in_image rules
+        x_bad = x_bad[rows[:, :, None], inv[:, :, None], inv[:, None, :]]
+    # the lam' are maps into A as well when k is injective or X has A's size:
+    # per sequence, do they read the cells the lam read?
+    one_grid = inv is not None or xn == an
+    same = (x_bad == lam_bad).all(axis=(1, 2)) if one_grid else np.zeros(len(seqs), bool)
     for run in same_size_runs(tests):
         if not alive.any():
             break
         m = run.m
         grid = candidate_grid(m, an, budget)
-        primes = grid if inv is not None else candidate_grid(m, xn, budget)
+        primes = grid if one_grid else candidate_grid(m, xn, budget)
         for cols, idx in _slices(alive, run, max(len(grid), len(primes)), max(m, an), budget):
             part = run.objs[cols]
             lam = maps_into_table(grid, lam_bad[idx], run, cols, budget)
+            # one table where lam and lam' read the same cells of one grid,
+            # as for every canonical prekernel under plain triviality
+            factors = lam if same[idx].all() else maps_into_table(
+                primes, x_bad[idx], run, cols, budget)
             if inv is not None:
-                # one table where both read the same cells, as for every
-                # canonical prekernel under plain triviality
-                factors = lam if np.array_equal(k_bad[idx], lam_bad[idx]) else maps_into_table(
-                    grid, k_bad[idx], run, cols, budget)
                 ok = (inv[idx][:, grid] >= 0).all(axis=2)[:, :, None] & factors
             elif canon is None:
-                ok = _count_table(grid_index(kmap[idx][:, primes], an),
-                                  maps_into_table(primes, x_bad[idx], run, cols, budget),
-                                  len(grid)) == 1
+                ok = _count_table(grid_index(kmap[idx][:, primes], an), factors, len(grid)) == 1
             else:
-                after = maps_into_table(primes, x_bad[idx], run, cols, budget)
                 ok = np.zeros_like(lam)
                 # codes of maps Y -> A carry the probe j as their leading digit
                 tag = (an + 1) ** m
                 for i, s in enumerate(np.arange(len(seqs))[idx]):
-                    lam_i, after_i = lam[i], after[i]
-                    codes, have, classes = [], [], []
-                    for j, y in enumerate(part):
-                        lams, lps = grid[lam_i[:, j]], primes[after_i[:, j]]
-                        # one canonicalization of all three row sets, all maps out of y
-                        both = canon(np.concatenate([lams, kmap[s][lps], lps]), y)
-                        t = len(lams)
-                        codes.append(_row_codes(both[:t], an) + j * tag)
-                        have.append(_row_codes(both[t:t + len(lps)], an) + j * tag)
-                        classes.append(_row_codes(both[t + len(lps):], xn))
-                    j, r = np.nonzero(lam_i.T)
-                    ok[i, r, j] = _exactly_one_match(np.concatenate(codes), np.concatenate(have),
-                                                     np.concatenate(classes))
+                    r, j = np.nonzero(lam[i])
+                    pr, pj = np.nonzero(factors[i])
+                    lps = primes[pr]
+                    # one canonicalization of the lam, the k o lam' and the
+                    # lam' of all probes of the slice, each out of its probe
+                    both = canon(np.concatenate([grid[r], kmap[s][lps], lps]), part,
+                                 np.concatenate([j, pj, pj]))
+                    t, p = len(r), len(pr)
+                    ok[i, r, j] = _exactly_one_match(_row_codes(both[:t], an) + j * tag,
+                                                     _row_codes(both[t:t + p], an) + pj * tag,
+                                                     _row_codes(both[t + p:], xn))
             fail = lam & ~ok
             if fail.any():
                 at = np.arange(len(seqs))[idx]
@@ -406,6 +442,11 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
         section[rows, pmap] = np.arange(an)
         fibres = section[rows, pmap]
         c_pairs = section[rows, c_pairs]
+    # the lam' are maps out of A as well when p is surjective or C has A's
+    # size: per sequence, do they read the pairs the lam read?
+    same = ((c_pairs == a_pairs).all(axis=(0, 2))
+            if (section is not None or cn == an) and c_pairs.shape == a_pairs.shape
+            else np.zeros(len(seqs), dtype=bool))
     for run in same_size_runs(tests):
         if not alive.any():
             break
@@ -416,32 +457,30 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
         for cols, idx in _slices(alive, run, max(len(grid), len(afters)), max(m, an), budget):
             part = run.objs[cols]
-            lam = maps_out_table(grid, a_pairs[:, idx], run, cols, budget)
-            if trivial is None:
-                lam &= ~(joined[idx] @ apart.T)[:, :, None]
+            monotone = maps_out_table(grid, a_pairs[:, idx], run, cols, budget)
+            lam = monotone & ~(joined[idx] @ apart.T)[:, :, None] if trivial is None else monotone
+            # one table where the lam and lam' o p read the same pairs of one grid
+            factors = monotone if same[idx].all() else maps_out_table(
+                afters, c_pairs[:, idx], run, cols, budget)
             if section is not None:
                 consistent = (grid[:, fibres[idx]] == grid[:, None, :]).all(axis=2).T
-                ok = consistent[:, :, None] & maps_out_table(
-                    grid, c_pairs[:, idx], run, cols, budget)
+                ok = consistent[:, :, None] & factors
             elif canon is None:
-                ok = _count_table(grid_index(afters[:, pmap[idx]], m).T,
-                                  maps_out_table(afters, c_pairs[:, idx], run, cols, budget),
-                                  len(grid)) == 1
+                ok = _count_table(grid_index(afters[:, pmap[idx]], m).T, factors, len(grid)) == 1
             else:
-                after = maps_out_table(afters, c_pairs[:, idx], run, cols, budget)
                 ok = np.zeros_like(lam)
                 # codes of maps A -> T carry the probe j as their leading digit
                 tag = (m + 1) ** an
                 for i, s in enumerate(np.arange(len(seqs))[idx]):
-                    classes = _row_codes(canon(afters, seqs.cs[s]), m)
+                    classes = _row_codes(canon(afters, (seqs.cs[s],)), m)
                     # canonical rows only of the lam some probe of the slice keeps,
                     # with those of the lam' o p, all maps out of A
                     keep = np.flatnonzero(lam[i].any(axis=1))
                     both = _row_codes(canon(np.concatenate([afters[:, pmap[s]], grid[keep]]),
-                                            seqs.mids[s]), m)
+                                            (seqs.mids[s],)), m)
                     reach, lams = both[:len(afters)], both[len(afters):]
                     j, r = np.nonzero(lam[i][keep].T)
-                    aj, ar = np.nonzero(after[i].T)
+                    aj, ar = np.nonzero(factors[i].T)
                     ok[i, keep[r], j] = _exactly_one_match(lams[r] + j * tag, reach[ar] + aj * tag,
                                                            classes[ar])
             fail = lam & ~ok
@@ -519,7 +558,9 @@ def characterize_preexact(s: Seq) -> tuple[Morph, Morph]:
         raise ValidationError("sequence is not short preexact")
     f, g = s.f, s.g
     phi = precokernel_witness(g, f)
-    return prekernel_witness(f, g), Morph(g.cod, phi.dom, inverse_map(phi.map, g.cod.n))
+    # the inverse of an isomorphism is one
+    return prekernel_witness(f, g), Morph._trusted(
+        g.cod, phi.dom, tuple(inverse_map(phi.map, g.cod.n).tolist()))
 
 
 def identity_prekernel_test(sigma: Rel, rho: Rel) -> bool:

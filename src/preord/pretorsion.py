@@ -53,6 +53,7 @@ from .exactness import (
     prekernel_batch, prekernel_property,
 )
 from .enumeration import catalogue, objects_upto
+from .relations import block_ids
 
 __all__ = [
     "ObjClass", "EQUIVALENCES", "PARTIAL_ORDERS", "TRIVIAL_OBJECTS",
@@ -328,9 +329,7 @@ def _torsion_batches(objs: list[PreObj]):
     cores = bits & bits.transpose(0, 2, 1)
     core_cat = catalogue(n)
     core_at = core_cat.index(cores)
-    reps = cores.argmax(axis=2)  # the smallest member of each point's block
-    is_rep = reps == np.arange(n)
-    proj = np.take_along_axis(np.cumsum(is_rep, axis=1) - 1, reps, axis=1)
+    proj, is_rep = block_ids(cores)
     sizes = is_rep.sum(axis=1)
     group = np.where(np.arange(len(objs)) == 0, 0, sizes)
     batches = []
@@ -395,8 +394,11 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     The catalogues of every size up to max_n are built first (BudgetError
     beyond the enumeration cap), with each class predicate asked once per
     labeled object; `catalogue_s`, `axiom1_s` and `axiom2_s` of the report
-    time the three phases.
+    time the three phases.  A max_n below 1 is a ValidationError: there
+    would be nothing to check.
     """
+    if max_n < 1:
+        raise ValidationError(f"max_n must be at least 1, got {max_n}")
     start = time.perf_counter()
     cats = [catalogue(n) for n in range(1, max_n + 1)]
     z, z_trivial = _null_class(t, f, max_n)

@@ -72,7 +72,7 @@ def _compose(r: np.ndarray, s: np.ndarray) -> np.ndarray:
                                         where=r[:, :, None], initial=0), n)
 
 
-def _closure(bits: np.ndarray) -> np.ndarray:
+def transitive_closure_bits(bits: np.ndarray) -> np.ndarray:
     """The transitive closure of an n x n bool matrix, as a new array."""
     n = len(bits)
     if n < _PACKED_MIN_N:
@@ -206,7 +206,7 @@ class Rel:
 
     def transitive_closure(self) -> "Rel":
         """Smallest transitive relation containing this one."""
-        return Rel(self.n, _closure(self.bits))
+        return Rel(self.n, transitive_closure_bits(self.bits))
 
     def reflexive_closure(self) -> "Rel":
         return Rel(self.n, self.bits | np.eye(self.n, dtype=bool))
@@ -248,6 +248,17 @@ class Rel:
     def _same_carrier(self, other: "Rel") -> None:
         if self.n != other.n:
             raise ValidationError(f"carrier mismatch: {self.n} vs {other.n}")
+
+
+def block_ids(equiv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of an equivalence matrix, or of each of a stack of them
+    (on the last two axes), numbered by smallest member as in `Partition`:
+    per point, the number of its block and whether it is the smallest
+    member of that block."""
+    reps = equiv.argmax(axis=-1)  # the first True column: the smallest member
+    is_rep = reps == np.arange(equiv.shape[-1])
+    ids = np.cumsum(is_rep, axis=-1) - 1
+    return ids[reps] if ids.ndim == 1 else np.take_along_axis(ids, reps, axis=-1), is_rep
 
 
 def generated_equivalence(pairs: Iterable[tuple[int, int]], n: int) -> Rel:

@@ -15,13 +15,14 @@ precokernel constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from .category import (
     Morph, PreObj, compose, coproduct, is_trivial_morphism, iso_search,
-    array_cache, monotone_maps, DEFAULT_BUDGET,
+    array_cache, monotone_maps, pair_rows, DEFAULT_BUDGET,
 )
 from .errors import NotShortExactError, ValidationError
 from .exactness import (
@@ -51,25 +52,45 @@ def _component_layout(a: PreObj) -> np.ndarray:
     return layout
 
 
-def _stable_canon(rows: np.ndarray, dom: PreObj) -> np.ndarray:
-    """Canonical rows of stable classes: the maps out of dom, one per row,
-    with each component on which a row is trivial read as -1.  Two parallel
-    maps are stably equal exactly when their canonical rows are equal."""
-    u, v = dom.rel.pair_index
-    moved = (rows[:, u] != rows[:, v]) @ _component_layout(dom)
+@lru_cache(maxsize=64)
+def _run_layout(objs: tuple[PreObj, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The padded pairs `u, v = pair_rows(objs)` of a run of same-size
+    objects, and objects x pairs x points: does the component of each pair
+    of an object hold the point?  A padding pair (0, 0) never moves, so its
+    row is never read."""
+    u, v = pair_rows(objs)
+    comp = np.array([components(a).class_of for a in objs])
+    return u, v, np.take_along_axis(comp, u, axis=1)[:, :, None] == comp[:, None, :]
+
+
+def _stable_canon(rows: np.ndarray, objs: tuple[PreObj, ...], which=None) -> np.ndarray:
+    """Canonical rows of stable classes: maps out of a run of same-size
+    objects, one per row, with each component on which a row is trivial
+    read as -1.  `which` holds the position in the run of each row's
+    domain, or is None for a run of one object.  Two parallel maps are
+    stably equal exactly when their canonical rows are equal."""
+    if which is None:
+        (dom,) = objs
+        u, v = dom.rel.pair_index
+        moved = (rows[:, u] != rows[:, v]) @ _component_layout(dom)
+    else:
+        u, v, layout = _run_layout(objs)
+        at = np.arange(len(rows))[:, None]
+        u, v = u[which], v[which]
+        moved = np.matmul((rows[at, u] != rows[at, v])[:, None], layout[which])[:, 0]
     return np.where(moved, rows, -1)
 
 
 def _stably_equal_rows(rows: np.ndarray, dom: PreObj, target) -> np.ndarray:
     """Row mask of the maps in `rows` (out of dom) stably equal to `target`."""
-    canon = _stable_canon(np.vstack([target, rows]), dom)
+    canon = _stable_canon(np.vstack([target, rows]), (dom,))
     return (canon[1:] == canon[0]).all(axis=1)
 
 
 def stable_signature(f: Morph) -> tuple:
     """Canonical form of a morphism's stable class (same dom and cod only):
     the image tuple with every component on which f is trivial read as -1."""
-    return tuple(_stable_canon(np.array([f.map]), f.dom)[0].tolist())
+    return tuple(_stable_canon(np.array([f.map]), (f.dom,))[0].tolist())
 
 
 def stable_eq(f: Morph, g: Morph) -> bool:
@@ -253,15 +274,15 @@ def verify_coproduct_preservation(objs: list[PreObj], tests: list[PreObj],
     summed, injections = coproduct(objs)
     for y in tests:
         cmaps = monotone_maps(summed, y, budget)
-        families = np.hstack([_stable_canon(cmaps[:, list(inj.map)], a)
+        families = np.hstack([_stable_canon(cmaps[:, list(inj.map)], (a,))
                               for inj, a in zip(injections, objs)])
         realized = len(np.unique(families, axis=0))
-        whole = _stable_canon(cmaps, summed)
+        whole = _stable_canon(cmaps, (summed,))
         if len(np.unique(np.hstack([families, whole]), axis=0)) > realized:
             return False  # two stably distinct maps share all restrictions
         # the restrictions are maps out of the factors, so every family of
         # components is realized exactly when the counts agree
-        if realized < prod(len(np.unique(_stable_canon(monotone_maps(a, y, budget), a), axis=0))
+        if realized < prod(len(np.unique(_stable_canon(monotone_maps(a, y, budget), (a,)), axis=0))
                            for a in objs):
             return False  # some family of components is not realized
     return True

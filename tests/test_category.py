@@ -71,6 +71,24 @@ class TestMorphisms:
         with pytest.raises(ValidationError):
             Morph(chain(2), trivial_object(2), (0, 1))
 
+    @pytest.mark.parametrize("entries", [(0.7, 1.9), (0.0, 1.0), ("0", "1"), (0, None)])
+    def test_non_integer_entries_are_rejected(self, entries):
+        # they were truncated by int(), so (0.7, 1.9) became [0, 1]
+        with pytest.raises(ValidationError):
+            Morph(chain(2), chain(2), entries)
+        with pytest.raises(ValidationError):
+            is_morphism(entries, chain(2), chain(2))
+
+    def test_is_morphism_rejects_floats_without_an_index_error(self):
+        a = chain(2)
+        with pytest.raises(ValidationError):
+            is_morphism((0.5, 1.2), a, a)
+
+    def test_numpy_integer_entries_become_python_ints(self):
+        f = Morph(chain(2), chain(2), np.array([0, 1]))
+        assert f.map == (0, 1) and all(type(x) is int for x in f.map)
+        assert is_morphism(np.array([1, 1]), chain(2), chain(2))
+
     def test_compose_pointwise(self):
         a, b, c = chain(2), trivial_object(2), trivial_object(3)
         f = Morph(a, b, (1, 1))

@@ -184,7 +184,24 @@ class TestMorphismCommands:
         assert captured.err.startswith("error:") and captured.out == ""
 
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_classify_exact_without_probes_is_a_usage_error(self, tmp_path, capsys, max_n):
+        # it ran with no probes, so nothing was checked
+        c = write(tmp_path, "c.json", '{"n": 2, "pairs": [[0, 1]], "mode": "strict"}')
+        const = write(tmp_path, "const.json", '{"map": [0, 0]}')
+        assert main(["classify-exact", c, c, c, const, const, "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+
 class TestVerifyAndErrors:
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_verify_pretorsion_on_no_objects_is_a_usage_error(self, capsys, max_n):
+        # it printed "verdict: pass" on 0 objects and exited 0
+        assert main(["verify-pretorsion", "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_verify_pretorsion(self, capsys):
         assert main(["verify-pretorsion", "--max-n", "2"]) == 0
         out = capsys.readouterr().out

@@ -1,0 +1,102 @@
+"""The array-built constructions, their trusted outputs, the interned
+construction objects and the run-level stable canonicalization."""
+
+import numpy as np
+import pytest
+
+from preord import (
+    Morph, PreObj, chain, compose, hom_enumerate, image_equivalence, make_object,
+    objects_upto, precokernel, precokernel_witness, prekernel, prekernel_witness,
+    trivial_object,
+)
+from preord.category import candidate_grid, same_size_runs
+from preord.exactness import _INTERNED, _interned
+from preord.stable import _stable_canon
+
+from .oracles import naive_equivalence_closure, naive_transitive_closure, union_find_blocks
+
+
+def _pairs(a):
+    return set(a.rel.pairs(include_diagonal=True))
+
+
+def _revalidated(f):
+    """f rebuilt through the checking constructors."""
+    return Morph(PreObj(f.dom.rel), PreObj(f.cod.rel), f.map)
+
+
+@pytest.fixture(scope="module")
+def morphisms3(objects3):
+    return [f for a in objects3 for b in objects3 for f in hom_enumerate(a, b)]
+
+
+class TestConstructionsAgainstNaiveClosures:
+    def test_every_morphism_of_size_at_most_3_is_covered(self, morphisms3):
+        assert len(morphisms3) == 11310
+
+    def test_prekernels(self, morphisms3):
+        for f in morphisms3:
+            k = prekernel(f)
+            assert k.map == tuple(range(f.dom.n)) and k.cod == f.dom
+            assert _pairs(k.dom) == {(a, b) for a, b in _pairs(f.dom) if f.map[a] == f.map[b]}
+
+    def test_precokernels(self, morphisms3):
+        for f in morphisms3:
+            n = f.cod.n
+            zeta = naive_equivalence_closure({(f.map[a], f.map[b]) for a, b in _pairs(f.dom)}, n)
+            assert _pairs(PreObj(image_equivalence(f))) == zeta
+            joined = naive_transitive_closure(_pairs(f.cod) | zeta, n)
+            blocks = union_find_blocks(n, zeta)
+            c = precokernel(f)
+            assert c.dom == f.cod
+            assert c.map == tuple(next(i for i, blk in enumerate(blocks) if x in blk)
+                                  for x in range(n))
+            assert _pairs(c.cod) == {(i, j) for i, bi in enumerate(blocks)
+                                     for j, bj in enumerate(blocks) if (bi[0], bj[0]) in joined}
+
+    def test_trusted_outputs_pass_the_checking_constructors(self, morphisms3):
+        for f in morphisms3:
+            k, c = prekernel(f), precokernel(f)
+            trusted = [k, c, compose(f, k), compose(c, f),
+                       prekernel_witness(k, f), precokernel_witness(c, f)]
+            for g in trusted:
+                assert type(g.map) is tuple and all(type(x) is int for x in g.map)
+                assert _revalidated(g) == g
+
+
+class TestInterning:
+    def test_equal_outputs_are_one_instance(self, objects3):
+        a = make_object(3, [(0, 1), (1, 0)])
+        f = Morph(a, chain(2), (0, 0, 1))
+        g = Morph(a, trivial_object(2), (1, 1, 0))
+        assert prekernel(f).dom is prekernel(g).dom
+        assert precokernel(prekernel(f)).cod is precokernel(prekernel(g)).cod
+        # user-built objects are never replaced
+        assert prekernel(Morph(a, chain(1), (0, 0, 0))).dom == a
+        assert prekernel(Morph(a, chain(1), (0, 0, 0))).dom is not a
+
+    def test_the_table_stays_within_its_bound(self):
+        # the constant map's prekernel is its domain: 6,942 distinct outputs
+        point = trivial_object(1)
+        for a in objects_upto(5)[-6942:]:
+            assert prekernel(Morph(a, point, (0,) * 5)).dom == a
+            assert _interned.cache_info().currsize <= _INTERNED
+        assert _interned.cache_info().currsize == _INTERNED
+
+    def test_carriers_beyond_the_enumeration_cap_are_not_interned(self):
+        f = Morph(chain(6), trivial_object(1), (0,) * 6)
+        assert prekernel(f).dom == chain(6) and prekernel(f).dom is not prekernel(f).dom
+
+
+class TestRunCanon:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_run_equals_its_objects_one_at_a_time(self, objects3, m):
+        (run,) = [r for r in same_size_runs(objects3) if r.m == m]
+        grid = candidate_grid(m, 3)
+        rows = np.concatenate([grid] * len(run.objs))
+        which = np.repeat(np.arange(len(run.objs)), len(grid))
+        want = np.concatenate([_stable_canon(grid, (y,)) for y in run.objs])
+        assert np.array_equal(_stable_canon(rows, run.objs, which), want)
+        # rows of the run's objects in any order
+        order = np.random.default_rng(m).permutation(len(rows))
+        assert np.array_equal(_stable_canon(rows[order], run.objs, which[order]), want[order])

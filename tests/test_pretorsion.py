@@ -418,6 +418,12 @@ class TestTorsionParts:
 
 
 class TestPretorsionVerify:
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_a_range_without_objects_is_rejected(self, max_n):
+        # it passed on 0 objects and 0 maps
+        with pytest.raises(ValidationError):
+            pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, max_n)
+
     def test_equivalences_and_partial_orders_pass_n3(self):
         report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3)
         assert report.ok
