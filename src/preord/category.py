@@ -465,7 +465,9 @@ def monotone_maps(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> np.
 
 def hom_enumerate(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> list[Morph]:
     """Every morphism dom -> cod, in lexicographic map order."""
-    return [Morph(dom, cod, tuple(row)) for row in monotone_maps(dom, cod, budget)]
+    # the rows are monotone by construction; tolist gives Python ints
+    return [Morph._trusted(dom, cod, tuple(row)) for row in
+            monotone_maps(dom, cod, budget).tolist()]
 
 
 def triv_enumerate(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> list[Morph]:

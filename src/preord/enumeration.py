@@ -9,7 +9,11 @@ hopeless at desk scale anyway.
 Every kind is read from one catalogue per carrier size, built once per
 process on first use: the labeled preorders on n points as a stack of
 relation matrices sorted by code, with a mask per kind.  A kind's objects
-are built from its masked matrices only.
+are built from its masked matrices only.  Each catalogue also gives,
+on first use, the canonical code of every object, the smallest code over
+its n! relabelings: two objects get the same one exactly when they are
+isomorphic, and the object holding it, the first of its isomorphism class
+in code order, represents the class.
 Removing the last point of a preorder leaves a preorder, so the
 preorders on n points are those on n - 1 points, each with a down-set
 and an up-set for the new last point that keep it transitive (one-point
@@ -20,7 +24,8 @@ in chunks, one batched transitivity test per chunk.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import permutations
 from typing import Iterator
 
 import numpy as np
@@ -48,10 +53,34 @@ def _codes(bits: np.ndarray) -> np.ndarray:
     return bits.reshape(len(bits), n * n)[:, off] @ weights
 
 
+def _canonical_codes(bits: np.ndarray) -> np.ndarray:
+    """The smallest code of each relation of a stack over its n!
+    relabelings, in chunks of at most `_CHUNK` x 256 products of a
+    relation cell with a weight.
+
+    Relabeled by p, a relation R has code sum R[p(i), p(j)] w(i, j) over
+    the off-diagonal cells (i, j) with their weights w, that is R read with
+    the weight matrix w[q(a), q(b)] for q the inverse of p.  As p runs over
+    all permutations so does q, and one matrix product reads every
+    relation with all n! weight matrices."""
+    n = bits.shape[-1]
+    w = np.zeros(n * n, dtype=np.float64)
+    w[~np.eye(n, dtype=bool).ravel()] = 2.0 ** np.arange(n * (n - 1) - 1, -1, -1)
+    w = w.reshape(n, n)
+    q = np.array(list(permutations(range(n)))).T
+    # cells x relabelings; codes stay below 2 ** 20 at the cap, so the
+    # float64 products are exact
+    weights = w[q[:, None, :], q[None, :, :]].reshape(n * n, q.shape[1])
+    flat = bits.reshape(len(bits), n * n)
+    per = max(1, _CHUNK * 256 // weights.size)
+    return np.concatenate([(flat[start:start + per] @ weights).min(axis=1)
+                           for start in range(0, len(flat), per)]).astype(np.int64)
+
+
 class Catalogue:
     """The labeled preorders on n points in increasing code: `bits`
     (objects x n x n), their sorted `codes` and a mask over them per kind
-    (`masks`)."""
+    (`masks`).  `canonical_codes` is built on first use."""
 
     def __init__(self, n: int, bits: np.ndarray):
         codes = _codes(bits)
@@ -69,6 +98,23 @@ class Catalogue:
     def objs(self) -> tuple[PreObj, ...]:
         """All the objects, in code order: the preorder kind's."""
         return _objects_exact(self.n, "preorder")
+
+    @cached_property
+    def canonical_codes(self) -> np.ndarray:
+        """Per object, the smallest code over its n! relabelings: equal
+        exactly on isomorphic objects."""
+        return _canonical_codes(self.bits)
+
+    @property
+    def class_of(self) -> np.ndarray:
+        """Per object, the position of the first object of its isomorphism
+        class, the one whose code is the class's canonical code."""
+        return np.searchsorted(self.codes, self.canonical_codes)
+
+    @property
+    def representatives(self) -> np.ndarray:
+        """The positions of the first object of each isomorphism class."""
+        return np.flatnonzero(self.codes == self.canonical_codes)
 
     def index(self, bits: np.ndarray) -> np.ndarray:
         """The positions of a stack of preorders on n points."""

@@ -23,12 +23,18 @@ is asked once per labeled object and kept as a bit vector per class and
 size, and whether Z is exactly the trivial objects is an array comparison
 of those bits with the catalogue's trivial mask.  Axiom 1 builds the
 canonical torsion sequences of all objects of one size as arrays, finds
-their cores and quotients in the catalogues by code, reads their
-membership from the bit vectors and checks them in one engine batch per
-quotient size.  Axiom 2 and `closure_prop_check` take, per T-member, one
-table of maps into each run of consecutive same-size F-members, so maps
-are still visited in the order of the classes' candidates and, within a
-hom set, lexicographically.
+their cores and quotients in the catalogues by code and reads their
+membership from the bit vectors.  Relative preexactness is invariant
+under relabeling: hom sets and Z-triviality carry over along
+isomorphisms, whether or not Z is closed under them.  So the engine
+checks the first object of each isomorphism class (by the catalogue's
+canonical codes), one batch per quotient size, against the first probe
+of each class, and every labeled member of a failing class fails; counts
+and witnesses stay those of a labeled scan.  Axiom 2 and
+`closure_prop_check` take, per T-member, one table of maps into each run
+of consecutive same-size F-members, so maps are still visited in the
+order of the classes' candidates and, within a hom set,
+lexicographically.
 """
 
 from __future__ import annotations
@@ -256,10 +262,12 @@ class PretorsionReport:
     objects_checked: int
     maps_checked: int
     null_class_is_trivial: bool = field(default=False)
-    # work counters, not printed: sequences given to the engine (once per
+    # work counters, not printed: isomorphism classes whose torsion
+    # sequence went to the engine, sequences given to the engine (once per
     # property), table cells (grid rows x probes, or x F-members for
     # axiom 2) and wall seconds for the catalogues (with the class
     # membership bits, the null-class test and the probes) and per axiom
+    classes_checked: int = 0
     sequences_checked: int = 0
     axiom1_cells: int = 0
     axiom2_cells: int = 0
@@ -312,64 +320,90 @@ def _null_class(t: ObjClass, f: ObjClass, max_n: int) -> tuple[ObjClass, bool]:
     return z, trivial_on_range
 
 
+def _torsion_parts(bits: np.ndarray):
+    """The canonical torsion sequences of a stack of preorders on n points,
+    as arrays: the positions of their symmetric cores in the catalogue of
+    size n, their projection rows (blocks numbered by smallest member),
+    their quotient sizes and the positions of their quotients in the
+    catalogues of those sizes, found by code."""
+    cores = bits & bits.transpose(0, 2, 1)
+    proj, is_rep = block_ids(cores)
+    sizes = is_rep.sum(axis=1)
+    quotient_at = np.empty(len(bits), dtype=np.int64)
+    # sorted(set()) rather than np.unique, which imports numpy.ma on first use
+    for q in sorted(set(sizes.tolist())):
+        at = np.flatnonzero(sizes == q)
+        kept = np.nonzero(is_rep[at])[1].reshape(len(at), q)
+        quotient_at[at] = catalogue(q).index(bits[at[:, None, None], kept[:, :, None],
+                                                  kept[:, None, :]])
+    return catalogue(bits.shape[-1]).index(cores), proj, sizes, quotient_at
+
+
 def _torsion_batches(objs: list[PreObj]):
-    """The canonical torsion sequences of objects of one size, from
-    stacked symmetric cores, projection rows and quotient relations, in
-    batches of one quotient size: (positions of the batch's objects, the
-    batch, positions of its cores and of its quotients in the catalogues
-    of their sizes).  Cores and quotients are the catalogues' objects,
-    found by code.
+    """The canonical torsion sequences of objects of one size, in batches
+    of one quotient size: (positions of the batch's objects, the batch,
+    positions of its cores and of its quotients in the catalogues of their
+    sizes).  Cores and quotients are the catalogues' objects.
 
     The first object comes alone: every sequence of one size meets the
     same candidate grids, so alone it raises BudgetError exactly when an
     object-by-object check would, and the others never do.
     """
+    if not objs:
+        return []
     n = objs[0].n
-    bits = stack_bits(objs)
-    cores = bits & bits.transpose(0, 2, 1)
-    core_cat = catalogue(n)
-    core_at = core_cat.index(cores)
-    proj, is_rep = block_ids(cores)
-    sizes = is_rep.sum(axis=1)
+    core_at, proj, sizes, quotient_at = _torsion_parts(stack_bits(objs))
+    cores = catalogue(n).objs
     group = np.where(np.arange(len(objs)) == 0, 0, sizes)
     batches = []
-    # sorted(set()) rather than np.unique, which imports numpy.ma on first use
     for key in sorted(set(group.tolist())):
         at = np.flatnonzero(group == key)
-        q = int(sizes[at[0]])
-        kept = np.nonzero(is_rep[at])[1].reshape(len(at), q)
-        quotient_cat = catalogue(q)
-        quotient_at = quotient_cat.index(bits[at[:, None, None], kept[:, :, None],
-                                              kept[:, None, :]])
+        quotients = catalogue(int(sizes[at[0]])).objs
         batches.append((at, SeqBatch(
-            tuple(core_cat.objs[i] for i in core_at[at]), tuple(objs[i] for i in at),
-            tuple(quotient_cat.objs[i] for i in quotient_at),
-            np.broadcast_to(np.arange(n), (len(at), n)), proj[at]), core_at[at], quotient_at))
+            tuple(cores[i] for i in core_at[at]), tuple(objs[i] for i in at),
+            tuple(quotients[i] for i in quotient_at[at]),
+            np.broadcast_to(np.arange(n), (len(at), n)), proj[at]), core_at[at], quotient_at[at]))
     return batches
 
 
-def _first_axiom1_failure(objs: list[PreObj], t: ObjClass, f: ObjClass, trivial,
-                          probes, budget: int, stats: Counter) -> tuple[int, str] | None:
-    """The position of the first of the objects (all of one size) whose
-    canonical torsion sequence fails axiom 1, with the reason, or None.
-    Batches skip the objects after a failure already found."""
-    first = None
-    for at, batch, cores, quotients in _torsion_batches(objs):
-        keep = np.flatnonzero(at < first[0]) if first is not None else np.arange(len(at))
+def _first_axiom1_failure(n: int, t: ObjClass, f: ObjClass, trivial, probes, budget: int,
+                          stats: Counter) -> tuple[int, str] | None:
+    """The catalogue position of the first labeled preorder on n points
+    whose canonical torsion sequence fails axiom 1, with the reason, or
+    None.
+
+    Membership of the ends is read per labeled object, and only the
+    objects before the first that fails it are checked further.
+    Relative preexactness carries over along isomorphisms of sequences
+    and probes, so `_torsion_batches` and the engine take the first object
+    of each class among them, and every labeled member of a failing class
+    fails.  Batches skip the classes after a failure already found."""
+    cat = catalogue(n)
+    objs = cat.objs
+    core_at, _, sizes, quotient_at = _torsion_parts(cat.bits)
+    why = np.where(~_members(t, n)[core_at], 1, 0)
+    for q in sorted(set(sizes.tolist())):
+        at = np.flatnonzero((sizes == q) & (why == 0))
+        why[at[~_members(f, q)[quotient_at[at]]]] = 2
+    cut = int(np.argmax(why != 0)) if why.any() else len(why)
+    reps = cat.representatives
+    reps = reps[reps < cut]
+    first, failed = cut, np.zeros(cut, dtype=bool)
+    for at, batch, *_ in _torsion_batches([objs[i] for i in reps]):
+        keep = np.flatnonzero(reps[at] < first)
         if not len(keep):
             continue
-        at, batch = at[keep], batch.take(keep)
-        why = np.where(~_members(t, objs[0].n)[cores[keep]], 1,
-                       np.where(~_members(f, batch.cs[0].n)[quotients[keep]], 2, 0))
-        members = np.flatnonzero(why == 0)
-        exact = prekernel_batch(batch.take(members), probes, trivial, budget, stats=stats)
-        exact[exact] = precokernel_batch(batch.take(members[exact]), probes, trivial, budget,
-                                         stats=stats)
-        why[members[~exact]] = 3
-        failing = np.flatnonzero(why)
-        if len(failing):
-            first = (int(at[failing[0]]), _AXIOM1_REASONS[why[failing[0]] - 1])
-    return first
+        at, batch = reps[at[keep]], batch.take(keep)
+        stats["classes"] += len(at)
+        exact = prekernel_batch(batch, probes, trivial, budget, stats=stats)
+        exact[exact] = precokernel_batch(batch.take(np.flatnonzero(exact)), probes, trivial,
+                                         budget, stats=stats)
+        failed[at[~exact]] = True
+        if not exact.all():
+            first = int(at[~exact][0])
+    why[:cut][failed[cat.class_of[:cut]]] = 3
+    failing = np.flatnonzero(why)
+    return (int(failing[0]), _AXIOM1_REASONS[why[failing[0]] - 1]) if len(failing) else None
 
 
 _AXIOM1_REASONS = ("torsion part is outside the torsion class",
@@ -382,9 +416,13 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     """Check both pretorsion axioms for (t, f) on all objects up to max_n.
 
     Axiom 1 is checked through the canonical torsion sequence of each
-    object (ends in the classes, relative preexactness probed with all
-    objects one size down); objects_checked counts the objects up to and
-    including the first that fails, in enumeration order.  Axiom 2
+    object: its ends must lie in the classes, asked of every labeled
+    object, and it must be relatively preexact, probed with all objects
+    one size down.  Preexactness is checked once per isomorphism class of
+    objects and of probes (`classes_checked` of the report counts the
+    classes sent to the engine), which decides it for every labeled
+    member; objects_checked counts the objects up to and including the
+    first that fails, in enumeration order.  Axiom 2
     takes the hom set from every t-member to every f-member and asks each
     of its maps to factor through the intersection class, one table per
     t-member and run of same-size f-members; maps_checked counts the maps
@@ -403,17 +441,18 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     cats = [catalogue(n) for n in range(1, max_n + 1)]
     z, z_trivial = _null_class(t, f, max_n)
     trivial = _class_trivial(z, budget)
-    probes = objects_upto(max(1, max_n - 1), "preorder")
+    # one probe per isomorphism class, the first of each in its catalogue
+    probes = [cat.objs[i] for cat in cats[:max(1, max_n - 1)] for i in cat.representatives]
     ax1, ax2_cells = Counter(), 0
     built = time.perf_counter()
     ax1_witness, checked = None, 0
-    for objs in (cat.objs for cat in cats):
-        failure = _first_axiom1_failure(objs, t, f, trivial, probes, budget, ax1)
+    for cat in cats:
+        failure = _first_axiom1_failure(cat.n, t, f, trivial, probes, budget, ax1)
         if failure is not None:
             at, why = failure
-            ax1_witness, checked = (objs[at], why), checked + at + 1
+            ax1_witness, checked = (cat.objs[at], why), checked + at + 1
             break
-        checked += len(objs)
+        checked += len(cat.codes)
     mid = time.perf_counter()
     ax2_witness, maps_checked = None, 0
     for tb, part, grid, homs in _hom_tables(t.candidates(max_n), f.candidates(max_n), budget):
@@ -434,7 +473,7 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
         axiom2_ok=ax2_witness is None, axiom2_counterexample=ax2_witness,
         objects_checked=checked, maps_checked=maps_checked,
         null_class_is_trivial=z_trivial,
-        sequences_checked=ax1["sequences"], axiom1_cells=ax1["cells"], axiom2_cells=ax2_cells,
+        classes_checked=ax1["classes"], sequences_checked=ax1["sequences"], axiom1_cells=ax1["cells"], axiom2_cells=ax2_cells,
         catalogue_s=built - start, axiom1_s=mid - built, axiom2_s=time.perf_counter() - mid,
     )
 

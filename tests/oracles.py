@@ -4,7 +4,7 @@ Everything here is deliberately pure-python and naive so that it shares
 no code path with the numpy production implementations it checks.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 
 def naive_transitive_closure(pairs, n):
@@ -287,3 +287,33 @@ def count_partial_orders_brute(n):
     return sum(1 for rel in brute_reflexive_relations(n)
                if naive_is_transitive(rel)
                and all(a == b for a, b in rel if (b, a) in rel))
+
+
+def relation_code(n, pairs):
+    """The off-diagonal cells in row-major order as bits of one binary
+    number, the first cell highest."""
+    code = 0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                code = 2 * code + ((i, j) in pairs)
+    return code
+
+
+def relabelings(n, pairs):
+    """The relation relabeled by every permutation p of the points: i is
+    related to j when p(i) is related to p(j)."""
+    pairs = set(pairs)
+    for p in permutations(range(n)):
+        yield {(i, j) for i in range(n) for j in range(n) if (p[i], p[j]) in pairs}
+
+
+def canonical_code_brute(n, pairs):
+    """The smallest code over all n! relabelings."""
+    return min(relation_code(n, r) for r in relabelings(n, pairs))
+
+
+def automorphism_count_brute(n, pairs):
+    """The permutations that map the relation onto itself."""
+    pairs = set(pairs)
+    return sum(1 for r in relabelings(n, pairs) if r == pairs)

@@ -157,6 +157,17 @@ class TestHomEnumeration:
         with pytest.raises(BudgetError):
             hom_enumerate(trivial_object(5), trivial_object(5), budget=100)
 
+    def test_unchecked_rows_equal_the_checked_construction_n3(self, objects3):
+        # all 11,310 morphisms between preorders of size <= 3, in order
+        total = 0
+        for a in objects3:
+            for b in objects3:
+                homs = hom_enumerate(a, b)
+                assert homs == [Morph(a, b, tuple(row)) for row in monotone_maps(a, b)]
+                assert all(type(v) is int for f in homs for v in f.map)
+                total += len(homs)
+        assert total == 11310
+
     def test_budget_bounds_cells_before_allocating(self):
         # 4 ** 4 = 256 candidate maps fit a budget of 500, their 1024 cells do not
         with pytest.raises(BudgetError):

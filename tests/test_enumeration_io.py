@@ -1,7 +1,12 @@
 import hashlib
+import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +19,12 @@ from preord import (
 from preord.enumeration import _extend, catalogue
 from preord.io import _hasse_edges
 
+import preord
+
 from .oracles import (
-    brute_reflexive_relations, count_equivalences_brute, count_partial_orders_brute,
-    count_preorders_brute, naive_covering_pairs, naive_is_transitive,
+    automorphism_count_brute, brute_reflexive_relations, canonical_code_brute,
+    count_equivalences_brute, count_partial_orders_brute, count_preorders_brute,
+    naive_covering_pairs, naive_is_transitive,
 )
 
 
@@ -152,6 +160,44 @@ class TestCatalogue:
             tracemalloc.stop()
         assert len(bits) == 6942
         assert peak < 4 * DEFAULT_BUDGET  # bytes: DEFAULT_BUDGET float32 cells
+
+
+class TestIsomorphismClasses:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_canonical_codes_are_the_brute_force_minimum(self, n):
+        cat = catalogue(n)
+        assert cat.canonical_codes.tolist() == [
+            canonical_code_brute(n, set(a.rel.pairs(include_diagonal=True))) for a in cat.objs]
+
+    def test_class_counts_are_a001930(self):
+        assert [len(catalogue(n).representatives) for n in range(1, 6)] == [1, 3, 9, 33, 139]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbit_stabilizer(self, n):
+        # each class has n! / |Aut| labeled members, none before its first one
+        cat = catalogue(n)
+        members = np.bincount(cat.class_of, minlength=len(cat.codes))
+        assert (cat.class_of <= np.arange(len(cat.codes))).all()
+        assert np.flatnonzero(members).tolist() == cat.representatives.tolist()
+        for i in cat.representatives:
+            pairs = set(cat.objs[i].rel.pairs(include_diagonal=True))
+            assert members[i] * automorphism_count_brute(n, pairs) == math.factorial(n)
+
+    def test_codes_are_built_on_first_use_only(self):
+        # neither the import nor a class constant builds a catalogue or a code
+        code = ("import preord\n"
+                "from preord import EQUIVALENCES, PARTIAL_ORDERS\n"
+                "from preord.enumeration import catalogue\n"
+                "EQUIVALENCES.name, PARTIAL_ORDERS.contains\n"
+                "print(catalogue.cache_info().currsize)\n"
+                "cat = catalogue(3)\n"
+                "print('canonical_codes' in vars(cat))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(preord.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.split() == ["0", "False"]
 
 
 class TestObjectFiles:

@@ -14,7 +14,7 @@ from preord import (
     TRIVIAL_OBJECTS, ValidationError, chain, closure_prop_check, compose,
     ends_trivial_iff_iso, factors_through, hom_enumerate, identity,
     intersect_classes, is_epi, is_mono, is_trivial_morphism,
-    is_trivial_object, make_object, precokernel, prekernel, pretorsion_verify,
+    is_trivial_object, make_object, objects_upto, precokernel, prekernel, pretorsion_verify,
     quotient_poset, relative_precokernel_check, relative_preexact,
     relative_prekernel_check, symmetric_core, torsion_part,
     torsion_sequence, torsionfree_part, trivial_object,
@@ -23,7 +23,9 @@ from preord import (
 
 import preord
 
-from .oracles import precokernel_property_search, prekernel_property_search
+from .oracles import (
+    canonical_code_brute, precokernel_property_search, prekernel_property_search,
+)
 
 MIXED = make_object(3, [(0, 1), (1, 0), (1, 2)], mode="close")
 
@@ -472,15 +474,18 @@ class TestPretorsionVerify:
             "verdict: pass")
 
     def test_work_counters_count_every_table_cell_n3(self, objects2, objects3):
-        # each object's prekernel check reads a table of the maps from each
-        # probe of size m into it (n ** m grid rows), its precokernel check
-        # one of the maps out of it (m ** n rows); axiom 2 one of the maps
-        # from each T-member into each F-member
+        # axiom 1 checks the first object of each isomorphism class with the
+        # first probe of each class: a prekernel check reads a table of the
+        # maps from each probe of size m into the object (n ** m grid rows),
+        # a precokernel check one of the maps out of it (m ** n rows); axiom
+        # 2 one of the maps from each T-member into each F-member
         report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3)
-        sizes = Counter(y.n for y in objects2)
-        assert report.sequences_checked == 2 * len(objects3)
+        classes = first_of_each_class(objects3)
+        sizes = Counter(y.n for y in first_of_each_class(objects2))
+        assert report.classes_checked == len(classes) == 13
+        assert report.sequences_checked == 2 * len(classes)
         assert report.axiom1_cells == sum((b.n ** m + m ** b.n) * count
-                                          for b in objects3 for m, count in sizes.items())
+                                          for b in classes for m, count in sizes.items())
         assert report.axiom2_cells == sum(f.n ** t.n for t in EQUIVALENCES.candidates(3)
                                           for f in PARTIAL_ORDERS.candidates(3))
         assert report.axiom1_s > 0 and report.axiom2_s > 0
@@ -530,6 +535,72 @@ class TestPretorsionVerify:
         z = intersect_classes(EQUIVALENCES, PARTIAL_ORDERS)
         for a in objects3:
             assert z.contains(a) == is_trivial_object(a)
+
+
+def first_of_each_class(objs):
+    """The first object of each isomorphism class, by brute-force codes."""
+    firsts = {}
+    for a in objs:
+        firsts.setdefault((a.n, canonical_code_brute(a.n, set(a.rel.pairs()))), a)
+    return list(firsts.values())
+
+
+def labeled_axiom1(t, f, max_n):
+    """Axiom 1 object by object: membership of both ends, then relative
+    preexactness of the torsion sequence against every labeled probe one
+    size down; the first failure with its reason, and the objects up to it."""
+    z = intersect_classes(t, f)
+    probes = objects_upto(max(1, max_n - 1))
+    objs = objects_upto(max_n)
+    for i, a in enumerate(objs):
+        seq = torsion_sequence(a)
+        if not t.contains(seq.f.dom):
+            why = "torsion part is outside the torsion class"
+        elif not f.contains(seq.g.cod):
+            why = "quotient is outside the torsion-free class"
+        elif not relative_preexact(seq.f, seq.g, z, probes):
+            why = "canonical sequence is not relatively preexact"
+        else:
+            continue
+        return (a, why), i + 1
+    return None, len(objs)
+
+
+def _with_one_labeled(cls, extra):
+    """The class and one labeled object, not its relabelings."""
+    return ObjClass(f"{cls.name}+1", lambda a: cls.contains(a) or a == extra,
+                    lambda n: [a for a in objects_upto(n) if cls.contains(a) or a == extra])
+
+
+class TestAxiom1ByClass:
+    """Axiom 1 runs the engine on one object per isomorphism class with one
+    probe per class; the witness, its reason and the objects checked are
+    those of a scan of every labeled object against every labeled probe."""
+
+    # one labeled equivalence on 3 points joins the partial orders, so the
+    # null class holds it but none of its two relabelings
+    NOT_CLOSED = _with_one_labeled(PARTIAL_ORDERS, make_object(3, [(0, 1), (1, 0)]))
+
+    @pytest.mark.parametrize("t, f, witness", [
+        (EQUIVALENCES, PARTIAL_ORDERS, None),
+        (PARTIAL_ORDERS, EQUIVALENCES, (2, [(1, 0)], "quotient is outside")),
+        (ALL_PREORDERS, ALL_PREORDERS, (2, [(1, 0)], "canonical sequence")),
+        (TRIVIAL_OBJECTS, TRIVIAL_OBJECTS, (2, [(1, 0)], "quotient is outside")),
+        (EQUIVALENCES, NOT_CLOSED, (3, [(1, 2), (2, 1)], "canonical sequence")),
+    ])
+    def test_matches_the_labeled_scan_n3(self, t, f, witness):
+        for max_n in (1, 2, 3):
+            report = pretorsion_verify(t, f, max_n)
+            assert (report.axiom1_counterexample, report.objects_checked) == \
+                labeled_axiom1(t, f, max_n)
+        if witness is None:
+            assert report.axiom1_ok
+        else:
+            n, pairs, why = witness
+            obj, reason = report.axiom1_counterexample
+            assert obj == make_object(n, pairs) and reason.startswith(why)
+        assert report.null_class_is_trivial == (f is not self.NOT_CLOSED
+                                                and t is not ALL_PREORDERS)
 
 
 def _larger_first(cls):
