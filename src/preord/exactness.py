@@ -177,14 +177,10 @@ def precokernel_witness(p: Morph, f: Morph) -> Morph | None:
         return None
     c = precokernel(f)
     q = c.cod
-    phi: list[int | None] = [None] * q.n
-    for b in range(f.cod.n):
-        cls = c.map[b]
-        if phi[cls] is None:
-            phi[cls] = p.map[b]
-        elif phi[cls] != p.map[b]:
-            return None  # p does not respect the canonical collapse
-    if None in phi or not is_iso_map(phi, q, p.cod):
+    # c.map is onto q, so phi reads p at one point of each block; p must
+    # be constant on the blocks
+    phi = [p.map[b] for b in inverse_map(c.map, q.n).tolist()]
+    if tuple(phi[cls] for cls in c.map) != p.map or not is_iso_map(phi, q, p.cod):
         return None
     return Morph._trusted(q, p.cod, tuple(phi))
 
@@ -242,15 +238,6 @@ class SeqBatch:
             return ~(apart & stack_bits(self.xs)).any(axis=(1, 2))
         return np.array([trivial(comp[i:i + 1], x, c)[0]
                          for i, (x, c) in enumerate(zip(self.xs, self.cs))], dtype=bool)
-
-
-def _all_take(maps: np.ndarray, size: int, what: str) -> bool:
-    """Does every map of a batch (one per row) take `size` distinct
-    values?  The engine's path depends on it, so a batch must not mix."""
-    found = {len(set(row)) == size for row in maps.tolist()}
-    if len(found) > 1:
-        raise ValidationError(f"a batch mixes {what} and other maps")
-    return found.pop()
 
 
 def _failing(fail: np.ndarray, trivial, args) -> np.ndarray:
@@ -332,13 +319,13 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     probes.
 
     The probes of one size share the candidate grid of maps Y -> A; each
-    test is a table of sequences x grid rows x probes.  For injective k,
-    lam' = k^-1 o lam must exist and be monotone; otherwise the monotone
-    lam' of a second grid are counted per row they reach through k.  All
-    k of a batch must take the same path.  A failed sequence skips later
-    runs.  Budgets are those of `monotone_maps` on the same hom sets,
-    checked before each run that a sequence still has to pass, and the
-    tables are cut so that none, nor an intermediate, exceeds the budget.
+    test is a table of sequences x grid rows x probes.  The monotone lam'
+    of the grid of maps Y -> X are counted per row they reach through k,
+    or matched up to the classes of `canon` when it is given; k need not
+    be injective.  A failed sequence skips later runs.  Budgets are those
+    of `monotone_maps` on the same hom sets, checked before each run that
+    a sequence still has to pass, and the tables are cut so that none, nor
+    an intermediate, exceeds the budget.
     `stats`, a Counter, gains the sequences and the table cells (lam
     tables: sequences x grid rows x probes) checked.
     """
@@ -350,23 +337,15 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     a_bad = ~stack_bits(seqs.mids)
     lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
     x_bad = ~stack_bits(seqs.xs)
-    inv = None
-    if canon is None and _all_take(kmap, xn, "injective"):
-        rows = np.arange(len(seqs))[:, None]
-        inv = np.full((len(seqs), an), -1)
-        inv[rows, kmap] = np.arange(xn)
-        # the cells of X read through k^-1; off the image of k, in_image rules
-        x_bad = x_bad[rows[:, :, None], inv[:, :, None], inv[:, None, :]]
-    # the lam' are maps into A as well when k is injective or X has A's size:
-    # per sequence, do they read the cells the lam read?
-    one_grid = inv is not None or xn == an
-    same = (x_bad == lam_bad).all(axis=(1, 2)) if one_grid else np.zeros(len(seqs), bool)
+    # the lam' come from the grid of the lam when X has A's size: per
+    # sequence, do they read the cells the lam read?
+    same = (x_bad == lam_bad).all(axis=(1, 2)) if xn == an else np.zeros(len(seqs), bool)
     for run in same_size_runs(tests):
         if not alive.any():
             break
         m = run.m
         grid = candidate_grid(m, an, budget)
-        primes = grid if one_grid else candidate_grid(m, xn, budget)
+        primes = grid if xn == an else candidate_grid(m, xn, budget)
         for cols, idx in _slices(alive, run, max(len(grid), len(primes)), max(m, an), budget):
             part = run.objs[cols]
             lam = maps_into_table(grid, lam_bad[idx], run, cols, budget)
@@ -374,9 +353,7 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             # as for every canonical prekernel under plain triviality
             factors = lam if same[idx].all() else maps_into_table(
                 primes, x_bad[idx], run, cols, budget)
-            if inv is not None:
-                ok = (inv[idx][:, grid] >= 0).all(axis=2)[:, :, None] & factors
-            elif canon is None:
+            if canon is None:
                 ok = _count_table(grid_index(kmap[idx][:, primes], an), factors, len(grid)) == 1
             else:
                 ok = np.zeros_like(lam)
@@ -414,45 +391,36 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
 
     The probes of one size share the candidate grid of maps A -> T; plain
     triviality of lam o f does not depend on the probe (lam must send the
-    image under f of each related pair of X to one point).  For surjective
-    p, lam' is forced through a section: lam must be constant on the
-    fibres of p, and monotone on the pairs of C carried by the section.
-    Otherwise the monotone lam' of a second grid are counted per row they
-    reach through p, up to the classes of `canon` when it is given.
-    Triviality, paths, budgets, slicing and `stats` are as in
-    `prekernel_batch`.
+    image under f of each related pair of X to one point).  The monotone
+    lam' of the grid of maps C -> T are counted per row they reach
+    through p, or matched up to the classes of `canon` when it is given;
+    p need not be surjective.  Triviality, budgets, slicing and `stats`
+    are as in `prekernel_batch`.
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
     fmap, pmap = seqs.k, seqs.g
     an, cn = pmap.shape[1], seqs.cs[0].n
-    rows = np.arange(len(seqs))[:, None]
     alive = seqs.trivial_composites(trivial)
     # padded with the diagonal pair (0, 0), which every map below carries
     # to a diagonal cell: related, and never apart
     a_pairs, c_pairs = pair_rows(seqs.mids), pair_rows(seqs.cs)
     if trivial is None:
+        rows = np.arange(len(seqs))[:, None]
         # the cells of A x A that lam o f trivial asks lam to send to equal points
         u, v = fmap[rows, pair_rows(seqs.xs)]
         joined = np.zeros((len(seqs), an * an), dtype=bool)
         joined[rows, u * an + v] = True
-    section = None
-    if canon is None and _all_take(pmap, cn, "surjective"):
-        section = np.empty((len(seqs), cn), dtype=int)
-        section[rows, pmap] = np.arange(an)
-        fibres = section[rows, pmap]
-        c_pairs = section[rows, c_pairs]
-    # the lam' are maps out of A as well when p is surjective or C has A's
-    # size: per sequence, do they read the pairs the lam read?
-    same = ((c_pairs == a_pairs).all(axis=(0, 2))
-            if (section is not None or cn == an) and c_pairs.shape == a_pairs.shape
+    # the lam' come from the grid of the lam when C has A's size: per
+    # sequence, do they read the pairs the lam read?
+    same = ((c_pairs == a_pairs).all(axis=(0, 2)) if cn == an and c_pairs.shape == a_pairs.shape
             else np.zeros(len(seqs), dtype=bool))
     for run in same_size_runs(tests):
         if not alive.any():
             break
         m = run.m
         grid = candidate_grid(an, m, budget)
-        afters = grid if section is not None else candidate_grid(cn, m, budget)
+        afters = grid if cn == an else candidate_grid(cn, m, budget)
         if trivial is None:
             apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
         for cols, idx in _slices(alive, run, max(len(grid), len(afters)), max(m, an), budget):
@@ -462,10 +430,7 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             # one table where the lam and lam' o p read the same pairs of one grid
             factors = monotone if same[idx].all() else maps_out_table(
                 afters, c_pairs[:, idx], run, cols, budget)
-            if section is not None:
-                consistent = (grid[:, fibres[idx]] == grid[:, None, :]).all(axis=2).T
-                ok = consistent[:, :, None] & factors
-            elif canon is None:
+            if canon is None:
                 ok = _count_table(grid_index(afters[:, pmap[idx]], m).T, factors, len(grid)) == 1
             else:
                 ok = np.zeros_like(lam)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .category import (
     Morph, PreObj, candidate_grid, is_iso_map, is_trivial_morphism, is_trivial_object,
-    maps_out_table, monotone_maps, same_size_runs, stack_bits, table_slices,
+    maps_out_table, monotone_maps, same_size_runs, table_slices,
     DEFAULT_BUDGET,
 )
 from .decompose import quotient_poset, symmetric_core
@@ -320,12 +320,15 @@ def _null_class(t: ObjClass, f: ObjClass, max_n: int) -> tuple[ObjClass, bool]:
     return z, trivial_on_range
 
 
-def _torsion_parts(bits: np.ndarray):
-    """The canonical torsion sequences of a stack of preorders on n points,
-    as arrays: the positions of their symmetric cores in the catalogue of
-    size n, their projection rows (blocks numbered by smallest member),
-    their quotient sizes and the positions of their quotients in the
-    catalogues of those sizes, found by code."""
+@lru_cache(maxsize=None)
+def _torsion_parts(n: int):
+    """The canonical torsion sequences of the labeled preorders on n
+    points, in catalogue order, as read-only arrays: the positions of
+    their symmetric cores in the catalogue of size n, their projection
+    rows (blocks numbered by smallest member), their quotient sizes and
+    the positions of their quotients in the catalogues of those sizes,
+    found by code."""
+    bits = catalogue(n).bits
     cores = bits & bits.transpose(0, 2, 1)
     proj, is_rep = block_ids(cores)
     sizes = is_rep.sum(axis=1)
@@ -336,33 +339,34 @@ def _torsion_parts(bits: np.ndarray):
         kept = np.nonzero(is_rep[at])[1].reshape(len(at), q)
         quotient_at[at] = catalogue(q).index(bits[at[:, None, None], kept[:, :, None],
                                                   kept[:, None, :]])
-    return catalogue(bits.shape[-1]).index(cores), proj, sizes, quotient_at
+    parts = catalogue(n).index(cores), proj, sizes, quotient_at
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
-def _torsion_batches(objs: list[PreObj]):
-    """The canonical torsion sequences of objects of one size, in batches
-    of one quotient size: (positions of the batch's objects, the batch,
-    positions of its cores and of its quotients in the catalogues of their
-    sizes).  Cores and quotients are the catalogues' objects.
+def _torsion_batches(n: int, at: np.ndarray):
+    """The canonical torsion sequences of the labeled preorders on n points
+    at the catalogue positions `at`, in batches of one quotient size:
+    (the batch's catalogue positions, the batch, positions of its cores
+    and of its quotients in the catalogues of their sizes).  Objects,
+    cores and quotients are the catalogues' objects.
 
     The first object comes alone: every sequence of one size meets the
     same candidate grids, so alone it raises BudgetError exactly when an
     object-by-object check would, and the others never do.
     """
-    if not objs:
-        return []
-    n = objs[0].n
-    core_at, proj, sizes, quotient_at = _torsion_parts(stack_bits(objs))
-    cores = catalogue(n).objs
-    group = np.where(np.arange(len(objs)) == 0, 0, sizes)
+    objs = catalogue(n).objs
+    core_at, proj, sizes, quotient_at = (part[at] for part in _torsion_parts(n))
+    group = np.where(np.arange(len(at)) == 0, 0, sizes)
     batches = []
     for key in sorted(set(group.tolist())):
-        at = np.flatnonzero(group == key)
-        quotients = catalogue(int(sizes[at[0]])).objs
-        batches.append((at, SeqBatch(
-            tuple(cores[i] for i in core_at[at]), tuple(objs[i] for i in at),
-            tuple(quotients[i] for i in quotient_at[at]),
-            np.broadcast_to(np.arange(n), (len(at), n)), proj[at]), core_at[at], quotient_at[at]))
+        sel = np.flatnonzero(group == key)
+        quotients = catalogue(int(sizes[sel[0]])).objs
+        batches.append((at[sel], SeqBatch(
+            tuple(objs[i] for i in core_at[sel]), tuple(objs[i] for i in at[sel]),
+            tuple(quotients[i] for i in quotient_at[sel]),
+            np.broadcast_to(np.arange(n), (len(sel), n)), proj[sel]), core_at[sel], quotient_at[sel]))
     return batches
 
 
@@ -379,8 +383,7 @@ def _first_axiom1_failure(n: int, t: ObjClass, f: ObjClass, trivial, probes, bud
     of each class among them, and every labeled member of a failing class
     fails.  Batches skip the classes after a failure already found."""
     cat = catalogue(n)
-    objs = cat.objs
-    core_at, _, sizes, quotient_at = _torsion_parts(cat.bits)
+    core_at, _, sizes, quotient_at = _torsion_parts(n)
     why = np.where(~_members(t, n)[core_at], 1, 0)
     for q in sorted(set(sizes.tolist())):
         at = np.flatnonzero((sizes == q) & (why == 0))
@@ -389,11 +392,11 @@ def _first_axiom1_failure(n: int, t: ObjClass, f: ObjClass, trivial, probes, bud
     reps = cat.representatives
     reps = reps[reps < cut]
     first, failed = cut, np.zeros(cut, dtype=bool)
-    for at, batch, *_ in _torsion_batches([objs[i] for i in reps]):
-        keep = np.flatnonzero(reps[at] < first)
+    for at, batch, *_ in _torsion_batches(n, reps):
+        keep = np.flatnonzero(at < first)
         if not len(keep):
             continue
-        at, batch = reps[at[keep]], batch.take(keep)
+        at, batch = at[keep], batch.take(keep)
         stats["classes"] += len(at)
         exact = prekernel_batch(batch, probes, trivial, budget, stats=stats)
         exact[exact] = precokernel_batch(batch.take(np.flatnonzero(exact)), probes, trivial,
@@ -485,8 +488,11 @@ def closure_prop_check(x: PreObj, t: ObjClass, f: ObjClass, max_n: int,
     If every morphism from x into every f-member (up to max_n) is trivial
     relative to the intersection class, then x must lie in t; dually for
     morphisms out of t-members into x.  Returns whether both implications
-    hold on the range.
+    hold on the range.  A max_n below 1 is a ValidationError, as in
+    `pretorsion_verify`.
     """
+    if max_n < 1:
+        raise ValidationError(f"max_n must be at least 1, got {max_n}")
     z, _ = _null_class(t, f, max_n)
     trivial = _class_trivial(z, budget)
 

@@ -328,9 +328,9 @@ class TestHomTables:
 
     @pytest.mark.parametrize("budget", [24, 1_000_000])
     def test_precokernels_over_codomains_of_mixed_pair_counts(self, objects2, objects3, budget):
-        # sequences X --f--> A --p--> C on 2, 3 and 2 points with p onto C
-        # (the section path), a seeded sample mixing every pair count of
-        # X, A and C, zero included
+        # sequences X --f--> A --p--> C on 2, 3 and 2 points with p onto C,
+        # a seeded sample mixing every pair count of X, A and C, zero
+        # included
         sized = {n: [a for a in objects3 if a.n == n] for n in (2, 3)}
         seqs = [(f, p) for x in sized[2] for a in sized[3] for c in sized[2]
                 for p in hom_enumerate(a, c) if is_epi(p) for f in hom_enumerate(x, a)]

@@ -177,7 +177,7 @@ class TestRelativeChecksAgainstLiteralOracle:
             for cls in (TRIVIAL_OBJECTS, self.SEARCHED):
                 assert relative_prekernel_check(k, f, cls, objects2) == want
             seen.add((is_mono(k), is_trivial_morphism(compose(f, k)), want))
-        # both factorization branches reach the probes; injective ones both ways
+        # injective and other k reach the probes; injective ones both ways
         assert {(True, True, True), (True, True, False), (False, True, False)} <= seen
 
     def test_precokernel_check_matches_oracle(self, objects2, objects3):
@@ -683,6 +683,12 @@ class TestClosureProp:
 
     def test_mixed_object_passes_vacuously(self):
         assert closure_prop_check(MIXED, EQUIVALENCES, PARTIAL_ORDERS, 2)
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_a_range_without_objects_is_rejected(self, max_n):
+        # it reported a closure failure without checking anything
+        with pytest.raises(ValidationError):
+            closure_prop_check(chain(2), EQUIVALENCES, PARTIAL_ORDERS, max_n)
 
     def test_implications_hold_for_every_object_n2(self, objects2):
         for x in objects2:
