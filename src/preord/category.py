@@ -160,10 +160,12 @@ def _int_entries(map_) -> tuple[int, ...]:
         raise ValidationError(f"map entries must be integers: {e}") from None
 
 
-def inverse_map(map_: Sequence[int], n: int) -> np.ndarray:
+def inverse_map(map_: Sequence[int], n: int) -> list[int]:
     """A preimage under the map of each point of {0..n-1}, -1 off the image."""
-    inv = np.full(n, -1)
-    inv[list(map_)] = np.arange(len(map_))
+    # one map: a Python loop beats numpy's per-call overhead
+    inv = [-1] * n
+    for a, b in enumerate(map_):
+        inv[b] = a
     return inv
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .category import DEFAULT_BUDGET, is_trivial_object
 from .decompose import core_quotient
-from .enumeration import KINDS, enumerate_objects, objects_upto
+from .enumeration import KINDS, class_representatives, enumerate_objects
 from .errors import NotShortExactError, PreordError, ValidationError
 from .exactness import Seq, is_prekernel, is_precokernel, is_short_preexact, \
     precokernel, prekernel
@@ -134,7 +134,7 @@ def _cmd_classify_exact(args) -> int:
     if args.max_n < 1:
         raise ValidationError(f"--max-n must be at least 1, got {args.max_n}")
     seq = _load_seq(args)
-    probes = objects_upto(args.max_n, "preorder")
+    probes = class_representatives(args.max_n)
     try:
         sim, left, right = classify_short_exact(seq.f, seq.g, probes, args.budget)
     except NotShortExactError as e:

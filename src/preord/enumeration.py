@@ -34,7 +34,8 @@ from .category import PreObj
 from .errors import BudgetError, ValidationError
 from .relations import Rel
 
-__all__ = ["KINDS", "HARD_CAP", "enumerate_objects", "count_objects", "objects_upto"]
+__all__ = ["KINDS", "HARD_CAP", "enumerate_objects", "count_objects", "objects_upto",
+           "class_representatives"]
 
 KINDS = ("preorder", "equivalence", "partial_order", "trivial")
 HARD_CAP = 5
@@ -189,3 +190,10 @@ def objects_upto(max_n: int, kind: str = "preorder") -> list[PreObj]:
     for n in range(1, max_n + 1):
         out.extend(_objects_exact(n, kind))
     return out
+
+
+def class_representatives(max_n: int) -> list[PreObj]:
+    """The first object of each isomorphism class with 1 <= size <= max_n,
+    smaller first and in code order within a size."""
+    return [catalogue(n).objs[i] for n in range(1, max_n + 1)
+            for i in catalogue(n).representatives]

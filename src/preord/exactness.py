@@ -179,7 +179,7 @@ def precokernel_witness(p: Morph, f: Morph) -> Morph | None:
     q = c.cod
     # c.map is onto q, so phi reads p at one point of each block; p must
     # be constant on the blocks
-    phi = [p.map[b] for b in inverse_map(c.map, q.n).tolist()]
+    phi = [p.map[b] for b in inverse_map(c.map, q.n)]
     if tuple(phi[cls] for cls in c.map) != p.map or not is_iso_map(phi, q, p.cod):
         return None
     return Morph._trusted(q, p.cod, tuple(phi))
@@ -525,7 +525,7 @@ def characterize_preexact(s: Seq) -> tuple[Morph, Morph]:
     phi = precokernel_witness(g, f)
     # the inverse of an isomorphism is one
     return prekernel_witness(f, g), Morph._trusted(
-        g.cod, phi.dom, tuple(inverse_map(phi.map, g.cod.n).tolist()))
+        g.cod, phi.dom, tuple(inverse_map(phi.map, g.cod.n)))
 
 
 def identity_prekernel_test(sigma: Rel, rho: Rel) -> bool:

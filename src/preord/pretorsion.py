@@ -32,16 +32,16 @@ canonical codes), one batch per quotient size, against the first probe
 of each class, and every labeled member of a failing class fails; counts
 and witnesses stay those of a labeled scan.  Axiom 2 and
 `closure_prop_check` take, per T-member, one table of maps into each run
-of consecutive same-size F-members, so maps are still visited in the
-order of the classes' candidates and, within a hom set,
-lexicographically.
+of same-size F-members, so maps are still visited in the order of the
+classes' candidates, smaller first and by code within a size, and, within
+a hom set, lexicographically.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -58,7 +58,7 @@ from .exactness import (
     Seq, SeqBatch, plain_trivial, precokernel_batch, precokernel_property,
     prekernel_batch, prekernel_property,
 )
-from .enumeration import catalogue, objects_upto
+from .enumeration import catalogue, class_representatives
 from .relations import block_ids
 
 __all__ = [
@@ -74,58 +74,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObjClass:
-    """A class of objects: membership predicate plus small members.
+    """A class of objects: a name and a membership predicate.
 
-    candidates(n) must list member objects of every size up to n; closure
-    under isomorphism is assumed, and only spot-checked by the test
-    suite.  The predicate must not change its answers: the verifiers ask
-    it once per labeled object and keep them.  trivial_exact marks a class
-    whose members are exactly the equality-relation objects; factorization
-    through such a class has an exact pairwise criterion, skipping the
-    search.
+    The class is its predicate: `candidates(n)` lists the labeled
+    preorders on 1..n points that the predicate accepts, read from the
+    enumeration's catalogues, so a class cannot list members that its
+    predicate rejects or leave out members that it accepts.  Closure under
+    isomorphism is not required: the verifiers ask the predicate once per
+    labeled object and keep the answers, so it must not change them.
+    trivial_exact marks a class whose members are exactly the
+    equality-relation objects; factorization through such a class has an
+    exact pairwise criterion, skipping the search.
     """
 
     name: str
     contains: Callable[[PreObj], bool]
-    candidates: Callable[[int], list[PreObj]]
-    trivial_exact: bool = False
+    trivial_exact: bool = field(default=False, kw_only=True)
+
+    def candidates(self, n: int) -> list[PreObj]:
+        """The labeled members on 1..n points, smaller first and in
+        catalogue (code) order within a size; BudgetError beyond the
+        enumeration cap."""
+        return [catalogue(k).objs[i] for k in range(1, n + 1)
+                for i in np.flatnonzero(_members(self, k))]
 
 
-EQUIVALENCES = ObjClass(
-    "equivalences",
-    contains=lambda a: a.rel.is_symmetric(),
-    candidates=lambda n: objects_upto(n, "equivalence"),
-)
-
-PARTIAL_ORDERS = ObjClass(
-    "partial-orders",
-    contains=lambda a: a.rel.is_antisymmetric(),
-    candidates=lambda n: objects_upto(n, "partial_order"),
-)
-
-TRIVIAL_OBJECTS = ObjClass(
-    "trivial",
-    contains=is_trivial_object,
-    candidates=lambda n: objects_upto(n, "trivial"),
-    trivial_exact=True,
-)
-
-ALL_PREORDERS = ObjClass(
-    "preorders",
-    contains=lambda a: True,
-    candidates=lambda n: objects_upto(n, "preorder"),
-)
+EQUIVALENCES = ObjClass("equivalences", lambda a: a.rel.is_symmetric())
+PARTIAL_ORDERS = ObjClass("partial-orders", lambda a: a.rel.is_antisymmetric())
+TRIVIAL_OBJECTS = ObjClass("trivial", is_trivial_object, trivial_exact=True)
+ALL_PREORDERS = ObjClass("preorders", lambda a: True)
 
 
 def intersect_classes(t: ObjClass, f: ObjClass) -> ObjClass:
     # the trivial_exact flag never propagates: an intersection with the
     # trivial class could miss trivial objects of some sizes, and
     # pretorsion_verify re-detects the flag on its working range anyway
-    return ObjClass(
-        f"{t.name} ^ {f.name}",
-        contains=lambda a: t.contains(a) and f.contains(a),
-        candidates=lambda n: [a for a in t.candidates(n) if f.contains(a)],
-    )
+    return ObjClass(f"{t.name} ^ {f.name}", lambda a: t.contains(a) and f.contains(a))
 
 
 def factors_through(f: Morph, cls: ObjClass, budget: int = DEFAULT_BUDGET) -> bool:
@@ -315,9 +299,7 @@ def _null_class(t: ObjClass, f: ObjClass, max_n: int) -> tuple[ObjClass, bool]:
     trivial_on_range = all([
         np.array_equal(_members(t, n) & _members(f, n), catalogue(n).masks["trivial"])
         for n in range(1, max_n + 1)])
-    if trivial_on_range:
-        z = ObjClass(z.name, z.contains, z.candidates, trivial_exact=True)
-    return z, trivial_on_range
+    return (replace(z, trivial_exact=True) if trivial_on_range else z), trivial_on_range
 
 
 @lru_cache(maxsize=None)
@@ -429,8 +411,8 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     takes the hom set from every t-member to every f-member and asks each
     of its maps to factor through the intersection class, one table per
     t-member and run of same-size f-members; maps_checked counts the maps
-    up to and including the first that fails, in candidate order and,
-    within a hom set, lexicographically.
+    up to and including the first that fails, in the classes' candidate
+    order and, within a hom set, lexicographically.
 
     The catalogues of every size up to max_n are built first (BudgetError
     beyond the enumeration cap), with each class predicate asked once per
@@ -444,8 +426,7 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     cats = [catalogue(n) for n in range(1, max_n + 1)]
     z, z_trivial = _null_class(t, f, max_n)
     trivial = _class_trivial(z, budget)
-    # one probe per isomorphism class, the first of each in its catalogue
-    probes = [cat.objs[i] for cat in cats[:max(1, max_n - 1)] for i in cat.representatives]
+    probes = class_representatives(max(1, max_n - 1))
     ax1, ax2_cells = Counter(), 0
     built = time.perf_counter()
     ax1_witness, checked = None, 0

@@ -317,3 +317,52 @@ def automorphism_count_brute(n, pairs):
     """The permutations that map the relation onto itself."""
     pairs = set(pairs)
     return sum(1 for r in relabelings(n, pairs) if r == pairs)
+
+
+KIND_TESTS = {
+    "preorder": lambda pairs: True,
+    "equivalence": lambda pairs: all((b, a) in pairs for a, b in pairs),
+    "partial_order": lambda pairs: all(a == b for a, b in pairs if (b, a) in pairs),
+}
+
+
+def brute_objects(max_n, kind):
+    """The (n, pairs) specs of the kind with 1 <= n <= max_n, pairs with
+    the diagonal, smaller first and by code within a size."""
+    out = []
+    for n in range(1, max_n + 1):
+        rels = [r for r in brute_reflexive_relations(n)
+                if naive_is_transitive(r) and KIND_TESTS[kind](r)]
+        out.extend((n, r) for r in sorted(rels, key=lambda r: relation_code(n, r)))
+    return out
+
+
+def factors_through_search(map_row, dom, cod, factor_objs):
+    """Is the map h o g for monotone g: dom -> z and h: z -> cod, for some
+    z among the (n, pairs) specs?"""
+    for z_n, z_pairs in factor_objs:
+        hs = brute_monotone_maps(z_n, cod[0], z_pairs, cod[1])
+        for g in brute_monotone_maps(dom[0], z_n, dom[1], z_pairs):
+            if any(all(h[g[a]] == map_row[a] for a in range(dom[0])) for h in hs):
+                return True
+    return False
+
+
+def axiom2_scan_brute(max_n, t_kind, f_kind):
+    """Axiom 2 map by map: every monotone map from a T-member into an
+    F-member must factor through a member of T ^ F no larger than its
+    domain.  Members come smaller first and by code, maps within a hom
+    set lexicographically.  Returns the first map that does not factor,
+    as (dom spec, cod spec, map), or None, with the maps visited up to and
+    including it."""
+    ts, fs = brute_objects(max_n, t_kind), brute_objects(max_n, f_kind)
+    zs = [z for z in ts if KIND_TESTS[f_kind](z[1])]
+    visited = 0
+    for dom in ts:
+        small = [z for z in zs if z[0] <= dom[0]]
+        for cod in fs:
+            for m in brute_monotone_maps(dom[0], cod[0], dom[1], cod[1]):
+                visited += 1
+                if not factors_through_search(m, dom, cod, small):
+                    return (dom, cod, m), visited
+    return None, visited

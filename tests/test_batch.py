@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from preord import (
-    ObjClass, TRIVIAL_OBJECTS, hom_enumerate, is_trivial_object,
+    ObjClass, hom_enumerate, is_trivial_object,
     make_object, objects_upto, torsion_sequence, trivial_object,
 )
 from preord import exactness
@@ -27,7 +27,7 @@ from .oracles import (
     stable_precokernel_property_search, stable_prekernel_property_search,
 )
 
-SEARCHED = ObjClass("trivial-searched", is_trivial_object, TRIVIAL_OBJECTS.candidates)
+SEARCHED = ObjClass("trivial-searched", is_trivial_object)
 # the largest candidate grid of these shapes (2 ** 2 maps x 2 cells) just
 # fits, and a 2-point probe run gets one sequence per slice
 ONE_SEQUENCE_BUDGET = 8

@@ -14,8 +14,8 @@ from preord import (
 )
 
 from preord.category import (
-    ByteLRU, _probe_runs, array_cache, candidate_grid, maps_into_table, maps_out_table,
-    pair_rows, same_size_runs, table_slices,
+    ByteLRU, _probe_runs, array_cache, candidate_grid, inverse_map, maps_into_table,
+    maps_out_table, pair_rows, same_size_runs, table_slices,
 )
 from preord.exactness import SeqBatch, precokernel_batch
 
@@ -114,6 +114,18 @@ class TestMorphisms:
         g = identity(chain(3))
         with pytest.raises(ValidationError):
             compose(g, f)
+
+    def test_inverse_map_matches_a_dict_built_inverse_n3(self, objects3):
+        not_onto = 0
+        for a in objects3:
+            for b in objects3:
+                for f in hom_enumerate(a, b):
+                    last = {y: x for x, y in enumerate(f.map)}
+                    inv = inverse_map(f.map, b.n)
+                    assert inv == [last.get(y, -1) for y in range(b.n)]
+                    assert all(type(x) is int for x in inv)
+                    not_onto += -1 in inv
+        assert not_onto > 1000
 
 
 class TestTrivial:

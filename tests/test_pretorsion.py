@@ -22,12 +22,55 @@ from preord import (
 )
 
 import preord
+from preord import pretorsion
+from preord.enumeration import catalogue, class_representatives
 
 from .oracles import (
-    canonical_code_brute, precokernel_property_search, prekernel_property_search,
+    axiom2_scan_brute, canonical_code_brute, precokernel_property_search,
+    prekernel_property_search,
 )
 
 MIXED = make_object(3, [(0, 1), (1, 0), (1, 2)], mode="close")
+KIND_OF = {ALL_PREORDERS: "preorder", EQUIVALENCES: "equivalence",
+           PARTIAL_ORDERS: "partial_order", TRIVIAL_OBJECTS: "trivial"}
+
+
+def brute_spec(a):
+    """The object as an (n, pairs) spec of `axiom2_scan_brute`, diagonal
+    included."""
+    return a.n, set(a.rel.pairs()) | {(x, x) for x in range(a.n)}
+
+
+class TestObjClass:
+    """A class is a name and a predicate; its candidates are its labeled
+    members, read from the catalogues."""
+
+    @pytest.mark.parametrize("cls", list(KIND_OF), ids=lambda c: c.name)
+    def test_candidates_of_the_built_ins_are_their_kinds_n4(self, cls):
+        for n in range(1, 5):
+            assert cls.candidates(n) == objects_upto(n, KIND_OF[cls])
+
+    def test_candidates_hold_exactly_the_predicates_members_n3(self, objects3):
+        odd = ObjClass("odd-pairs", lambda a: len(list(a.rel.pairs())) % 2 == 1)
+        assert odd.candidates(3) == [a for a in objects3 if odd.contains(a)]
+
+    def test_a_bare_predicate_gets_the_verdict_of_its_members_n3(self):
+        # listing only the equivalences as its candidates, this class passed
+        bare = pretorsion_verify(ObjClass("all", lambda a: True), PARTIAL_ORDERS, 3)
+        full = pretorsion_verify(ALL_PREORDERS, PARTIAL_ORDERS, 3)
+        assert not bare.ok
+        assert bare.axiom1_counterexample == full.axiom1_counterexample == (
+            make_object(2, [(1, 0)]), "canonical sequence is not relatively preexact")
+        assert bare.objects_checked == full.objects_checked == 3
+        assert (bare.axiom2_counterexample, bare.maps_checked) == \
+            (full.axiom2_counterexample, full.maps_checked)
+
+    def test_a_candidate_list_is_rejected(self):
+        # bound to trivial_exact, a candidate list moved a searched class
+        # onto the plain path
+        with pytest.raises(TypeError):
+            ObjClass("trivial-searched", is_trivial_object, TRIVIAL_OBJECTS.candidates)
+        assert not ObjClass("trivial-searched", is_trivial_object).trivial_exact
 
 
 class TestFactorsThrough:
@@ -45,8 +88,7 @@ class TestFactorsThrough:
     def test_general_search_matches_trivial_fast_path_n2(self, objects2):
         # same membership, decided once by search and once by the pairwise
         # criterion
-        searched = ObjClass("trivial-searched", is_trivial_object,
-                            TRIVIAL_OBJECTS.candidates)
+        searched = ObjClass("trivial-searched", is_trivial_object)
         for a in objects2:
             for b in objects2:
                 for f in hom_enumerate(a, b):
@@ -153,8 +195,7 @@ class TestRelativeChecksAgainstLiteralOracle:
     by the array-at-a-time checks (for the trivial class and for the same
     class decided by search) and by a per-map search oracle."""
 
-    SEARCHED = ObjClass("trivial-searched", is_trivial_object,
-                        TRIVIAL_OBJECTS.candidates)
+    SEARCHED = ObjClass("trivial-searched", is_trivial_object)
 
     @staticmethod
     def spec(a):
@@ -203,8 +244,7 @@ class TestBatchedEngineAgainstLiteralOracle:
     search, and both again under a budget that cuts every table into
     slices; a per-map search oracle decides them once."""
 
-    SEARCHED = ObjClass("trivial-searched", is_trivial_object,
-                        TRIVIAL_OBJECTS.candidates)
+    SEARCHED = ObjClass("trivial-searched", is_trivial_object)
     # the largest candidate grid at n = 3 (27 maps x 3 cells) just fits
     SLICING_BUDGET = 81
 
@@ -305,21 +345,30 @@ class TestEngineBudget:
         assert peak < 1 << 20
 
     def test_axiom1_raises_exactly_where_the_object_order_meets_the_budget(self):
-        # at max_n = 2 every 2-point sequence meets a grid of 2 cells; the
-        # first 2-point object, trivial(2), stops axiom 1 before it when its
-        # torsion part is outside T, although later objects would reach it
-        points = lambda n: [trivial_object(1)]  # small candidates keep axiom 2 in budget
-        everything = ObjClass("all", lambda a: True, points)
+        # every 2-point sequence meets a grid of 2 cells; the first 2-point
+        # object, trivial(2), stops axiom 1 before it when its torsion part
+        # is outside T, although later objects would reach it
+        everything = ObjClass("all", lambda a: True)
         no_trivial_part = ObjClass("no-trivial-part", lambda a: a.n == 1 or not
-                                   is_trivial_object(a), points)
-        report = pretorsion_verify(no_trivial_part, everything, 2, budget=1)
-        assert report.axiom1_counterexample == (
-            trivial_object(2), "torsion part is outside the torsion class")
-        assert report.objects_checked == 2
+                                   is_trivial_object(a))
+        # a one-point null class keeps the factorization search in budget
+        point = ObjClass("point", lambda a: a.n == 1)
+        probes = class_representatives(1)
+
+        def first_failure(t, f, budget):
+            return pretorsion._first_axiom1_failure(
+                2, t, f, pretorsion._class_trivial(point, budget), probes, budget, Counter())
+        assert catalogue(2).objs[0] == trivial_object(2)
+        assert first_failure(no_trivial_part, everything, 1) == (
+            0, "torsion part is outside the torsion class")
         with pytest.raises(BudgetError):
-            pretorsion_verify(everything, everything, 2, budget=1)
-        assert pretorsion_verify(everything, everything, 2, budget=2).axiom1_counterexample == (
-            trivial_object(2), "canonical sequence is not relatively preexact")
+            first_failure(everything, everything, 1)
+        assert first_failure(everything, everything, 2) == (
+            0, "canonical sequence is not relatively preexact")
+        # after that witness, axiom 2's first table (1 point into 2) is
+        # over the budget
+        with pytest.raises(BudgetError):
+            pretorsion_verify(no_trivial_part, everything, 2, budget=1)
 
     def test_axiom2_raises_at_the_first_grid_over_budget(self):
         # 3 ** 3 maps x 3 cells from a 3-point T-member into a 3-point F-member
@@ -507,7 +556,7 @@ class TestPretorsionVerify:
             def contains(a):
                 asked[cls.name, a] += 1
                 return cls.contains(a)
-            return ObjClass(cls.name, contains, cls.candidates, cls.trivial_exact)
+            return ObjClass(cls.name, contains, trivial_exact=cls.trivial_exact)
         t, f = counting(EQUIVALENCES), counting(PARTIAL_ORDERS)
         assert pretorsion_verify(t, f, 3).ok
         assert max(asked.values()) == 1
@@ -568,8 +617,7 @@ def labeled_axiom1(t, f, max_n):
 
 def _with_one_labeled(cls, extra):
     """The class and one labeled object, not its relabelings."""
-    return ObjClass(f"{cls.name}+1", lambda a: cls.contains(a) or a == extra,
-                    lambda n: [a for a in objects_upto(n) if cls.contains(a) or a == extra])
+    return ObjClass(f"{cls.name}+1", lambda a: cls.contains(a) or a == extra)
 
 
 class TestAxiom1ByClass:
@@ -603,50 +651,44 @@ class TestAxiom1ByClass:
                                                 and t is not ALL_PREORDERS)
 
 
-def _larger_first(cls):
-    return ObjClass(f"{cls.name}-larger-first", cls.contains,
-                    lambda n: sorted(cls.candidates(n), key=lambda a: -a.n),
-                    cls.trivial_exact)
-
-
 class TestCheckOrder:
     """Axiom 2 and the closure check visit the hom sets in the order of the
-    classes' candidates, which need not be sorted by size, and maps within
-    a hom set lexicographically.  Counts and witnesses are pinned."""
+    classes' candidates, smaller first and by code within a size, and maps
+    within a hom set lexicographically.  Counts and witnesses are pinned and
+    match a map-by-map scan with a brute factorization search."""
 
-    def test_larger_first_classes_pass_on_every_map(self):
-        report = pretorsion_verify(_larger_first(EQUIVALENCES), _larger_first(PARTIAL_ORDERS), 3)
-        assert report.ok
-        assert (report.objects_checked, report.maps_checked) == (34, 1466)
-
-    @pytest.mark.parametrize("max_n, witness, maps", [
-        (3, (make_object(3, [(2, 1)]), make_object(3, [(1, 2), (2, 1)]), (0, 1, 2)), 164),
-        (4, (make_object(4, [(3, 2)]), make_object(4, [(2, 3), (3, 2)]), (0, 0, 2, 3)), 4346),
+    @pytest.mark.parametrize("t, f, max_n, witness, maps", [
+        (EQUIVALENCES, PARTIAL_ORDERS, 3, None, 1466),
+        (PARTIAL_ORDERS, EQUIVALENCES, 4,
+         (make_object(2, [(1, 0)]), make_object(2, [(0, 1), (1, 0)]), (0, 1)), 379),
     ])
-    def test_larger_first_swapped_classes_pin_the_axiom2_witness(self, max_n, witness, maps):
-        report = pretorsion_verify(_larger_first(PARTIAL_ORDERS), _larger_first(EQUIVALENCES),
-                                   max_n)
-        assert report.axiom1_counterexample == (
-            make_object(2, [(1, 0)]), "quotient is outside the torsion-free class")
-        assert report.axiom2_counterexample == witness
-        assert report.maps_checked == maps
+    def test_axiom2_matches_the_brute_scan(self, t, f, max_n, witness, maps):
+        report = pretorsion_verify(t, f, max_n)
+        assert (report.axiom2_counterexample, report.maps_checked) == (witness, maps)
+        want, visited = axiom2_scan_brute(max_n, KIND_OF[t], KIND_OF[f])
+        assert visited == maps
+        if witness is None:
+            assert want is None
+        else:
+            dom, cod, m = witness
+            assert want == (brute_spec(dom), brute_spec(cod), m)
 
     def test_searched_null_class_pins_both_axioms(self):
         # the intersection holds more than the trivial objects, so
         # triviality is a factorization search per T-member and F-member
-        report = pretorsion_verify(_larger_first(ALL_PREORDERS), _larger_first(EQUIVALENCES), 3)
-        assert not report.null_class_is_trivial
-        assert report.axiom2_ok and report.maps_checked == 2466
-        report = pretorsion_verify(_larger_first(EQUIVALENCES), _larger_first(ALL_PREORDERS), 3)
-        assert report.axiom2_ok and report.maps_checked == 2554
+        for t, f, maps in ((ALL_PREORDERS, EQUIVALENCES, 2466),
+                           (EQUIVALENCES, ALL_PREORDERS, 2554)):
+            report = pretorsion_verify(t, f, 3)
+            assert not report.null_class_is_trivial
+            assert report.axiom2_ok and report.maps_checked == maps
+            assert axiom2_scan_brute(3, KIND_OF[t], KIND_OF[f]) == (None, maps)
         assert report.axiom1_counterexample == (
             make_object(2, [(0, 1), (1, 0)]), "canonical sequence is not relatively preexact")
 
     def test_sliced_tables_keep_the_order(self):
         # 81 cells hold one 3-point grid (27 maps x 3 cells) but cut every
         # table of more than three codomains into slices
-        for t, f in ((PARTIAL_ORDERS, EQUIVALENCES), (EQUIVALENCES, PARTIAL_ORDERS),
-                     (_larger_first(PARTIAL_ORDERS), _larger_first(EQUIVALENCES))):
+        for t, f in ((PARTIAL_ORDERS, EQUIVALENCES), (EQUIVALENCES, PARTIAL_ORDERS)):
             sliced, whole = pretorsion_verify(t, f, 3, budget=81), pretorsion_verify(t, f, 3)
             assert sliced.axiom2_counterexample == whole.axiom2_counterexample
             assert sliced.maps_checked == whole.maps_checked

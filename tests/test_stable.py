@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from preord import (
-    Morph, NotShortExactError, StableHom, ValidationError, chain,
+    Morph, NotShortExactError, Seq, StableHom, ValidationError, chain,
     classify_short_exact, compose, congruence_check, hom_enumerate,
     identity, image_equivalence, is_stable_zero,
     is_trivial_object, is_clopen, make_object, minimal_part, monotone_maps,
@@ -16,6 +16,8 @@ from preord import (
     verify_coproduct_preservation, verify_stable_cokernel,
     verify_stable_kernel, quotient_poset,
 )
+
+from preord.enumeration import class_representatives
 
 from .oracles import (
     stable_precokernel_property_search, stable_prekernel_property_search,
@@ -386,6 +388,27 @@ class TestClassify:
         seq = torsion_sequence(MIXED)
         sim, left, right = classify_short_exact(seq.f, seq.g, objects2)
         assert sim == symmetric_core(MIXED).equivalence_closure()
+
+    def test_class_probes_classify_as_the_labeled_probes_n3(self, objects2, objects3):
+        # stable (co)kernel properties carry over along isomorphisms of
+        # probes, so one probe per isomorphism class decides them
+        reps = class_representatives(2)
+        assert len(reps) == 4 and len(objects2) == 5
+        rng = random.Random(1902066)
+        seqs = [torsion_sequence(a) for a in objects3]
+        for _ in range(300):
+            x, y, z = (rng.choice(objects3) for _ in range(3))
+            seqs.append(Seq(rng.choice(hom_enumerate(x, y)), rng.choice(hom_enumerate(y, z))))
+
+        def outcome(seq, probes):
+            try:
+                return classify_short_exact(seq.f, seq.g, probes)
+            except NotShortExactError as e:
+                return str(e)
+        results = [outcome(seq, reps) for seq in seqs]
+        assert results == [outcome(seq, objects2) for seq in seqs]
+        failed = sum(isinstance(r, str) for r in results)
+        assert 0 < failed < len(seqs)
 
     def test_failing_pair_is_diagnosed(self, objects2):
         f = identity(chain(2))
