@@ -17,7 +17,8 @@ share a candidate grid of maps, and each test (monotone, trivial,
 factors) is a table of sequences x grid rows x probes, read from the
 probes' bit masks (`category.maps_into_table`, `maps_out_table`) and cut
 into slices of probes, then of sequences, within the budget.  A single
-morphism is a batch of one.  The class-relative checks of
+morphism is a batch of one.  A sequence whose k (or p) is an isomorphism
+needs no table: the composite decides it.  The class-relative checks of
 `preord.pretorsion` pass a row-wise triviality predicate, asked only of
 the rows that fail to factor; the stable verifiers of `preord.stable`
 pass a canonicalizer `canon(rows, objs, which)` of maps out of a run of
@@ -240,6 +241,17 @@ class SeqBatch:
                          for i, (x, c) in enumerate(zip(self.xs, self.cs))], dtype=bool)
 
 
+def _iso_legs(legs: np.ndarray, dom_bits: np.ndarray, cod_bits: np.ndarray) -> np.ndarray:
+    """Per sequence: is its leg (a row of `legs`, between the sequence's
+    matrices of `dom_bits` and `cod_bits`) an isomorphism, a bijection
+    that carries the one relation exactly onto the other?"""
+    n = legs.shape[1]
+    onto = (np.sort(legs, axis=1) == np.arange(n)).all(axis=1)
+    rows = np.arange(len(legs))[:, None, None]
+    same = cod_bits[rows, legs[:, :, None], legs[:, None, :]] == dom_bits
+    return onto & same.all(axis=(1, 2))
+
+
 def _failing(fail: np.ndarray, trivial, args) -> np.ndarray:
     """Per sequence of a `fail` table (sequences x grid rows x probes):
     does a marked lam break the property?  Without a predicate every one
@@ -322,12 +334,20 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     test is a table of sequences x grid rows x probes.  The monotone lam'
     of the grid of maps Y -> X are counted per row they reach through k,
     or matched up to the classes of `canon` when it is given; k need not
-    be injective.  A failed sequence skips later runs.  Budgets are those
-    of `monotone_maps` on the same hom sets, checked before each run that
-    a sequence still has to pass, and the tables are cut so that none, nor
-    an intermediate, exceeds the budget.
-    `stats`, a Counter, gains the sequences and the table cells (lam
-    tables: sequences x grid rows x probes) checked.
+    be injective.  A failed sequence skips later runs.
+
+    When canon is None and k is an isomorphism, lam' = k^-1 o lam is the
+    one factorization of every lam, so k is a prekernel of g exactly when
+    g o k is trivial: such a sequence is decided without a table.
+
+    Budgets are those of `monotone_maps` on the same hom sets, checked
+    before each run that a sequence still has to tabulate, and the tables
+    are cut so that none, nor an intermediate, exceeds the budget.  A
+    sequence with an isomorphic k meets no grid, so it never raises
+    BudgetError, however large its probes.
+    `stats`, a Counter, gains the sequences, those decided by an
+    isomorphic leg (`iso_legs`) and the table cells (lam tables:
+    sequences x grid rows x probes) checked.
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
@@ -337,6 +357,9 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     a_bad = ~stack_bits(seqs.mids)
     lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
     x_bad = ~stack_bits(seqs.xs)
+    iso = (_iso_legs(kmap, x_bad, a_bad) if canon is None and xn == an
+           else np.zeros(len(seqs), dtype=bool))
+    decided, alive = alive & iso, alive & ~iso
     # the lam' come from the grid of the lam when X has A's size: per
     # sequence, do they read the cells the lam read?
     same = (x_bad == lam_bad).all(axis=(1, 2)) if xn == an else np.zeros(len(seqs), bool)
@@ -380,7 +403,8 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                 stats["cells"] += lam.size
     if stats is not None:
         stats["sequences"] += len(seqs)
-    return alive
+        stats["iso_legs"] += int(iso.sum())
+    return alive | decided
 
 
 def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
@@ -394,14 +418,19 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     image under f of each related pair of X to one point).  The monotone
     lam' of the grid of maps C -> T are counted per row they reach
     through p, or matched up to the classes of `canon` when it is given;
-    p need not be surjective.  Triviality, budgets, slicing and `stats`
-    are as in `prekernel_batch`.
+    p need not be surjective.  When canon is None and p is an isomorphism,
+    lam' = lam o p^-1 is the one factorization, so p o f trivial decides
+    the sequence without a table or a grid.  Triviality, budgets, slicing
+    and `stats` are as in `prekernel_batch`.
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
     fmap, pmap = seqs.k, seqs.g
     an, cn = pmap.shape[1], seqs.cs[0].n
     alive = seqs.trivial_composites(trivial)
+    iso = (_iso_legs(pmap, stack_bits(seqs.mids), stack_bits(seqs.cs))
+           if canon is None and cn == an else np.zeros(len(seqs), dtype=bool))
+    decided, alive = alive & iso, alive & ~iso
     # padded with the diagonal pair (0, 0), which every map below carries
     # to a diagonal cell: related, and never apart
     a_pairs, c_pairs = pair_rows(seqs.mids), pair_rows(seqs.cs)
@@ -457,7 +486,8 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                 stats["cells"] += lam.size
     if stats is not None:
         stats["sequences"] += len(seqs)
-    return alive
+        stats["iso_legs"] += int(iso.sum())
+    return alive | decided
 
 
 def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,

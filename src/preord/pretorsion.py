@@ -18,23 +18,31 @@ checks hand the probes to the engine of `preord.exactness`, which checks
 all probes of one size in one array pass, with plain triviality when Z is
 exactly the equality-relation objects and a factorization search per row
 otherwise.  `pretorsion_verify` and `closure_prop_check` read the labeled
-objects from the enumeration's catalogue of each size: a class predicate
-is asked once per labeled object and kept as a bit vector per class and
-size, and whether Z is exactly the trivial objects is an array comparison
-of those bits with the catalogue's trivial mask.  Axiom 1 builds the
-canonical torsion sequences of all objects of one size as arrays, finds
-their cores and quotients in the catalogues by code and reads their
-membership from the bit vectors.  Relative preexactness is invariant
-under relabeling: hom sets and Z-triviality carry over along
-isomorphisms, whether or not Z is closed under them.  So the engine
-checks the first object of each isomorphism class (by the catalogue's
-canonical codes), one batch per quotient size, against the first probe
-of each class, and every labeled member of a failing class fails; counts
-and witnesses stay those of a labeled scan.  Axiom 2 and
-`closure_prop_check` take, per T-member, one table of maps into each run
-of same-size F-members, so maps are still visited in the order of the
-classes' candidates, smaller first and by code within a size, and, within
-a hom set, lexicographically.
+objects from the enumeration's catalogue of each size.  Membership is a
+bit vector per class and size: the four built-in classes read their
+kind's mask of the catalogue, and any other class asks its predicate
+once per labeled object and keeps the answers.  Whether Z is exactly the
+trivial objects is an array comparison of those bits with the
+catalogue's trivial mask, and the intersection of two classes is the
+same class on every call, so its bits are kept too.
+
+Hom sets and Z-triviality carry over along isomorphisms, whether or not
+Z is closed under them, so both axioms are checked once per isomorphism
+class and labeled objects are touched only for counts and witnesses.
+Axiom 1 builds the canonical torsion sequences of all objects of one
+size as arrays, finds their cores and quotients in the catalogues by
+code and reads their membership from the bit vectors; the engine checks
+the first object of each class (by the catalogue's canonical codes), one
+batch per quotient size, against the first probe of each class, and
+every labeled member of a failing class fails.  Axiom 2 takes one table
+of maps per pair of a class holding a T-member and a class holding an
+F-member, represented by their first members, and weights each hom count
+by how many labeled members of the two classes the predicates accept
+(not n!/|Aut|, so that a class not closed under isomorphism stays
+exact).  Counts and witnesses stay those of a labeled scan that visits
+maps in the order of the classes' candidates, smaller first and by code
+within a size, and, within a hom set, lexicographically.
+`closure_prop_check` reads one table per class as well.
 """
 
 from __future__ import annotations
@@ -81,7 +89,9 @@ class ObjClass:
     enumeration's catalogues, so a class cannot list members that its
     predicate rejects or leave out members that it accepts.  Closure under
     isomorphism is not required: the verifiers ask the predicate once per
-    labeled object and keep the answers, so it must not change them.
+    labeled object and keep the answers, so it must not change them.  The
+    four built-in classes are not asked at all: their members are the
+    catalogues' masks of their kinds, which their predicates match.
     trivial_exact marks a class whose members are exactly the
     equality-relation objects; factorization through such a class has an
     exact pairwise criterion, skipping the search.
@@ -105,7 +115,15 @@ TRIVIAL_OBJECTS = ObjClass("trivial", is_trivial_object, trivial_exact=True)
 ALL_PREORDERS = ObjClass("preorders", lambda a: True)
 
 
+# the classes whose membership is a mask of every catalogue
+_KIND_OF = {ALL_PREORDERS: "preorder", EQUIVALENCES: "equivalence",
+            PARTIAL_ORDERS: "partial_order", TRIVIAL_OBJECTS: "trivial"}
+
+
+@lru_cache(maxsize=64)
 def intersect_classes(t: ObjClass, f: ObjClass) -> ObjClass:
+    """The class of the objects in both; the same class for the same pair,
+    so that its membership bits are kept across verdicts."""
     # the trivial_exact flag never propagates: an intersection with the
     # trivial class could miss trivial objects of some sizes, and
     # pretorsion_verify re-detects the flag on its working range anyway
@@ -146,18 +164,22 @@ def _class_trivial(cls: ObjClass, budget: int):
         dtype=bool)
 
 
-def _hom_tables(doms: list[PreObj], cods: list[PreObj], budget: int):
+def _hom_tables(doms, cods, budget: int):
     """Per domain, in order, and per slice of each run of same-size
-    codomains: (domain, codomain slice, candidate grid, table).  Column j
-    of the table marks the grid rows that are monotone maps into the j-th
-    codomain of the slice, in the lexicographic order of `monotone_maps`;
-    budgets are checked per run as `monotone_maps` checks them."""
+    codomains: (domain position, codomain positions as a slice of cods,
+    candidate grid, table).  Column j of the table marks the grid rows
+    that are monotone maps into the j-th codomain of the slice, in the
+    lexicographic order of `monotone_maps`; budgets are checked per run
+    as `monotone_maps` checks them."""
     runs = same_size_runs(cods)
-    for a in doms:
+    for i, a in enumerate(doms):
+        start = 0
         for run in runs:
             grid = candidate_grid(a.n, run.m, budget)
             for cols in table_slices(len(run.objs), len(grid), budget):
-                yield a, run.objs[cols], grid, maps_out_table(grid, a, run, cols, budget)
+                at = slice(start + cols.start, start + min(cols.stop, len(run.objs)))
+                yield i, at, grid, maps_out_table(grid, a, run, cols, budget)
+            start += len(run.objs)
 
 
 def _nontrivial(trivial, dom: PreObj, cods: list[PreObj], grid: np.ndarray,
@@ -248,11 +270,15 @@ class PretorsionReport:
     null_class_is_trivial: bool = field(default=False)
     # work counters, not printed: isomorphism classes whose torsion
     # sequence went to the engine, sequences given to the engine (once per
-    # property), table cells (grid rows x probes, or x F-members for
-    # axiom 2) and wall seconds for the catalogues (with the class
-    # membership bits, the null-class test and the probes) and per axiom
+    # property) and those of them that an isomorphic leg decided without a
+    # table, pairs of a T-class and an F-class whose hom set axiom 2 read,
+    # table cells (grid rows x probes, or x F-classes for axiom 2) and
+    # wall seconds for the catalogues (with the class membership bits, the
+    # null-class test and the probes) and per axiom
     classes_checked: int = 0
     sequences_checked: int = 0
+    iso_legs: int = 0
+    axiom2_class_pairs: int = 0
     axiom1_cells: int = 0
     axiom2_cells: int = 0
     catalogue_s: float = 0.0
@@ -289,8 +315,34 @@ class PretorsionReport:
 @lru_cache(maxsize=256)
 def _members(cls: ObjClass, n: int) -> np.ndarray:
     """Which labeled preorders on n points, in catalogue order, the class
-    holds; its predicate is asked once per object."""
+    holds: a built-in class reads its kind's mask, any other asks its
+    predicate once per object."""
+    kind = _KIND_OF.get(cls)
+    if kind is not None:
+        return catalogue(n).masks[kind]
     return np.fromiter(map(cls.contains, catalogue(n).objs), dtype=bool)
+
+
+@lru_cache(maxsize=64)
+def _by_class(cls: ObjClass, max_n: int):
+    """The labeled members of the class on 1..max_n points by isomorphism
+    class: (the first member of each class that holds one, in candidate
+    order; per class, how many members it holds; per member, in candidate
+    order, the position of its class among the first)."""
+    firsts, of = [], []
+    for n in range(1, max_n + 1):
+        cat = catalogue(n)
+        at = np.flatnonzero(_members(cls, n))
+        classes = cat.class_of[at]
+        # a stable sort puts each class's first member first in its group
+        order = np.argsort(classes, kind="stable")
+        first = np.sort(order[np.diff(classes[order], prepend=-1) != 0])
+        index = np.zeros(len(cat.codes), dtype=np.intp)
+        index[classes[first]] = len(firsts) + np.arange(len(first))
+        of.append(index[classes])
+        firsts.extend(cat.objs[i] for i in at[first])
+    of = np.concatenate(of)
+    return tuple(firsts), np.bincount(of, minlength=len(firsts)), of
 
 
 def _null_class(t: ObjClass, f: ObjClass, max_n: int) -> tuple[ObjClass, bool]:
@@ -334,9 +386,14 @@ def _torsion_batches(n: int, at: np.ndarray):
     and of its quotients in the catalogues of their sizes).  Objects,
     cores and quotients are the catalogues' objects.
 
-    The first object comes alone: every sequence of one size meets the
-    same candidate grids, so alone it raises BudgetError exactly when an
-    object-by-object check would, and the others never do.
+    The first object comes alone.  A sequence meets the candidate grids
+    of its legs that are not isomorphisms, which depend only on its sizes
+    and its class.  Under plain triviality every canonical torsion
+    sequence is relatively preexact, so the batches tabulate every class
+    up to the first membership failure and raise BudgetError exactly when
+    an object-by-object check would.  Under a searched null class, a batch
+    may meet a grid over the budget before the first failing object of a
+    later batch is found.
     """
     objs = catalogue(n).objs
     core_at, proj, sizes, quotient_at = (part[at] for part in _torsion_parts(n))
@@ -396,6 +453,41 @@ _AXIOM1_REASONS = ("torsion part is outside the torsion class",
                    "canonical sequence is not relatively preexact")
 
 
+def _axiom2(t: ObjClass, f: ObjClass, max_n: int, trivial, budget: int):
+    """The first map from a t-member to an f-member that is not trivial,
+    as (domain, codomain, map), or None; the maps checked up to and
+    including it; and a Counter of the class pairs and table cells read.
+
+    Hom sets between isomorphic pairs are in bijection, and triviality
+    relative to any class carries over along isomorphisms, so one table
+    per pair of classes, weighted by how many labeled members each class
+    holds, counts the labeled maps.  The classes are represented by their
+    first members and come in the order of those, so the first failing
+    class pair holds the first failing labeled pair: its table is the
+    labeled table of that pair, and the maps before it are read from the
+    hom counts of the class pairs before it."""
+    t_firsts, t_mult, t_of = _by_class(t, max_n)
+    f_firsts, f_mult, f_of = _by_class(f, max_n)
+    homs_of = np.zeros((len(t_firsts), len(f_firsts)), dtype=np.int64)
+    work = Counter()
+    for i, cols, grid, homs in _hom_tables(t_firsts, f_firsts, budget):
+        work["pairs"] += homs.shape[1]
+        work["cells"] += homs.size
+        homs_of[i, cols] = homs.sum(axis=0)
+        bad = _nontrivial(trivial, t_firsts[i], f_firsts[cols], grid, homs)
+        failing = np.flatnonzero(bad.any(axis=0))
+        if not len(failing):
+            continue
+        j = failing[0]
+        row = np.flatnonzero(bad[:, j])[0]
+        # the members before the failing ones are in classes before theirs
+        before_t, before_f = np.argmax(t_of == i), np.argmax(f_of == cols.start + j)
+        maps = (homs_of[t_of[:before_t]] @ f_mult).sum() + homs_of[i, f_of[:before_f]].sum()
+        return ((t_firsts[i], f_firsts[cols][j], tuple(int(v) for v in grid[row])),
+                int(maps) + int(homs[:row + 1, j].sum()), work)
+    return None, int(t_mult @ homs_of @ f_mult), work
+
+
 def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
                       budget: int = DEFAULT_BUDGET) -> PretorsionReport:
     """Check both pretorsion axioms for (t, f) on all objects up to max_n.
@@ -407,18 +499,20 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     objects and of probes (`classes_checked` of the report counts the
     classes sent to the engine), which decides it for every labeled
     member; objects_checked counts the objects up to and including the
-    first that fails, in enumeration order.  Axiom 2
-    takes the hom set from every t-member to every f-member and asks each
-    of its maps to factor through the intersection class, one table per
-    t-member and run of same-size f-members; maps_checked counts the maps
-    up to and including the first that fails, in the classes' candidate
-    order and, within a hom set, lexicographically.
+    first that fails, in enumeration order.  A torsion sequence whose
+    leg is an isomorphism (k of an equivalence, p of a partial order) is
+    decided by its composite alone (`iso_legs` of the report).  Axiom 2
+    asks every map from a t-member to an f-member to factor through the
+    intersection class, one table per pair of isomorphism classes
+    (`axiom2_class_pairs`); maps_checked counts the labeled maps up to and
+    including the first that fails, in the classes' candidate order and,
+    within a hom set, lexicographically, and the witness is that map.
 
     The catalogues of every size up to max_n are built first (BudgetError
-    beyond the enumeration cap), with each class predicate asked once per
-    labeled object; `catalogue_s`, `axiom1_s` and `axiom2_s` of the report
-    time the three phases.  A max_n below 1 is a ValidationError: there
-    would be nothing to check.
+    beyond the enumeration cap), with the membership bits of each class;
+    `catalogue_s`, `axiom1_s` and `axiom2_s` of the report time the three
+    phases.  A max_n below 1 is a ValidationError: there would be nothing
+    to check.
     """
     if max_n < 1:
         raise ValidationError(f"max_n must be at least 1, got {max_n}")
@@ -427,7 +521,7 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     z, z_trivial = _null_class(t, f, max_n)
     trivial = _class_trivial(z, budget)
     probes = class_representatives(max(1, max_n - 1))
-    ax1, ax2_cells = Counter(), 0
+    ax1 = Counter()
     built = time.perf_counter()
     ax1_witness, checked = None, 0
     for cat in cats:
@@ -438,26 +532,16 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
             break
         checked += len(cat.codes)
     mid = time.perf_counter()
-    ax2_witness, maps_checked = None, 0
-    for tb, part, grid, homs in _hom_tables(t.candidates(max_n), f.candidates(max_n), budget):
-        ax2_cells += homs.size
-        bad = _nontrivial(trivial, tb, part, grid, homs)
-        cols = np.flatnonzero(bad.any(axis=0))
-        if not len(cols):
-            maps_checked += int(homs.sum())
-            continue
-        j = cols[0]
-        row = np.flatnonzero(bad[:, j])[0]
-        maps_checked += int(homs[:, :j].sum() + homs[:row + 1, j].sum())
-        ax2_witness = (tb, part[j], tuple(int(v) for v in grid[row]))
-        break
+    ax2_witness, maps_checked, ax2 = _axiom2(t, f, max_n, trivial, budget)
     return PretorsionReport(
         torsion_name=t.name, torsionfree_name=f.name, max_n=max_n,
         axiom1_ok=ax1_witness is None, axiom1_counterexample=ax1_witness,
         axiom2_ok=ax2_witness is None, axiom2_counterexample=ax2_witness,
         objects_checked=checked, maps_checked=maps_checked,
         null_class_is_trivial=z_trivial,
-        classes_checked=ax1["classes"], sequences_checked=ax1["sequences"], axiom1_cells=ax1["cells"], axiom2_cells=ax2_cells,
+        classes_checked=ax1["classes"], sequences_checked=ax1["sequences"],
+        iso_legs=ax1["iso_legs"], axiom2_class_pairs=ax2["pairs"],
+        axiom1_cells=ax1["cells"], axiom2_cells=ax2["cells"],
         catalogue_s=built - start, axiom1_s=mid - built, axiom2_s=time.perf_counter() - mid,
     )
 
@@ -468,8 +552,9 @@ def closure_prop_check(x: PreObj, t: ObjClass, f: ObjClass, max_n: int,
 
     If every morphism from x into every f-member (up to max_n) is trivial
     relative to the intersection class, then x must lie in t; dually for
-    morphisms out of t-members into x.  Returns whether both implications
-    hold on the range.  A max_n below 1 is a ValidationError, as in
+    morphisms out of t-members into x.  Each isomorphism class of members
+    is checked once, through its first member.  Returns whether both
+    implications hold on the range.  A max_n below 1 is a ValidationError, as in
     `pretorsion_verify`.
     """
     if max_n < 1:
@@ -478,8 +563,11 @@ def closure_prop_check(x: PreObj, t: ObjClass, f: ObjClass, max_n: int,
     trivial = _class_trivial(z, budget)
 
     def all_trivial(doms, cods):
-        return not any(_nontrivial(trivial, *table).any()
-                       for table in _hom_tables(doms, cods, budget))
-    imp1 = (not all_trivial([x], f.candidates(max_n))) or t.contains(x)
-    imp2 = (not all_trivial(t.candidates(max_n), [x])) or f.contains(x)
+        return not any(_nontrivial(trivial, doms[i], cods[cols], grid, homs).any()
+                       for i, cols, grid, homs in _hom_tables(doms, cods, budget))
+    # a map into or out of a member is trivial exactly when the matching
+    # map for the first member of its isomorphism class is
+    t_firsts, f_firsts = _by_class(t, max_n)[0], _by_class(f, max_n)[0]
+    imp1 = (not all_trivial((x,), f_firsts)) or t.contains(x)
+    imp2 = (not all_trivial(t_firsts, (x,))) or f.contains(x)
     return imp1 and imp2

@@ -326,13 +326,21 @@ KIND_TESTS = {
 }
 
 
+def kind_test(kind):
+    """The test of an (n, pairs) spec for a kind: a name of KIND_TESTS, or
+    a predicate of n and the pairs (diagonal included) itself."""
+    return kind if callable(kind) else lambda n, pairs: KIND_TESTS[kind](pairs)
+
+
 def brute_objects(max_n, kind):
-    """The (n, pairs) specs of the kind with 1 <= n <= max_n, pairs with
-    the diagonal, smaller first and by code within a size."""
+    """The (n, pairs) specs of the kind (as in `kind_test`) with
+    1 <= n <= max_n, pairs with the diagonal, smaller first and by code
+    within a size."""
+    test = kind_test(kind)
     out = []
     for n in range(1, max_n + 1):
         rels = [r for r in brute_reflexive_relations(n)
-                if naive_is_transitive(r) and KIND_TESTS[kind](r)]
+                if naive_is_transitive(r) and test(n, r)]
         out.extend((n, r) for r in sorted(rels, key=lambda r: relation_code(n, r)))
     return out
 
@@ -351,12 +359,12 @@ def factors_through_search(map_row, dom, cod, factor_objs):
 def axiom2_scan_brute(max_n, t_kind, f_kind):
     """Axiom 2 map by map: every monotone map from a T-member into an
     F-member must factor through a member of T ^ F no larger than its
-    domain.  Members come smaller first and by code, maps within a hom
-    set lexicographically.  Returns the first map that does not factor,
-    as (dom spec, cod spec, map), or None, with the maps visited up to and
-    including it."""
+    domain.  The kinds are as in `kind_test`.  Members come smaller first
+    and by code, maps within a hom set lexicographically.  Returns the
+    first map that does not factor, as (dom spec, cod spec, map), or None,
+    with the maps visited up to and including it."""
     ts, fs = brute_objects(max_n, t_kind), brute_objects(max_n, f_kind)
-    zs = [z for z in ts if KIND_TESTS[f_kind](z[1])]
+    zs = [z for z in ts if kind_test(f_kind)(*z)]
     visited = 0
     for dom in ts:
         small = [z for z in zs if z[0] <= dom[0]]

@@ -2,6 +2,7 @@
 sequence, the verdict of a call on that sequence alone and of the
 map-by-map search oracles."""
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from preord import (
-    ObjClass, hom_enumerate, is_trivial_object,
+    BudgetError, Morph, ObjClass, hom_enumerate, is_trivial_object,
     make_object, objects_upto, torsion_sequence, trivial_object,
 )
 from preord import exactness
@@ -127,6 +128,61 @@ def test_random_batches_match_single_calls(data):
         single(prop, k, g, probes, check, budget) for k, g in seqs]
 
 
+class TestIsomorphicLegs:
+    """When k (or p) is an isomorphism, lam' = k^-1 o lam (or lam o p^-1) is
+    the one factorization of every lam, so triviality of the composite
+    decides the sequence and no table is built."""
+
+    CHAIN01, CHAIN10 = make_object(2, [(0, 1)]), make_object(2, [(1, 0)])
+    POINT = trivial_object(1)
+    # an isomorphism between two labelings of the 2-chain
+    SWAP = Morph(CHAIN01, CHAIN10, (1, 0))
+    ONTO_POINT, IDENTITY = Morph(CHAIN10, POINT, (0, 0)), Morph(CHAIN10, CHAIN10, (0, 1))
+    FROM_POINT, IDENTITY01 = Morph(POINT, CHAIN01, (0,)), Morph(CHAIN01, CHAIN01, (0, 1))
+    # identity-carried out of the discrete 2-set: no isomorphism
+    UNDER = Morph(trivial_object(2), CHAIN10, (0, 1))
+
+    @pytest.mark.parametrize("check", ["plain", "searched"])
+    def test_decided_by_the_composite_without_a_table(self, objects2, monkeypatch, check):
+        calls = []
+
+        def counted(table):
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return table(*args, **kwargs)
+            return counting
+        for name in ("maps_into_table", "maps_out_table"):
+            monkeypatch.setattr(exactness, name, counted(getattr(exactness, name)))
+        # k = SWAP before g, and p = SWAP after f; the identity of a chain
+        # is not trivial, plainly or through a trivial object
+        for prop, k, g, want in [("pre", self.SWAP, self.ONTO_POINT, True),
+                                 ("pre", self.SWAP, self.IDENTITY, False),
+                                 ("co", self.FROM_POINT, self.SWAP, True),
+                                 ("co", self.IDENTITY01, self.SWAP, False)]:
+            assert single(prop, k, g, objects2, check, 1_000_000) == want
+            assert oracle(prop, check, k, g, objects2) == want
+        assert calls == []
+        # a leg that is no isomorphism still reads its tables
+        assert not single("pre", self.UNDER, self.ONTO_POINT, objects2, check, 1_000_000)
+        assert calls
+
+    def test_only_a_tabulated_leg_meets_the_budget(self):
+        big = [trivial_object(7)]  # 2 ** 7 maps x 7 cells into a 2-point object
+        assert prekernel_property(self.SWAP, self.ONTO_POINT, big, None, 100)
+        with pytest.raises(BudgetError):
+            prekernel_property(self.UNDER, self.ONTO_POINT, big, None, 100)
+
+    def test_counted_per_sequence(self):
+        stats = Counter()
+        # one shape: every sequence ends in the 2-chain
+        const = Morph(self.CHAIN10, self.CHAIN10, (0, 0))
+        seqs = SeqBatch.of([(self.SWAP, const), (self.SWAP, self.IDENTITY),
+                            (self.UNDER, const)])
+        assert prekernel_batch(seqs, objects_upto(2), None, 1_000_000,
+                               stats=stats).tolist() == [True, False, False]
+        assert (stats["iso_legs"], stats["sequences"]) == (2, 3)
+
+
 class TestTorsionBatches:
     def test_batches_equal_the_torsion_sequences_n4(self):
         for n in range(1, 5):
@@ -152,8 +208,9 @@ class TestTorsionBatches:
     def test_canonical_prekernels_read_one_table_per_run(self, objects2, monkeypatch):
         # under plain triviality the factor table of a canonical prekernel
         # reads the same cells as its lam table, so it is not built again;
-        # a searched null class keeps two tables per run unless every
-        # object of the batch is its own core
+        # a searched null class keeps two tables per run; a batch whose
+        # objects are all their own cores (equivalences, k the identity,
+        # an isomorphism) is decided without a table
         calls = []
         orig = exactness.maps_into_table
 
@@ -167,8 +224,9 @@ class TestTorsionBatches:
             want = [prekernel_property_search(
                 seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(), spec(seqs.mids[i]),
                 spec(seqs.cs[i]), specs) for i in range(len(seqs))]
-            searched = runs if seqs.xs == seqs.mids else 2 * runs
-            for trivial, tables in ((None, runs), (_class_trivial(SEARCHED, 1_000_000), searched)):
+            iso = seqs.xs == seqs.mids
+            plain, searched = (0, 0) if iso else (runs, 2 * runs)
+            for trivial, tables in ((None, plain), (_class_trivial(SEARCHED, 1_000_000), searched)):
                 calls.clear()
                 assert prekernel_batch(seqs, objects2, trivial, 1_000_000).tolist() == want
                 assert len(calls) == tables

@@ -14,7 +14,8 @@ from preord import (
     TRIVIAL_OBJECTS, ValidationError, chain, closure_prop_check, compose,
     ends_trivial_iff_iso, factors_through, hom_enumerate, identity,
     intersect_classes, is_epi, is_mono, is_trivial_morphism,
-    is_trivial_object, make_object, objects_upto, precokernel, prekernel, pretorsion_verify,
+    is_trivial_object, make_object, monotone_maps, objects_upto, precokernel, prekernel,
+    pretorsion_verify,
     quotient_poset, relative_precokernel_check, relative_preexact,
     relative_prekernel_check, symmetric_core, torsion_part,
     torsion_sequence, torsionfree_part, trivial_object,
@@ -26,13 +27,22 @@ from preord import pretorsion
 from preord.enumeration import catalogue, class_representatives
 
 from .oracles import (
-    axiom2_scan_brute, canonical_code_brute, precokernel_property_search,
+    axiom2_scan_brute, canonical_code_brute, kind_test, precokernel_property_search,
     prekernel_property_search,
 )
 
 MIXED = make_object(3, [(0, 1), (1, 0), (1, 2)], mode="close")
 KIND_OF = {ALL_PREORDERS: "preorder", EQUIVALENCES: "equivalence",
            PARTIAL_ORDERS: "partial_order", TRIVIAL_OBJECTS: "trivial"}
+
+
+def counting(cls, asked):
+    """The class with a predicate that counts in `asked`, per class name
+    and object, each time it is asked."""
+    def contains(a):
+        asked[cls.name, a] += 1
+        return cls.contains(a)
+    return ObjClass(cls.name, contains, trivial_exact=cls.trivial_exact)
 
 
 def brute_spec(a):
@@ -64,6 +74,15 @@ class TestObjClass:
         assert bare.objects_checked == full.objects_checked == 3
         assert (bare.axiom2_counterexample, bare.maps_checked) == \
             (full.axiom2_counterexample, full.maps_checked)
+
+    def test_kind_masks_are_the_built_in_predicates_n5(self):
+        # the built-in classes read their kind's mask instead of asking
+        # their predicate, so the two must agree on every labeled object
+        for n in range(1, 6):
+            cat = catalogue(n)
+            for cls, kind in KIND_OF.items():
+                assert cat.masks[kind].tolist() == [bool(cls.contains(a)) for a in cat.objs]
+                assert pretorsion._members(cls, n) is cat.masks[kind]
 
     def test_a_candidate_list_is_rejected(self):
         # bound to trivial_exact, a candidate list moved a searched class
@@ -526,17 +545,25 @@ class TestPretorsionVerify:
         # axiom 1 checks the first object of each isomorphism class with the
         # first probe of each class: a prekernel check reads a table of the
         # maps from each probe of size m into the object (n ** m grid rows),
-        # a precokernel check one of the maps out of it (m ** n rows); axiom
-        # 2 one of the maps from each T-member into each F-member
+        # a precokernel check one of the maps out of it (m ** n rows), except
+        # where the leg is an isomorphism (k of an equivalence, p of a
+        # partial order), which decides without a table; axiom 2 reads one
+        # table of the maps from each T-class into each F-class
         report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3)
         classes = first_of_each_class(objects3)
         sizes = Counter(y.n for y in first_of_each_class(objects2))
         assert report.classes_checked == len(classes) == 13
         assert report.sequences_checked == 2 * len(classes)
-        assert report.axiom1_cells == sum((b.n ** m + m ** b.n) * count
-                                          for b in classes for m, count in sizes.items())
-        assert report.axiom2_cells == sum(f.n ** t.n for t in EQUIVALENCES.candidates(3)
-                                          for f in PARTIAL_ORDERS.candidates(3))
+        iso_k = [b.rel.is_symmetric() for b in classes]
+        iso_p = [b.rel.is_antisymmetric() for b in classes]
+        assert report.iso_legs == sum(iso_k) + sum(iso_p) == 14
+        assert report.axiom1_cells == sum(
+            (b.n ** m * (not k) + m ** b.n * (not p)) * count
+            for b, k, p in zip(classes, iso_k, iso_p) for m, count in sizes.items())
+        ts = first_of_each_class(EQUIVALENCES.candidates(3))
+        fs = first_of_each_class(PARTIAL_ORDERS.candidates(3))
+        assert report.axiom2_class_pairs == len(ts) * len(fs) == 6 * 8
+        assert report.axiom2_cells == sum(f.n ** t.n for t in ts for f in fs)
         assert report.axiom1_s > 0 and report.axiom2_s > 0
 
     def test_catalogue_and_axioms_account_for_the_verdict_n3(self):
@@ -551,13 +578,7 @@ class TestPretorsionVerify:
         # across a verdict and a later closure check on the same range;
         # the closure check may ask the predicates of x itself once more
         asked = Counter()
-
-        def counting(cls):
-            def contains(a):
-                asked[cls.name, a] += 1
-                return cls.contains(a)
-            return ObjClass(cls.name, contains, trivial_exact=cls.trivial_exact)
-        t, f = counting(EQUIVALENCES), counting(PARTIAL_ORDERS)
+        t, f = counting(EQUIVALENCES, asked), counting(PARTIAL_ORDERS, asked)
         assert pretorsion_verify(t, f, 3).ok
         assert max(asked.values()) == 1
         assert set(asked) == {(c.name, a) for c in (t, f) for a in objects3}
@@ -566,6 +587,27 @@ class TestPretorsionVerify:
         assert asked.pop((t.name, x)) == 2  # x, the full relation, is an equivalence
         assert asked.pop((f.name, x)) <= 2
         assert max(asked.values()) == 1
+
+    def test_a_searched_null_class_keeps_its_bits_across_calls_n3(self, objects3):
+        # the intersection was a new class, with new membership bits, on
+        # every call: each closure check asked both predicates of every
+        # labeled object again
+        asked = Counter()
+        t, f = counting(ALL_PREORDERS, asked), counting(EQUIVALENCES, asked)
+        assert intersect_classes(t, f) is intersect_classes(t, f)
+        x = objects3[-1]
+        assert closure_prop_check(x, t, f, 3)
+        for _ in range(3):
+            before = Counter(asked)
+            assert closure_prop_check(x, t, f, 3)
+            more = asked - before
+            # only the predicates of x itself, once each
+            assert set(more) <= {(t.name, x), (f.name, x)}
+            assert max(more.values(), default=0) <= 1
+        assert not pretorsion_verify(t, f, 3).null_class_is_trivial
+        before = Counter(asked)
+        pretorsion_verify(t, f, 3)
+        assert asked == before
 
     def test_the_verdict_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on its first call, 13 ms of a cold verdict
@@ -703,6 +745,77 @@ class TestCheckOrder:
     def test_closure_prop_check_pinned_n3(self, objects3, t, f, failing):
         assert [i for i, x in enumerate(objects3)
                 if not closure_prop_check(x, t, f, 3)] == failing
+
+
+CHAIN01, CHAIN10 = make_object(2, [(0, 1)]), make_object(2, [(1, 0)])
+E3 = make_object(3, [(0, 1), (1, 0)])
+
+
+def _spec_is(obj):
+    """Does an (n, pairs) spec of the oracles, diagonal included, describe obj?"""
+    return lambda n, pairs: (n, pairs) == (obj.n, brute_spec(obj)[1])
+
+
+def _or(*tests):
+    return lambda n, pairs: any(test(n, pairs) for test in tests)
+
+
+class TestAxiom2ByClass:
+    """Axiom 2 reads one table per pair of isomorphism classes, weighted by
+    how many labeled members each class holds; maps_checked and the witness
+    stay those of a map-by-map scan of every labeled pair, also for classes
+    that are not closed under isomorphism."""
+
+    # the partial orders and one labeled equivalence, not its relabelings
+    PO_E3 = _with_one_labeled(PARTIAL_ORDERS, E3)
+    # the partial orders but the chain 1 <= 0, which comes first in its class
+    PO_BUT_CHAIN10 = ObjClass("partial-orders-1",
+                              lambda a: PARTIAL_ORDERS.contains(a) and a != CHAIN10)
+    # the trivial objects and the chain 0 <= 1, not the chain 1 <= 0 that
+    # comes first in its class
+    TRIVIAL_CHAIN = _with_one_labeled(TRIVIAL_OBJECTS, CHAIN01)
+    BRUTE = {PO_E3: _or(kind_test("partial_order"), _spec_is(E3)),
+             PO_BUT_CHAIN10: lambda n, pairs: (kind_test("partial_order")(n, pairs)
+                                               and not _spec_is(CHAIN10)(n, pairs)),
+             TRIVIAL_CHAIN: _or(lambda n, pairs: all(a == b for a, b in pairs),
+                                _spec_is(CHAIN01))}
+
+    @pytest.mark.parametrize("t, f, witness", [
+        (EQUIVALENCES, PO_BUT_CHAIN10, None),
+        # E3 is null, but maps into it from 2-point equivalences do not
+        # factor through a null object of at most 2 points
+        (EQUIVALENCES, PO_E3, (make_object(2, [(0, 1), (1, 0)]), E3, (0, 1))),
+        (PO_E3, EQUIVALENCES, (make_object(2, [(1, 0)]), make_object(2, [(0, 1), (1, 0)]),
+                               (0, 1))),
+        (TRIVIAL_CHAIN, EQUIVALENCES, (CHAIN01, make_object(2, [(0, 1), (1, 0)]), (0, 1))),
+        # the built-in classes swapped
+        (PARTIAL_ORDERS, EQUIVALENCES, (make_object(2, [(1, 0)]),
+                                        make_object(2, [(0, 1), (1, 0)]), (0, 1))),
+    ], ids=["open-f-passes", "open-f-fails", "open-t-fails", "open-t-first-member",
+            "swapped"])
+    def test_matches_the_brute_scan_n3(self, t, f, witness):
+        report = pretorsion_verify(t, f, 3)
+        assert report.axiom2_counterexample == witness
+        want, visited = axiom2_scan_brute(3, self.BRUTE.get(t, KIND_OF.get(t)),
+                                          self.BRUTE.get(f, KIND_OF.get(f)))
+        assert report.maps_checked == visited
+        if witness is None:
+            assert want is None
+        else:
+            dom, cod, m = witness
+            assert want == (brute_spec(dom), brute_spec(cod), m)
+
+    def test_class_pairs_stand_for_every_labeled_pair_n3(self):
+        # the 2-chain's class holds one labeled member, not two; every
+        # class pair is read once
+        report = pretorsion_verify(EQUIVALENCES, self.PO_BUT_CHAIN10, 3)
+        labeled = sum(len(monotone_maps(a, b)) for a in EQUIVALENCES.candidates(3)
+                      for b in self.PO_BUT_CHAIN10.candidates(3))
+        assert report.axiom2_ok and report.maps_checked == labeled
+        assert report.maps_checked < pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3).maps_checked
+        ts = first_of_each_class(EQUIVALENCES.candidates(3))
+        fs = first_of_each_class(self.PO_BUT_CHAIN10.candidates(3))
+        assert report.axiom2_class_pairs == len(ts) * len(fs) == 6 * 8
 
 
 class TestClosureProp:
