@@ -440,7 +440,7 @@ class ByteLRU:
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")
 
-# hom sets and per-object layouts, together at most 32 MB; one hom set
+# hom sets, per-object layouts and class tables, together at most 32 MB; one hom set
 # within DEFAULT_BUDGET cells takes up to 8 MB
 array_cache = ByteLRU(32 << 20)
 

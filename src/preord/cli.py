@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .category import DEFAULT_BUDGET, is_trivial_object
 from .decompose import core_quotient
-from .enumeration import KINDS, class_representatives, enumerate_objects
+from .enumeration import KINDS, class_representatives, count_objects, enumerate_objects
 from .errors import NotShortExactError, PreordError, ValidationError
 from .exactness import Seq, is_prekernel, is_precokernel, is_short_preexact, \
     precokernel, prekernel
@@ -154,12 +154,10 @@ def _cmd_verify_pretorsion(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    count = 0
-    for a in enumerate_objects(args.n, args.kind):
-        count += 1
-        if not args.count_only:
+    if not args.count_only:
+        for a in enumerate_objects(args.n, args.kind):
             print(save_object(a))
-    print(f"count: {count}")
+    print(f"count: {count_objects(args.n, args.kind)}")
     return 0
 
 

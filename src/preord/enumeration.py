@@ -81,12 +81,13 @@ def _canonical_codes(bits: np.ndarray) -> np.ndarray:
 class Catalogue:
     """The labeled preorders on n points in increasing code: `bits`
     (objects x n x n), their sorted `codes` and a mask over them per kind
-    (`masks`).  `canonical_codes` is built on first use."""
+    (`masks`).  `canonical_codes` and each object are built on first use."""
 
     def __init__(self, n: int, bits: np.ndarray):
         codes = _codes(bits)
         order = np.argsort(codes)
         self.n, self.bits, self.codes = n, bits[order], codes[order]
+        self._objs: list[PreObj | None] = [None] * len(order)
         both = self.bits & self.bits.transpose(0, 2, 1)
         self.masks = {
             "preorder": np.ones(len(order), dtype=bool),
@@ -95,10 +96,19 @@ class Catalogue:
             "trivial": self.codes == 0,
         }
 
-    @property
+    def obj(self, i: int) -> PreObj:
+        """The object at position i, built on first use and kept, so that
+        every read of a position gives the same instance."""
+        a = self._objs[i]
+        if a is None:
+            # the extension keeps only preorders, so the objects skip a second check
+            a = self._objs[i] = PreObj._trusted(Rel(self.n, self.bits[i]))
+        return a
+
+    @cached_property
     def objs(self) -> tuple[PreObj, ...]:
-        """All the objects, in code order: the preorder kind's."""
-        return _objects_exact(self.n, "preorder")
+        """All the objects in code order, the preorder kind's, as `obj` gives them."""
+        return tuple(map(self.obj, range(len(self.codes))))
 
     @cached_property
     def canonical_codes(self) -> np.ndarray:
@@ -174,11 +184,6 @@ def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
         yield PreObj._trusted(Rel(n, bits))
 
 
-@lru_cache(maxsize=None)
-def _objects_exact(n: int, kind: str) -> tuple[PreObj, ...]:
-    return tuple(enumerate_objects(n, kind))
-
-
 def count_objects(n: int, kind: str = "preorder") -> int:
     _check(n, kind)
     return int(catalogue(n).masks[kind].sum())
@@ -188,12 +193,14 @@ def objects_upto(max_n: int, kind: str = "preorder") -> list[PreObj]:
     """All objects of the kind with 1 <= size <= max_n, smaller first."""
     out: list[PreObj] = []
     for n in range(1, max_n + 1):
-        out.extend(_objects_exact(n, kind))
+        _check(n, kind)
+        cat = catalogue(n)
+        out.extend(map(cat.obj, np.flatnonzero(cat.masks[kind])))
     return out
 
 
 def class_representatives(max_n: int) -> list[PreObj]:
     """The first object of each isomorphism class with 1 <= size <= max_n,
     smaller first and in code order within a size."""
-    return [catalogue(n).objs[i] for n in range(1, max_n + 1)
+    return [catalogue(n).obj(i) for n in range(1, max_n + 1)
             for i in catalogue(n).representatives]

@@ -18,12 +18,13 @@ factors) is a table of sequences x grid rows x probes, read from the
 probes' bit masks (`category.maps_into_table`, `maps_out_table`) and cut
 into slices of probes, then of sequences, within the budget.  A single
 morphism is a batch of one.  A sequence whose k (or p) is an isomorphism
-needs no table: the composite decides it.  The class-relative checks of
-`preord.pretorsion` pass a row-wise triviality predicate, asked only of
-the rows that fail to factor; the stable verifiers of `preord.stable`
-pass a canonicalizer `canon(rows, objs, which)` of maps out of a run of
-same-size objects, so that maps are compared up to stable equality.
-Both loop over the sequences of a batch.
+needs no table: the composite decides it.  Nor does a run of one-point
+probes, the one-point object being terminal.  The class-relative checks
+of `preord.pretorsion` pass a row-wise triviality predicate, asked only
+of the rows that fail to factor; the stable verifiers of `preord.stable`
+pass `classes(obj, base)`, the first row of the stable class of each row
+of `candidate_grid(obj.n, base)`, so that factorizations are counted by
+class over every sequence of a slice at once.
 """
 
 from __future__ import annotations
@@ -241,15 +242,20 @@ class SeqBatch:
                          for i, (x, c) in enumerate(zip(self.xs, self.cs))], dtype=bool)
 
 
+def _bijective(legs: np.ndarray, n: int) -> np.ndarray:
+    """Per row of `legs`, a map into n points: is it a bijection?"""
+    if legs.shape[1] != n:
+        return np.zeros(len(legs), dtype=bool)
+    return (np.sort(legs, axis=1) == np.arange(n)).all(axis=1)
+
+
 def _iso_legs(legs: np.ndarray, dom_bits: np.ndarray, cod_bits: np.ndarray) -> np.ndarray:
     """Per sequence: is its leg (a row of `legs`, between the sequence's
     matrices of `dom_bits` and `cod_bits`) an isomorphism, a bijection
     that carries the one relation exactly onto the other?"""
-    n = legs.shape[1]
-    onto = (np.sort(legs, axis=1) == np.arange(n)).all(axis=1)
     rows = np.arange(len(legs))[:, None, None]
     same = cod_bits[rows, legs[:, :, None], legs[:, None, :]] == dom_bits
-    return onto & same.all(axis=(1, 2))
+    return _bijective(legs, cod_bits.shape[-1]) & same.all(axis=(1, 2))
 
 
 def _failing(fail: np.ndarray, trivial, args) -> np.ndarray:
@@ -264,30 +270,35 @@ def _failing(fail: np.ndarray, trivial, args) -> np.ndarray:
                     dtype=bool)
 
 
-def _row_codes(rows: np.ndarray, base: int) -> np.ndarray:
-    """One integer code per row of entries in [-1, base)."""
-    return grid_index(rows + 1, base + 1)
-
-
-def _exactly_one_match(codes: np.ndarray, have: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Per target code: does exactly one class of candidates have it?
-    `have` holds the candidates' codes and `classes` a class code per
-    candidate; equal candidates of one class count once."""
-    order = np.lexsort((classes, have))
-    have, classes = have[order], classes[order]
-    new = np.concatenate(([True], (have[1:] != have[:-1]) | (classes[1:] != classes[:-1])))
-    have = have[new]
-    return np.searchsorted(have, codes, "right") - np.searchsorted(have, codes) == 1
-
-
 def _count_table(index: np.ndarray, table: np.ndarray, rows: int) -> np.ndarray:
     """sequences x rows x columns: per sequence, row r of a grid and column
     of `table` (sequences x marked rows x columns), how many marked rows of
-    the sequence have grid index r in its row of `index`?"""
+    the sequence and column have grid index r in `index` (broadcast to
+    the table's shape)?"""
     seqs, _, cols = table.shape
-    codes = (index + rows * np.arange(seqs)[:, None])[:, :, None] * cols + np.arange(cols)
+    codes = (index + rows * np.arange(seqs)[:, None, None]) * cols + np.arange(cols)
     return np.bincount(codes.ravel(), weights=table.ravel(),
                        minlength=seqs * rows * cols).reshape(seqs, rows, cols)
+
+
+def _unique_factors(reach: np.ndarray, factors: np.ndarray, rows: int,
+                    lam_cls=None, fac_cls=None) -> np.ndarray:
+    """sequences x `rows` grid rows x probes: does exactly one marked lam'
+    of `factors` (sequences x factor grid rows x probes) reach the grid row,
+    its composite with the leg having the grid row `reach` (sequences x
+    factor grid rows)?  With the classes of the lam and of the lam', tables
+    giving each row of either grid the first row of its class (broadcast
+    to the tables), exactly one class of lam' must reach the row's class;
+    a class's first row stands for it, as the leg maps a class into one."""
+    if lam_cls is None:
+        return _count_table(reach[:, :, None], factors, rows) == 1
+    seqs, width, cols = factors.shape
+    s, j = np.arange(seqs)[:, None, None], np.arange(cols)
+    # per sequence and probe, the classes that hold a marked lam'
+    held = _count_table(fac_cls, factors, width) > 0
+    lam_cls = np.broadcast_to(lam_cls, (seqs, rows, cols))
+    count = _count_table(lam_cls[s, reach[:, :, None], j], held, rows)
+    return count[s, lam_cls, j] == 1
 
 
 # A slice of sequences holds at most this many table cells, or the budget
@@ -314,7 +325,7 @@ def _slices(alive: np.ndarray, run, rows: int, width: int, budget: int):
 
 
 def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
-                    canon=None, stats: Counter | None = None) -> np.ndarray:
+                    classes=None, stats: Counter | None = None) -> np.ndarray:
     """The prekernel property of k for g over probes, one bool per
     sequence X --k--> A --g--> C of the batch.
 
@@ -323,30 +334,32 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     `trivial` is None for plain triviality (related points share an
     image), or a predicate `trivial(rows, dom, cod)` saying which rows of
     maps dom -> cod count as trivial, asked sequence by sequence and probe
-    by probe only of the rows that fail to factor.  With `canon(rows,
-    objs, which)`, mapping each map out of a run of same-size objects
-    (out of objs[which[r]] for row r, or out of the one object of objs
-    when which is None) to a canonical row of its class, both equalities
-    hold up to that class; it is called once per sequence and slice of
-    probes.
+    by probe only of the rows that fail to factor.  With `classes(obj,
+    base)`, giving each row of `candidate_grid(obj.n, base)` (maps out of
+    obj) the first row of its class, both equalities hold up to class.
 
     The probes of one size share the candidate grid of maps Y -> A; each
     test is a table of sequences x grid rows x probes.  The monotone lam'
-    of the grid of maps Y -> X are counted per row they reach through k,
-    or matched up to the classes of `canon` when it is given; k need not
-    be injective.  A failed sequence skips later runs.
+    of the grid of maps Y -> X are counted per row, or per class, they
+    reach through k; k need not be injective.  A failed sequence skips
+    later runs.
 
-    When canon is None and k is an isomorphism, lam' = k^-1 o lam is the
-    one factorization of every lam, so k is a prekernel of g exactly when
-    g o k is trivial: such a sequence is decided without a table.
+    When k is an isomorphism, lam' = k^-1 o lam is the one factorization
+    of every lam, also up to class (composing with k^-1 keeps stable
+    equality), so k is a prekernel of g exactly when g o k is trivial:
+    such a sequence is decided without a table.  So is a run of one-point
+    probes unless a predicate is given: each lam is a point of A, so k
+    must be a bijection, or nothing up to stable equality, as every map
+    out of a point is stably trivial.
 
     Budgets are those of `monotone_maps` on the same hom sets, checked
     before each run that a sequence still has to tabulate, and the tables
-    are cut so that none, nor an intermediate, exceeds the budget.  A
-    sequence with an isomorphic k meets no grid, so it never raises
-    BudgetError, however large its probes.
+    are cut so that none, nor an intermediate, exceeds the budget.  An
+    isomorphic k, or a run decided without a table, meets no grid, so it
+    never raises BudgetError, however large its probes or objects.
     `stats`, a Counter, gains the sequences, those decided by an
-    isomorphic leg (`iso_legs`) and the table cells (lam tables:
+    isomorphic leg (`iso_legs`), the one-point runs of a sequence decided
+    without a table (`point_runs`) and the table cells (lam tables:
     sequences x grid rows x probes) checked.
     """
     if not len(seqs):
@@ -357,8 +370,7 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     a_bad = ~stack_bits(seqs.mids)
     lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
     x_bad = ~stack_bits(seqs.xs)
-    iso = (_iso_legs(kmap, x_bad, a_bad) if canon is None and xn == an
-           else np.zeros(len(seqs), dtype=bool))
+    iso = _iso_legs(kmap, x_bad, a_bad)
     decided, alive = alive & iso, alive & ~iso
     # the lam' come from the grid of the lam when X has A's size: per
     # sequence, do they read the cells the lam read?
@@ -367,8 +379,18 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
         if not alive.any():
             break
         m = run.m
+        if m == 1 and trivial is None:
+            # each lam is a point of A, and stably trivial
+            if stats is not None:
+                stats["point_runs"] += int(alive.sum())
+            if classes is None:
+                alive &= _bijective(kmap, an)
+            continue
         grid = candidate_grid(m, an, budget)
         primes = grid if xn == an else candidate_grid(m, xn, budget)
+        # per probe, the class of each row of the grids of the lam and the lam'
+        tables = [] if classes is None else [
+            np.stack([classes(y, n) for y in run.objs], axis=1)[None] for n in (an, xn)]
         for cols, idx in _slices(alive, run, max(len(grid), len(primes)), max(m, an), budget):
             part = run.objs[cols]
             lam = maps_into_table(grid, lam_bad[idx], run, cols, budget)
@@ -376,25 +398,8 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             # as for every canonical prekernel under plain triviality
             factors = lam if same[idx].all() else maps_into_table(
                 primes, x_bad[idx], run, cols, budget)
-            if canon is None:
-                ok = _count_table(grid_index(kmap[idx][:, primes], an), factors, len(grid)) == 1
-            else:
-                ok = np.zeros_like(lam)
-                # codes of maps Y -> A carry the probe j as their leading digit
-                tag = (an + 1) ** m
-                for i, s in enumerate(np.arange(len(seqs))[idx]):
-                    r, j = np.nonzero(lam[i])
-                    pr, pj = np.nonzero(factors[i])
-                    lps = primes[pr]
-                    # one canonicalization of the lam, the k o lam' and the
-                    # lam' of all probes of the slice, each out of its probe
-                    both = canon(np.concatenate([grid[r], kmap[s][lps], lps]), part,
-                                 np.concatenate([j, pj, pj]))
-                    t, p = len(r), len(pr)
-                    ok[i, r, j] = _exactly_one_match(_row_codes(both[:t], an) + j * tag,
-                                                     _row_codes(both[t:t + p], an) + pj * tag,
-                                                     _row_codes(both[t + p:], xn))
-            fail = lam & ~ok
+            fail = lam & ~_unique_factors(grid_index(kmap[idx][:, primes], an), factors,
+                                          len(grid), *(t[:, :, cols] for t in tables))
             if fail.any():
                 at = np.arange(len(seqs))[idx]
                 alive[idx] &= ~_failing(fail, trivial, lambda i, j: (
@@ -408,7 +413,7 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
 
 
 def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
-                      canon=None, stats: Counter | None = None) -> np.ndarray:
+                      classes=None, stats: Counter | None = None) -> np.ndarray:
     """Dual engine, one bool per sequence X --f--> A --p--> C: p o f
     trivial, and unique factorization lam = lam' o p for every lam: A -> T
     with lam o f trivial.
@@ -416,20 +421,21 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     The probes of one size share the candidate grid of maps A -> T; plain
     triviality of lam o f does not depend on the probe (lam must send the
     image under f of each related pair of X to one point).  The monotone
-    lam' of the grid of maps C -> T are counted per row they reach
-    through p, or matched up to the classes of `canon` when it is given;
-    p need not be surjective.  When canon is None and p is an isomorphism,
-    lam' = lam o p^-1 is the one factorization, so p o f trivial decides
-    the sequence without a table or a grid.  Triviality, budgets, slicing
-    and `stats` are as in `prekernel_batch`.
+    lam' of the grid of maps C -> T are counted per row, or per class of
+    `classes`, they reach through p; p need not be surjective.  When p is
+    an isomorphism, lam' = lam o p^-1 is the one factorization, also up to
+    class, so p o f trivial decides the sequence without a table or a
+    grid.  A run of one-point probes never fails, whatever the
+    triviality: the one map into a point is the one map out of C after p.
+    Triviality, classes, budgets, slicing and `stats` are as in
+    `prekernel_batch`.
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
     fmap, pmap = seqs.k, seqs.g
     an, cn = pmap.shape[1], seqs.cs[0].n
     alive = seqs.trivial_composites(trivial)
-    iso = (_iso_legs(pmap, stack_bits(seqs.mids), stack_bits(seqs.cs))
-           if canon is None and cn == an else np.zeros(len(seqs), dtype=bool))
+    iso = _iso_legs(pmap, stack_bits(seqs.mids), stack_bits(seqs.cs))
     decided, alive = alive & iso, alive & ~iso
     # padded with the diagonal pair (0, 0), which every map below carries
     # to a diagonal cell: related, and never apart
@@ -448,10 +454,18 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
         if not alive.any():
             break
         m = run.m
+        if m == 1:
+            # the one lam is the one lam' after p
+            if stats is not None:
+                stats["point_runs"] += int(alive.sum())
+            continue
         grid = candidate_grid(an, m, budget)
         afters = grid if cn == an else candidate_grid(cn, m, budget)
         if trivial is None:
             apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
+        # per sequence, the class of each row of the grids of the lam and the lam'
+        tables = [] if classes is None else [
+            np.stack([classes(a, m) for a in objs])[:, :, None] for objs in (seqs.mids, seqs.cs)]
         for cols, idx in _slices(alive, run, max(len(grid), len(afters)), max(m, an), budget):
             part = run.objs[cols]
             monotone = maps_out_table(grid, a_pairs[:, idx], run, cols, budget)
@@ -459,25 +473,8 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             # one table where the lam and lam' o p read the same pairs of one grid
             factors = monotone if same[idx].all() else maps_out_table(
                 afters, c_pairs[:, idx], run, cols, budget)
-            if canon is None:
-                ok = _count_table(grid_index(afters[:, pmap[idx]], m).T, factors, len(grid)) == 1
-            else:
-                ok = np.zeros_like(lam)
-                # codes of maps A -> T carry the probe j as their leading digit
-                tag = (m + 1) ** an
-                for i, s in enumerate(np.arange(len(seqs))[idx]):
-                    classes = _row_codes(canon(afters, (seqs.cs[s],)), m)
-                    # canonical rows only of the lam some probe of the slice keeps,
-                    # with those of the lam' o p, all maps out of A
-                    keep = np.flatnonzero(lam[i].any(axis=1))
-                    both = _row_codes(canon(np.concatenate([afters[:, pmap[s]], grid[keep]]),
-                                            (seqs.mids[s],)), m)
-                    reach, lams = both[:len(afters)], both[len(afters):]
-                    j, r = np.nonzero(lam[i][keep].T)
-                    aj, ar = np.nonzero(factors[i].T)
-                    ok[i, keep[r], j] = _exactly_one_match(lams[r] + j * tag, reach[ar] + aj * tag,
-                                                           classes[ar])
-            fail = lam & ~ok
+            fail = lam & ~_unique_factors(grid_index(afters[:, pmap[idx]], m).T, factors,
+                                          len(grid), *(t[idx] for t in tables))
             if fail.any():
                 at = np.arange(len(seqs))[idx]
                 alive[idx] &= ~_failing(fail, trivial, lambda i, j: (
@@ -491,19 +488,19 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
 
 
 def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,
-                       budget: int, canon=None) -> bool:
+                       budget: int, classes=None) -> bool:
     """`prekernel_batch` on the one sequence k, f."""
     if k.cod != f.dom:
         raise ValidationError("candidate prekernel must land in the domain of f")
-    return bool(prekernel_batch(SeqBatch.of([(k, f)]), tests, trivial, budget, canon)[0])
+    return bool(prekernel_batch(SeqBatch.of([(k, f)]), tests, trivial, budget, classes)[0])
 
 
 def precokernel_property(p: Morph, f: Morph, tests: list[PreObj], trivial,
-                         budget: int, canon=None) -> bool:
+                         budget: int, classes=None) -> bool:
     """`precokernel_batch` on the one sequence f, p."""
     if p.dom != f.cod:
         raise ValidationError("candidate precokernel must start at the codomain of f")
-    return bool(precokernel_batch(SeqBatch.of([(f, p)]), tests, trivial, budget, canon)[0])
+    return bool(precokernel_batch(SeqBatch.of([(f, p)]), tests, trivial, budget, classes)[0])
 
 
 def verify_prekernel_definitional(k: Morph, f: Morph, tests: list[PreObj],

@@ -105,7 +105,7 @@ class ObjClass:
         """The labeled members on 1..n points, smaller first and in
         catalogue (code) order within a size; BudgetError beyond the
         enumeration cap."""
-        return [catalogue(k).objs[i] for k in range(1, n + 1)
+        return [catalogue(k).obj(i) for k in range(1, n + 1)
                 for i in np.flatnonzero(_members(self, k))]
 
 
@@ -271,6 +271,7 @@ class PretorsionReport:
     # work counters, not printed: isomorphism classes whose torsion
     # sequence went to the engine, sequences given to the engine (once per
     # property) and those of them that an isomorphic leg decided without a
+    # table, runs of one-point probes that a sequence decided without a
     # table, pairs of a T-class and an F-class whose hom set axiom 2 read,
     # table cells (grid rows x probes, or x F-classes for axiom 2) and
     # wall seconds for the catalogues (with the class membership bits, the
@@ -278,6 +279,7 @@ class PretorsionReport:
     classes_checked: int = 0
     sequences_checked: int = 0
     iso_legs: int = 0
+    point_runs: int = 0
     axiom2_class_pairs: int = 0
     axiom1_cells: int = 0
     axiom2_cells: int = 0
@@ -340,7 +342,7 @@ def _by_class(cls: ObjClass, max_n: int):
         index = np.zeros(len(cat.codes), dtype=np.intp)
         index[classes[first]] = len(firsts) + np.arange(len(first))
         of.append(index[classes])
-        firsts.extend(cat.objs[i] for i in at[first])
+        firsts.extend(map(cat.obj, at[first]))
     of = np.concatenate(of)
     return tuple(firsts), np.bincount(of, minlength=len(firsts)), of
 
@@ -395,16 +397,16 @@ def _torsion_batches(n: int, at: np.ndarray):
     may meet a grid over the budget before the first failing object of a
     later batch is found.
     """
-    objs = catalogue(n).objs
+    cat = catalogue(n)
     core_at, proj, sizes, quotient_at = (part[at] for part in _torsion_parts(n))
     group = np.where(np.arange(len(at)) == 0, 0, sizes)
     batches = []
     for key in sorted(set(group.tolist())):
         sel = np.flatnonzero(group == key)
-        quotients = catalogue(int(sizes[sel[0]])).objs
+        quotients = catalogue(int(sizes[sel[0]]))
         batches.append((at[sel], SeqBatch(
-            tuple(objs[i] for i in core_at[sel]), tuple(objs[i] for i in at[sel]),
-            tuple(quotients[i] for i in quotient_at[sel]),
+            tuple(map(cat.obj, core_at[sel])), tuple(map(cat.obj, at[sel])),
+            tuple(map(quotients.obj, quotient_at[sel])),
             np.broadcast_to(np.arange(n), (len(sel), n)), proj[sel]), core_at[sel], quotient_at[sel]))
     return batches
 
@@ -528,7 +530,7 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
         failure = _first_axiom1_failure(cat.n, t, f, trivial, probes, budget, ax1)
         if failure is not None:
             at, why = failure
-            ax1_witness, checked = (cat.objs[at], why), checked + at + 1
+            ax1_witness, checked = (cat.obj(at), why), checked + at + 1
             break
         checked += len(cat.codes)
     mid = time.perf_counter()
@@ -540,7 +542,7 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
         objects_checked=checked, maps_checked=maps_checked,
         null_class_is_trivial=z_trivial,
         classes_checked=ax1["classes"], sequences_checked=ax1["sequences"],
-        iso_legs=ax1["iso_legs"], axiom2_class_pairs=ax2["pairs"],
+        iso_legs=ax1["iso_legs"], point_runs=ax1["point_runs"], axiom2_class_pairs=ax2["pairs"],
         axiom1_cells=ax1["cells"], axiom2_cells=ax2["cells"],
         catalogue_s=built - start, axiom1_s=mid - built, axiom2_s=time.perf_counter() - mid,
     )

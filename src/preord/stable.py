@@ -6,7 +6,10 @@ subset is a union of connected components, the identification is decided
 component by component: equal restriction, or both restrictions trivial.
 So each class has a canonical image row, with the components on which the
 map is trivial read as -1; every decision below compares those rows for
-whole hom arrays at once.
+whole hom arrays at once.  The kernel and cokernel verifiers read, per
+object and base, a table of the class of every row of the candidate
+grid, its first stably equal row, so that the engine of
+`preord.exactness` counts factorizations by class.
 Under it all equality-relation objects collapse to a single zero object,
 so kernels and cokernels exist; they are the images of the prekernel and
 precokernel constructions.
@@ -15,14 +18,13 @@ precokernel constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
 import numpy as np
 
 from .category import (
-    Morph, PreObj, compose, coproduct, is_trivial_morphism, iso_search,
-    array_cache, monotone_maps, pair_rows, DEFAULT_BUDGET,
+    Morph, PreObj, candidate_grid, compose, coproduct, grid_index, is_trivial_morphism,
+    iso_search, array_cache, monotone_maps, DEFAULT_BUDGET,
 )
 from .errors import NotShortExactError, ValidationError
 from .exactness import (
@@ -52,45 +54,39 @@ def _component_layout(a: PreObj) -> np.ndarray:
     return layout
 
 
-@lru_cache(maxsize=64)
-def _run_layout(objs: tuple[PreObj, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The padded pairs `u, v = pair_rows(objs)` of a run of same-size
-    objects, and objects x pairs x points: does the component of each pair
-    of an object hold the point?  A padding pair (0, 0) never moves, so its
-    row is never read."""
-    u, v = pair_rows(objs)
-    comp = np.array([components(a).class_of for a in objs])
-    return u, v, np.take_along_axis(comp, u, axis=1)[:, :, None] == comp[:, None, :]
-
-
-def _stable_canon(rows: np.ndarray, objs: tuple[PreObj, ...], which=None) -> np.ndarray:
-    """Canonical rows of stable classes: maps out of a run of same-size
-    objects, one per row, with each component on which a row is trivial
-    read as -1.  `which` holds the position in the run of each row's
-    domain, or is None for a run of one object.  Two parallel maps are
-    stably equal exactly when their canonical rows are equal."""
-    if which is None:
-        (dom,) = objs
-        u, v = dom.rel.pair_index
-        moved = (rows[:, u] != rows[:, v]) @ _component_layout(dom)
-    else:
-        u, v, layout = _run_layout(objs)
-        at = np.arange(len(rows))[:, None]
-        u, v = u[which], v[which]
-        moved = np.matmul((rows[at, u] != rows[at, v])[:, None], layout[which])[:, 0]
+def _stable_canon(rows: np.ndarray, dom: PreObj) -> np.ndarray:
+    """Canonical rows of stable classes: maps out of dom, one per row, with
+    each component on which a row is trivial read as -1.  Two parallel
+    maps are stably equal exactly when their canonical rows are equal."""
+    u, v = dom.rel.pair_index
+    moved = (rows[:, u] != rows[:, v]) @ _component_layout(dom)
     return np.where(moved, rows, -1)
+
+
+@array_cache
+def _stable_classes(a: PreObj, base: int) -> np.ndarray:
+    """Per row of `candidate_grid(a.n, base)`, a map out of a, the position
+    of the first row stably equal to it: its canonical row with every -1
+    read as 0, since a map is constant on a component on which it is
+    trivial and the grid is in lexicographic order.  Computed once per
+    object and base."""
+    # the callers have checked their budget against this grid already
+    grid = candidate_grid(a.n, base, a.n * base ** a.n)
+    out = grid_index(np.maximum(_stable_canon(grid, a), 0), base)
+    out.setflags(write=False)
+    return out
 
 
 def _stably_equal_rows(rows: np.ndarray, dom: PreObj, target) -> np.ndarray:
     """Row mask of the maps in `rows` (out of dom) stably equal to `target`."""
-    canon = _stable_canon(np.vstack([target, rows]), (dom,))
+    canon = _stable_canon(np.vstack([target, rows]), dom)
     return (canon[1:] == canon[0]).all(axis=1)
 
 
 def stable_signature(f: Morph) -> tuple:
     """Canonical form of a morphism's stable class (same dom and cod only):
     the image tuple with every component on which f is trivial read as -1."""
-    return tuple(_stable_canon(np.array([f.map]), (f.dom,))[0].tolist())
+    return tuple(_stable_canon(np.array([f.map]), f.dom)[0].tolist())
 
 
 def stable_eq(f: Morph, g: Morph) -> bool:
@@ -219,13 +215,13 @@ def verify_stable_kernel(k: StableHom, f: Morph, tests: list[PreObj],
     equality: the prekernel engine with plain triviality, comparing
     canonical rows of stable classes.
     """
-    return prekernel_property(k.rep, f, tests, None, budget, _stable_canon)
+    return prekernel_property(k.rep, f, tests, None, budget, _stable_classes)
 
 
 def verify_stable_cokernel(p: StableHom, f: Morph, tests: list[PreObj],
                            budget: int = DEFAULT_BUDGET) -> bool:
     """Dual universal property, quantified over probe objects."""
-    return precokernel_property(p.rep, f, tests, None, budget, _stable_canon)
+    return precokernel_property(p.rep, f, tests, None, budget, _stable_classes)
 
 
 # ----------------------------------------------------------------------
@@ -274,15 +270,15 @@ def verify_coproduct_preservation(objs: list[PreObj], tests: list[PreObj],
     summed, injections = coproduct(objs)
     for y in tests:
         cmaps = monotone_maps(summed, y, budget)
-        families = np.hstack([_stable_canon(cmaps[:, list(inj.map)], (a,))
+        families = np.hstack([_stable_canon(cmaps[:, list(inj.map)], a)
                               for inj, a in zip(injections, objs)])
         realized = len(np.unique(families, axis=0))
-        whole = _stable_canon(cmaps, (summed,))
+        whole = _stable_canon(cmaps, summed)
         if len(np.unique(np.hstack([families, whole]), axis=0)) > realized:
             return False  # two stably distinct maps share all restrictions
         # the restrictions are maps out of the factors, so every family of
         # components is realized exactly when the counts agree
-        if realized < prod(len(np.unique(_stable_canon(monotone_maps(a, y, budget), (a,)), axis=0))
+        if realized < prod(len(np.unique(_stable_canon(monotone_maps(a, y, budget), a), axis=0))
                            for a in objs):
             return False  # some family of components is not realized
     return True

@@ -21,7 +21,7 @@ from preord.exactness import (
     prekernel_property,
 )
 from preord.pretorsion import _class_trivial, _torsion_batches
-from preord.stable import _stable_canon
+from preord.stable import _stable_classes
 
 from .oracles import (
     precokernel_property_search, prekernel_property_search,
@@ -58,7 +58,7 @@ def engine(check, budget):
     """(trivial, canon) of the engine: plain triviality, triviality decided
     by a factorization search, or plain triviality up to stable equality."""
     return {"plain": (None, None), "searched": (_class_trivial(SEARCHED, budget), None),
-            "stable": (None, _stable_canon)}[check]
+            "stable": (None, _stable_classes)}[check]
 
 
 def single(prop, k, g, probes, check, budget):
@@ -85,8 +85,12 @@ def batch(prop, seqs, probes, check, budget):
 
 
 # a point alone lets sequences without an injective k or a surjective g
-# pass, so that more batches hold passing and failing sequences
-PROBE_LISTS = {"n<=2": objects_upto(2), "point": [trivial_object(1)]}
+# pass, so that more batches hold passing and failing sequences; runs of
+# one-point probes are decided without a table, so lists without them and
+# with several of them, between other sizes, are checked too
+PROBE_LISTS = {"n<=2": objects_upto(2), "point": [trivial_object(1)],
+               "n=2": objects_upto(2)[1:],
+               "1,2,1": [trivial_object(1), make_object(2, [(0, 1)]), trivial_object(1)]}
 
 
 @pytest.mark.parametrize("probes", sorted(PROBE_LISTS))
@@ -103,6 +107,30 @@ def test_every_shape_batch_matches_single_calls_and_the_oracle(prop, check, prob
         mixed += len(set(want)) == 2
     # some batches hold passing and failing sequences
     assert mixed >= 1
+
+
+@pytest.mark.parametrize("check", ["plain", "searched", "stable"])
+@pytest.mark.parametrize("prop", ["pre", "co"])
+def test_one_point_probes_read_no_table_and_meet_no_budget(prop, check, monkeypatch):
+    # a map into a point is unique and a map out of one is a point, so only
+    # a searched predicate keeps its prekernel tables
+    calls = []
+    for name in ("maps_into_table", "maps_out_table"):
+        table = getattr(exactness, name)
+        monkeypatch.setattr(exactness, name,
+                            lambda *args, table=table: calls.append(1) or table(*args))
+    run = prekernel_batch if prop == "pre" else precokernel_batch
+    trivial, classes = engine(check, 1_000_000)
+    points = [trivial_object(1)] * 2
+    tabulated = prop == "pre" and check == "searched"
+    for group in shapes(prop).values():
+        want = [oracle(prop, check, k, g, points) for k, g in group]
+        seqs = SeqBatch.of(group)
+        assert run(seqs, points, trivial, 1_000_000, classes).tolist() == want
+        if not tabulated:
+            # without a grid even a budget of one cell is never met
+            assert run(seqs, points, trivial, 1, classes).tolist() == want
+    assert bool(calls) == tabulated
 
 
 def test_the_small_budget_cuts_slices_of_one_sequence(objects2):
@@ -142,7 +170,7 @@ class TestIsomorphicLegs:
     # identity-carried out of the discrete 2-set: no isomorphism
     UNDER = Morph(trivial_object(2), CHAIN10, (0, 1))
 
-    @pytest.mark.parametrize("check", ["plain", "searched"])
+    @pytest.mark.parametrize("check", ["plain", "searched", "stable"])
     def test_decided_by_the_composite_without_a_table(self, objects2, monkeypatch, check):
         calls = []
 
@@ -207,10 +235,11 @@ class TestTorsionBatches:
 
     def test_canonical_prekernels_read_one_table_per_run(self, objects2, monkeypatch):
         # under plain triviality the factor table of a canonical prekernel
-        # reads the same cells as its lam table, so it is not built again;
-        # a searched null class keeps two tables per run; a batch whose
-        # objects are all their own cores (equivalences, k the identity,
-        # an isomorphism) is decided without a table
+        # reads the same cells as its lam table, so it is not built again,
+        # and a run of one-point probes is decided without one; a searched
+        # null class keeps two tables per run; a batch whose objects are
+        # all their own cores (equivalences, k the identity, an
+        # isomorphism) is decided without a table
         calls = []
         orig = exactness.maps_into_table
 
@@ -219,13 +248,14 @@ class TestTorsionBatches:
             return orig(*args, **kwargs)
         monkeypatch.setattr(exactness, "maps_into_table", counting)
         runs = len(same_size_runs(objects2))
+        wider = sum(run.m > 1 for run in same_size_runs(objects2))
         specs = [spec(y) for y in objects2]
         for _, seqs, *_ in _torsion_batches(3, np.arange(len(catalogue(3).objs))):
             want = [prekernel_property_search(
                 seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(), spec(seqs.mids[i]),
                 spec(seqs.cs[i]), specs) for i in range(len(seqs))]
             iso = seqs.xs == seqs.mids
-            plain, searched = (0, 0) if iso else (runs, 2 * runs)
+            plain, searched = (0, 0) if iso else (wider, 2 * runs)
             for trivial, tables in ((None, plain), (_class_trivial(SEARCHED, 1_000_000), searched)):
                 calls.clear()
                 assert prekernel_batch(seqs, objects2, trivial, 1_000_000).tolist() == want

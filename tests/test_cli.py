@@ -7,6 +7,7 @@ from preord import (
     load_object, make_object, quotient_poset, save_object, symmetric_core,
     trivial_object,
 )
+from preord import cli
 from preord.cli import main
 
 MIXED_TEXT = '{"n": 3, "pairs": [[0, 1], [1, 0], [1, 2]], "mode": "close"}'
@@ -51,6 +52,20 @@ class TestBasicCommands:
     def test_enumerate_counts(self, capsys):
         assert main(["enumerate", "preorder", "3", "--count-only"]) == 0
         assert capsys.readouterr().out.strip() == f"count: {count_objects(3)}"
+
+    def test_enumerate_counts_without_building_objects(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("--count-only enumerated the objects")
+        monkeypatch.setattr(cli, "enumerate_objects", refuse)
+        for kind, n, want in (("preorder", 5, 6942), ("partial_order", 4, 219), ("trivial", 1, 1)):
+            assert main(["enumerate", kind, str(n), "--count-only"]) == 0
+            assert capsys.readouterr().out == f"count: {want}\n"
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]])
+    @pytest.mark.parametrize("args", [["preorder", "0"], ["preorder", "6"], ["lattice", "2"]])
+    def test_enumerate_usage_errors_exit_2(self, args, count_only, capsys):
+        assert main(["enumerate", *args, *count_only]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_enumerate_lists_loadable_objects(self, capsys):
         assert main(["enumerate", "equivalence", "2"]) == 0

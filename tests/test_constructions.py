@@ -1,5 +1,5 @@
 """The array-built constructions, their trusted outputs, the interned
-construction objects and the run-level stable canonicalization."""
+construction objects and the per-object stable class tables."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from preord import (
     objects_upto, precokernel, precokernel_witness, prekernel, prekernel_witness,
     trivial_object,
 )
-from preord.category import candidate_grid, same_size_runs
+from preord.category import candidate_grid
 from preord.exactness import _INTERNED, _interned
-from preord.stable import _stable_canon
+from preord.stable import _stable_canon, _stable_classes
 
 from .oracles import naive_equivalence_closure, naive_transitive_closure, union_find_blocks
 
@@ -88,15 +88,12 @@ class TestInterning:
         assert prekernel(f).dom == chain(6) and prekernel(f).dom is not prekernel(f).dom
 
 
-class TestRunCanon:
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_a_run_equals_its_objects_one_at_a_time(self, objects3, m):
-        (run,) = [r for r in same_size_runs(objects3) if r.m == m]
-        grid = candidate_grid(m, 3)
-        rows = np.concatenate([grid] * len(run.objs))
-        which = np.repeat(np.arange(len(run.objs)), len(grid))
-        want = np.concatenate([_stable_canon(grid, (y,)) for y in run.objs])
-        assert np.array_equal(_stable_canon(rows, run.objs, which), want)
-        # rows of the run's objects in any order
-        order = np.random.default_rng(m).permutation(len(rows))
-        assert np.array_equal(_stable_canon(rows[order], run.objs, which[order]), want[order])
+class TestStableClasses:
+    @pytest.mark.parametrize("base", [1, 2, 3])
+    def test_each_grid_row_gets_the_first_row_stably_equal_to_it(self, objects3, base):
+        for a in objects3:
+            canon = _stable_canon(candidate_grid(a.n, base), a).tolist()
+            first = {}
+            for r, row in enumerate(canon):
+                first.setdefault(tuple(row), r)
+            assert _stable_classes(a, base).tolist() == [first[tuple(row)] for row in canon]

@@ -547,8 +547,10 @@ class TestPretorsionVerify:
         # maps from each probe of size m into the object (n ** m grid rows),
         # a precokernel check one of the maps out of it (m ** n rows), except
         # where the leg is an isomorphism (k of an equivalence, p of a
-        # partial order), which decides without a table; axiom 2 reads one
-        # table of the maps from each T-class into each F-class
+        # partial order), which decides without a table, and on the run of
+        # one-point probes, which every other sequence decides without a
+        # table; axiom 2 reads one table of the maps from each T-class into
+        # each F-class
         report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3)
         classes = first_of_each_class(objects3)
         sizes = Counter(y.n for y in first_of_each_class(objects2))
@@ -557,9 +559,10 @@ class TestPretorsionVerify:
         iso_k = [b.rel.is_symmetric() for b in classes]
         iso_p = [b.rel.is_antisymmetric() for b in classes]
         assert report.iso_legs == sum(iso_k) + sum(iso_p) == 14
+        assert report.point_runs == 2 * len(classes) - report.iso_legs == 12
         assert report.axiom1_cells == sum(
             (b.n ** m * (not k) + m ** b.n * (not p)) * count
-            for b, k, p in zip(classes, iso_k, iso_p) for m, count in sizes.items())
+            for b, k, p in zip(classes, iso_k, iso_p) for m, count in sizes.items() if m > 1)
         ts = first_of_each_class(EQUIVALENCES.candidates(3))
         fs = first_of_each_class(PARTIAL_ORDERS.candidates(3))
         assert report.axiom2_class_pairs == len(ts) * len(fs) == 6 * 8
