@@ -9,8 +9,10 @@ from preord import (
     objects_upto, precokernel, precokernel_witness, prekernel, prekernel_witness,
     trivial_object,
 )
-from preord.category import candidate_grid
-from preord.exactness import _INTERNED, _interned
+from preord.category import candidate_grid, same_size_runs
+from preord.exactness import (
+    _INTERNED, SeqBatch, _interned, precokernel_batch, prekernel_batch,
+)
 from preord.stable import _stable_canon, _stable_classes
 
 from .oracles import naive_equivalence_closure, naive_transitive_closure, union_find_blocks
@@ -97,3 +99,29 @@ class TestStableClasses:
             for r, row in enumerate(canon):
                 first.setdefault(tuple(row), r)
             assert _stable_classes(a, base).tolist() == [first[tuple(row)] for row in canon]
+
+
+class TestRunCanon:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_run_equals_its_objects_one_at_a_time(self, objects2, objects3, m):
+        # the stable engines stack the class tables of a run's probes: per
+        # sequence, the run's verdict is that of its probes one at a time,
+        # in any order, also when the budget slices the run
+        (run,) = [r for r in same_size_runs(objects3) if r.m == m]
+        order = [run.objs[i] for i in np.random.default_rng(m).permutation(len(run.objs))]
+        groups = {}
+        for x in objects2:
+            for a in objects2:
+                for c in objects2:
+                    for k in hom_enumerate(x, a):
+                        for g in hom_enumerate(a, c):
+                            groups.setdefault((x.n, a.n, c.n), []).append((k, g))
+        for engine in (prekernel_batch, precokernel_batch):
+            for group in groups.values():
+                seqs = SeqBatch.of(group)
+                want = np.logical_and.reduce(
+                    [engine(seqs, [y], None, 1_000_000, _stable_classes) for y in run.objs])
+                for budget in (64, 1_000_000):
+                    for probes in (list(run.objs), order):
+                        got = engine(seqs, probes, None, budget, _stable_classes)
+                        assert np.array_equal(got, want)
