@@ -7,7 +7,7 @@ relation matrix, and isomorphism is a separate search.
 
 Hom sets come from candidate grids: every map between two carriers, one
 per row.  A hom table filters one grid against a whole run of same-size
-objects at once, one column per object, from one bit mask per cell of
+objects at once, one column per object, from one bool mask per cell of
 their common carrier square: the objects relating that cell.  Maps into
 the objects keep those in the masks of all cells a row's related pairs
 land on; maps out of them keep those in no mask of a cell that a row
@@ -27,13 +27,12 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce, wraps
 from itertools import groupby
-from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .relations import Rel
+from .relations import Rel, as_ints
 
 __all__ = [
     "DEFAULT_BUDGET", "PreObj", "Morph",
@@ -89,6 +88,7 @@ def make_object(n: int, pairs: Iterable[tuple[int, int]] = (),
     mode="strict" adds the diagonal only, and rejects inputs whose pairs
     are not already transitive.
     """
+    n, = as_ints("carrier sizes", (n,))
     if n < 1:
         raise ValidationError("objects must be non-empty")
     r = Rel.from_pairs(n, pairs, reflexive=True)
@@ -123,7 +123,7 @@ class Morph:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "map", _int_entries(self.map))
+        object.__setattr__(self, "map", as_ints("map entries", self.map))
         if len(self.map) != self.dom.n:
             raise ValidationError(
                 f"map length {len(self.map)} does not match domain size {self.dom.n}")
@@ -151,15 +151,6 @@ class Morph:
         return f"Morph({list(self.map)}: {self.dom.n}->{self.cod.n})"
 
 
-def _int_entries(map_) -> tuple[int, ...]:
-    """The entries of an image tuple as Python ints; an entry that is not
-    an integer (a float, a string) is a ValidationError, not truncated."""
-    try:
-        return tuple(map(index, map_))
-    except TypeError as e:
-        raise ValidationError(f"map entries must be integers: {e}") from None
-
-
 def inverse_map(map_: Sequence[int], n: int) -> list[int]:
     """A preimage under the map of each point of {0..n-1}, -1 off the image."""
     # one map: a Python loop beats numpy's per-call overhead
@@ -184,7 +175,7 @@ def is_iso_map(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
 
 def is_morphism(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
     """Is this image tuple a monotone map dom -> cod?"""
-    map_ = _int_entries(map_)
+    map_ = as_ints("map entries", map_)
     if len(map_) != dom.n:
         raise ValidationError("map length does not match domain size")
     if any(not (0 <= x < cod.n) for x in map_):
@@ -269,8 +260,8 @@ def grid_index(rows: np.ndarray, base: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ProbeRun:
     """Consecutive objects of one size m with what the tables read of
-    them, built on first use: `cells`, m * m cells (row-major) x bytes,
-    holds the objects relating each cell as a bit mask."""
+    them, built on first use: `cells`, m * m cells (row-major) x objects,
+    holds the objects relating each cell as a bool mask."""
 
     objs: tuple[PreObj, ...]
 
@@ -280,8 +271,7 @@ class ProbeRun:
 
     @cached_property
     def cells(self) -> np.ndarray:
-        return np.packbits(np.stack([a.rel.bits.ravel() for a in self.objs], axis=1),
-                           axis=1, bitorder="little")
+        return np.stack([a.rel.bits.ravel() for a in self.objs], axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -346,22 +336,11 @@ def pair_rows(objs: Sequence[PreObj]) -> np.ndarray:
 def _and_over_pairs(rows: np.ndarray, u: np.ndarray, v: np.ndarray, masks: np.ndarray,
                     m: int) -> np.ndarray:
     """Per pair list (a row of u and v, sources and targets) and per map
-    into m points (a row of `rows`): the bitwise AND of the masks, one per
+    into m points (a row of `rows`): the AND of the bool masks, one per
     cell of the m x m square (row-major), of the cells its pairs land on;
-    pair lists x rows (x mask bytes)."""
+    pair lists x rows (x mask columns)."""
     cols = rows.T
-    return np.bitwise_and.reduce(masks[cols[u] * m + cols[v]], axis=1)
-
-
-def _run_bytes(run: ProbeRun, cols: slice):
-    """The bytes of `run.cells` that hold the objects run.objs[cols], their
-    number, and how to unpack a table of such bytes (on its last axis) into
-    one bool column per object."""
-    count = len(range(*cols.indices(len(run.objs))))
-    skip = cols.start % 8
-    masks = run.cells[:, cols.start // 8:-(-(cols.start + count) // 8)]
-    return masks, count, lambda packed: np.unpackbits(
-        packed, axis=-1, count=skip + count, bitorder="little")[..., skip:].view(bool)
+    return np.logical_and.reduce(masks[cols[u] * m + cols[v]], axis=1)
 
 
 def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slice,
@@ -377,13 +356,14 @@ def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slic
     sequences x grid rows x objects.
     """
     m = run.m
-    masks, count, unpack = _run_bytes(run, cols)
+    masks = run.cells[:, cols]
     stack = bad if bad.ndim == 3 else bad[None]
 
     def table(s, rows):
         hit = stack[s][:, rows[:, :, None], rows[:, None, :]].reshape(-1, len(rows), m * m)
-        return unpack(~np.bitwise_or.reduce(masks * hit[..., None], axis=2))
-    out = _by_slices(table, len(stack), grid, max(m * m * masks.shape[1], count), budget)
+        # a bool product ORs the ANDs: does the row send a pair to `bad`?
+        return ~(hit @ masks)
+    out = _by_slices(table, len(stack), grid, m * m + masks.shape[1], budget)
     return out if bad.ndim == 3 else out[0]
 
 
@@ -398,10 +378,10 @@ def maps_out_table(grid: np.ndarray, dom, run: ProbeRun, cols: slice,
     `pair_rows`) instead of dom, the result is domains x grid rows x
     objects.
     """
-    masks, count, unpack = _run_bytes(run, cols)
+    masks = run.cells[:, cols]
     u, v = pair_rows([dom]) if isinstance(dom, PreObj) else dom
-    out = _by_slices(lambda s, rows: unpack(_and_over_pairs(rows, u[s], v[s], masks, run.m)),
-                     len(u), grid, max(u.shape[1] * masks.shape[1], count), budget)
+    out = _by_slices(lambda s, rows: _and_over_pairs(rows, u[s], v[s], masks, run.m),
+                     len(u), grid, max(1, u.shape[1]) * masks.shape[1], budget)
     return out[0] if isinstance(dom, PreObj) else out
 
 
@@ -548,36 +528,36 @@ def iso_enumerate(a: PreObj, b: PreObj) -> Iterator[Morph]:
     An isomorphism here is a bijection preserving the relation in both
     directions.  Candidates are pruned by (out-degree, in-degree) pairs.
     """
-    if a.n != b.n:
-        return
     ka, kb = _degree_keys(a), _degree_keys(b)
-    if sorted(ka) != sorted(kb):
+    if sorted(ka) != sorted(kb):  # different sizes included
         return
-    ba, bb = a.rel.bits, b.rel.bits
+    ba, bb = a.rel.bits.tolist(), b.rel.bits.tolist()
     n = a.n
-    img = [-1] * n
-    used = [False] * n
 
-    def extend(v: int) -> Iterator[Morph]:
-        if v == n:
-            yield Morph(a, b, tuple(img))
-            return
-        for w in range(n):
-            if used[w] or ka[v] != kb[w]:
+    def fits(v: int, w: int) -> bool:
+        """May point v go to w, given the images of the points before it?"""
+        return not used[w] and ka[v] == kb[w] and all(
+            ba[v][u] == bb[w][img[u]] and ba[u][v] == bb[img[u]][w] for u in range(v))
+
+    # depth-first over the points in order, without recursion: a carrier
+    # of 1,000 points would pass the interpreter's recursion limit
+    img, used, w = [], [False] * n, 0
+    while True:
+        v = len(img)
+        while w < n and not fits(v, w):
+            w += 1
+        if w < n:
+            img.append(w)
+            used[w], w = True, 0
+            if len(img) < n:
                 continue
-            ok = True
-            for u in range(v):
-                if ba[v, u] != bb[w, img[u]] or ba[u, v] != bb[img[u], w]:
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                yield from extend(v + 1)
-                used[w] = False
-                img[v] = -1
-
-    yield from extend(0)
+            # preserves and reflects the relation: monotone by construction
+            yield Morph._trusted(a, b, tuple(img))
+        if not img:
+            return
+        w = img.pop()
+        used[w] = False
+        w += 1
 
 
 def iso_search(a: PreObj, b: PreObj) -> Morph | None:

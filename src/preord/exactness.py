@@ -14,16 +14,17 @@ They run on one engine (`prekernel_batch`, `precokernel_batch`) that
 checks a `SeqBatch` of same-shape sequences X --k--> A --g--> C against
 all probes of one size in one array pass: consecutive same-size probes
 share a candidate grid of maps, and each test (monotone, trivial,
-factors) is a table of sequences x grid rows x probes, read from the
-probes' bit masks (`category.maps_into_table`, `maps_out_table`) and cut
-into slices of probes, then of sequences, within the budget.  A single
-morphism is a batch of one.  A sequence whose k (or p) is an isomorphism
-needs no table: the composite decides it.  Nor does a run of one-point
-probes, the one-point object being terminal.  The class-relative checks
-of `preord.pretorsion` pass a row-wise triviality predicate, asked only
-of the rows that fail to factor; the stable verifiers of `preord.stable`
-pass `classes(obj, base)`, the first row of the stable class of each row
-of `candidate_grid(obj.n, base)`, so that factorizations are counted by
+factors) is a table of sequences x grid rows x probes, read from a bool
+mask per cell of the probes' carrier square (`category.maps_into_table`,
+`maps_out_table`) and cut into slices of probes, then of sequences,
+within the budget.  A single morphism is a batch of one.  A sequence
+whose k (or p) is an isomorphism needs no table: the composite decides
+it.  Nor does a run of one-point probes, the one-point object being
+terminal.  The class-relative checks of `preord.pretorsion` pass a
+row-wise triviality predicate, asked only of the rows that fail to
+factor; the stable verifiers of `preord.stable` pass `classes(obj,
+base)`, the first row of the stable class of each row of
+`candidate_grid(obj.n, base)`, so that factorizations are counted by
 class over every sequence of a slice at once.
 """
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -38,6 +39,16 @@ def _freeze(n: int, bits) -> np.ndarray:
     a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def as_ints(what: str, xs) -> tuple[int, ...]:
+    """The entries of xs as Python ints, read through operator.index: True
+    is 1, and an entry that is not an integer (a float, a string) is a
+    ValidationError, neither truncated nor used as an index raw."""
+    try:
+        return tuple(map(index, xs))
+    except TypeError as e:
+        raise ValidationError(f"{what} must be integers: {e}") from None
 
 
 # Carriers of at least this many points take the packed kernels.  Measured
@@ -126,8 +137,10 @@ class Rel:
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]],
                    reflexive: bool = False) -> "Rel":
+        n, = as_ints("carrier sizes", (n,))
         bits = np.eye(n, dtype=bool) if reflexive else np.zeros((n, n), dtype=bool)
-        for a, b in pairs:
+        for pair in pairs:
+            a, b = as_ints("pair entries", pair)
             if not (0 <= a < n and 0 <= b < n):
                 raise ValidationError(f"pair ({a}, {b}) out of range for n={n}")
             bits[a, b] = True

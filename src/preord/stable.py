@@ -46,10 +46,12 @@ __all__ = [
 
 @array_cache
 def _component_layout(a: PreObj) -> np.ndarray:
-    """Pairs x points incidence: does the component of each related pair of
-    `a.rel.pair_index` hold the point?  Computed once per object."""
+    """Incidence of the components (columns) with the related pairs of
+    `a.rel.pair_index`, then with the points: (pairs + points) x
+    components, at most n * n cells.  Computed once per object."""
     comp = np.array(components(a).class_of)
-    layout = comp[a.rel.pair_index[0]][:, None] == comp[None, :]
+    of_rows = np.concatenate([comp[a.rel.pair_index[0]], comp])
+    layout = of_rows[:, None] == np.arange(comp.max() + 1)
     layout.setflags(write=False)
     return layout
 
@@ -59,7 +61,9 @@ def _stable_canon(rows: np.ndarray, dom: PreObj) -> np.ndarray:
     each component on which a row is trivial read as -1.  Two parallel
     maps are stably equal exactly when their canonical rows are equal."""
     u, v = dom.rel.pair_index
-    moved = (rows[:, u] != rows[:, v]) @ _component_layout(dom)
+    layout = _component_layout(dom)
+    # the components a row moves a related pair in, then their points
+    moved = (rows[:, u] != rows[:, v]) @ layout[:len(u)] @ layout[len(u):].T
     return np.where(moved, rows, -1)
 
 

@@ -46,6 +46,18 @@ class TestMakeObject:
         with pytest.raises(ValidationError):
             PreObj(Rel.from_pairs(3, [(0, 1), (1, 2)], reflexive=True))
 
+    def test_bool_pair_entry_reads_as_one(self):
+        # True is the point 1, not a mask selecting all of row 2
+        assert make_object(3, [(True, 2)]) == make_object(3, [(1, 2)])
+
+    def test_float_pair_entry_rejected(self):
+        with pytest.raises(ValidationError):
+            make_object(2, [(0.5, 1)])
+
+    def test_float_carrier_size_rejected(self):
+        with pytest.raises(ValidationError):
+            make_object(2.0)
+
 
 class TestMorphisms:
     def test_identity_is_a_morphism(self, objects3):
@@ -291,8 +303,8 @@ class TestHomTables:
                     assert {tuple(r) for r in grid[table[:, j]]} == self.brute(a, b)
 
     def test_column_slices_match_the_whole_table_n3(self, objects3):
-        # three objects per slice, so most slices start inside a byte of
-        # the packed masks
+        # three objects per slice, so most slices start and end inside the
+        # run, away from its first and last mask column
         *_, run = same_size_runs(objects3)
         everyone = slice(0, len(run.objs))
         for a in objects3:
@@ -366,8 +378,8 @@ class TestHomTables:
         assert monotone_maps(dom, chain(1)).tolist() == [[0] * 40]
         assert _probe_runs.cache_info() == before
 
-    def test_nine_point_carriers_over_two_mask_bytes(self):
-        # 81 cells of a 9-point square; ten objects fill more than one byte
+    def test_nine_point_carriers_over_more_than_eight_objects(self):
+        # 81 cells of a 9-point square, each with a mask of ten objects
         nine = [chain(9), make_object(9, [(8, 0), (0, 4)]), trivial_object(9)] + [
             make_object(9, [(i, (i + 1) % 9), (8 - i, 4)]) for i in range(7)]
         run, = same_size_runs(nine)
@@ -590,6 +602,11 @@ class TestIso:
                     if fwd_ok:
                         brute.append(perm)
                 assert [f.map for f in iso_enumerate(a, b)] == brute
+
+    def test_thousand_point_chain_finds_the_identity(self):
+        # one backtracking level per point, so no recursion limit applies
+        a = chain(1000)
+        assert iso_search(a, chain(1000)) == identity(a)
 
 
 class TestFindLift:

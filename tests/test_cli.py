@@ -171,6 +171,15 @@ class TestMorphismCommands:
         assert main(["stable-iso", a, c]) == 1
         assert "stably isomorphic: false" in capsys.readouterr().out
 
+    def test_stable_iso_of_the_largest_chain(self, tmp_path, capsys):
+        # 1,000 points, the largest carrier load_object accepts
+        c = write(tmp_path, "c.json", json.dumps(
+            {"n": 1000, "pairs": [[i, i + 1] for i in range(999)], "mode": "close"}))
+        assert main(["stable-iso", c, c]) == 0
+        out = capsys.readouterr().out
+        assert "stably isomorphic: true" in out
+        assert f"forward: {list(range(1000))}" in out
+
     def test_classify_exact(self, tmp_path, capsys):
         a = load_object(MIXED_TEXT)
         x = write(tmp_path, "x.json",

@@ -68,6 +68,10 @@ class TestValueSemantics:
         # hashed once, then read back: memoization keys hash it many times
         assert vars(r)["_hash"] == hash(r)
 
+    def test_string_pair_entry_rejected(self):
+        with pytest.raises(ValidationError):
+            Rel.from_pairs(2, [("0", 1)])
+
 
 class TestTransitiveClosure:
     def test_diagonal_is_a_fixed_point(self):
@@ -201,6 +205,9 @@ class TestGeneratedEquivalence:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             generated_equivalence([(0, 5)], 3)
+
+    def test_bool_generator_reads_as_one(self):
+        assert generated_equivalence([(True, 2)], 3) == generated_equivalence([(1, 2)], 3)
 
     def test_minimality_against_every_equivalence_n4(self, objects4):
         equivalences = [a.rel for a in objects4

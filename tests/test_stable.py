@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ class TestStableEq:
     def test_mismatched_endpoints_rejected(self):
         with pytest.raises(ValidationError):
             stable_eq(identity(chain(2)), identity(chain(3)))
+
+    def test_thousand_point_chain_stays_small(self):
+        # 499,500 related pairs in one component: the incidence is pairs x
+        # components, not pairs x points (about 500 MB)
+        f = identity(chain(1000))
+        tracemalloc.start()
+        try:
+            assert stable_eq(f, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
     def test_matches_signature_equality_n2(self, objects2):
         for a in objects2:

@@ -38,6 +38,13 @@ class TestOpen:
         with pytest.raises(ValidationError):
             is_open(chain(2), np.zeros(3, dtype=bool))
 
+    def test_subset_mask_reads_a_bool_member_as_one(self):
+        assert subset_mask(3, [True]).tolist() == [False, True, False]
+
+    def test_subset_mask_rejects_a_float_member(self):
+        with pytest.raises(ValidationError):
+            subset_mask(3, [1.0])
+
     def test_arbitrary_intersections_stay_open(self, objects3):
         for a in objects3:
             opens = open_sets(a)
