@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .relations import Rel, as_ints
+from .relations import Rel, as_ints, carrier_size
 
 __all__ = [
     "DEFAULT_BUDGET", "PreObj", "Morph",
@@ -111,7 +111,7 @@ def trivial_object(n: int) -> PreObj:
 
 def chain(n: int) -> PreObj:
     """The linear order 0 <= 1 <= ... <= n-1."""
-    return make_object(n, [(i, i + 1) for i in range(n - 1)], mode="close")
+    return make_object(n, [(i, i + 1) for i in range(carrier_size(n) - 1)], mode="close")
 
 
 @dataclass(frozen=True)

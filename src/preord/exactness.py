@@ -10,22 +10,18 @@ over the whole (infinite) category they compare against the canonical
 construction.  The definitional verifiers below do quantify, over a
 finite list of probe objects, and serve as independent oracles.
 
-They run on one engine (`prekernel_batch`, `precokernel_batch`) that
-checks a `SeqBatch` of same-shape sequences X --k--> A --g--> C against
-all probes of one size in one array pass: consecutive same-size probes
-share a candidate grid of maps, and each test (monotone, trivial,
-factors) is a table of sequences x grid rows x probes, read from a bool
-mask per cell of the probes' carrier square (`category.maps_into_table`,
-`maps_out_table`) and cut into slices of probes, then of sequences,
-within the budget.  A single morphism is a batch of one.  A sequence
-whose k (or p) is an isomorphism needs no table: the composite decides
-it.  Nor does a run of one-point probes, the one-point object being
-terminal.  The class-relative checks of `preord.pretorsion` pass a
-row-wise triviality predicate, asked only of the rows that fail to
-factor; the stable verifiers of `preord.stable` pass `classes(obj,
+They run on one engine, `_universal`, that checks a `SeqBatch` of
+same-shape sequences X --k--> A --g--> C against all probes of one size
+in one array pass, one table of sequences x grid rows x probes per test;
+`prekernel_batch` and `precokernel_batch` give it what the two differ
+in: the grids, the table kernel (`category.maps_into_table` or
+`maps_out_table`), how a lam' reaches a lam, and the verdict of a run
+of one-point probes.  A single morphism is a batch of one.  The
+class-relative checks of `preord.pretorsion` pass a row-wise triviality
+predicate; the stable verifiers of `preord.stable` pass `classes(obj,
 base)`, the first row of the stable class of each row of
 `candidate_grid(obj.n, base)`, so that factorizations are counted by
-class over every sequence of a slice at once.
+class.
 """
 
 from __future__ import annotations
@@ -325,6 +321,74 @@ def _slices(alive: np.ndarray, run, rows: int, width: int, budget: int):
             yield cols, live[part]
 
 
+def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
+               stats: Counter | None, side) -> np.ndarray:
+    """The engine of `prekernel_batch` and `precokernel_batch`: per sequence
+    X --k--> A --g--> C of the batch, does its leg (k, or g) have the
+    universal property over the probes?
+
+    g o k must be trivial, and each lam the property asks about must factor
+    through the leg by exactly one of the monotone lam', counted per row,
+    or per class, they reach.  The probes of one size share the grids of
+    the lam and of the lam'; each test is a table of sequences x grid rows
+    x probes, one for both where the grids are one and a sequence's lam'
+    read the cells its lam read.  A failed sequence skips later runs.
+    `side()`, asked if the batch is not empty, gives (iso, points, cells,
+    table, args, tabulate): which legs are isomorphisms (the composite
+    then decides, without a table); None, or what is left alive after a
+    run of one-point probes, in closed form; per sequence, the cells that
+    `table(grid, cells, run, cols, budget)` reads for the lam and the
+    lam'; `args(s, rows, probe)`, what `trivial` is asked of the rows of
+    sequence s that fail to factor; and `tabulate(run)`, the two grids
+    and `piece(cols, idx, lam)`: the lam table of a slice cut down to the
+    trivial lam, the reach index (the lam grid row of each lam' after the
+    leg) and the class tables of `_unique_factors`.
+
+    Budgets are those of `monotone_maps` on the same hom sets, checked
+    before each run that a sequence still has to tabulate, and the tables
+    are cut so that none, nor an intermediate, exceeds the budget.  An
+    isomorphic leg, or a run decided without a table, meets no grid, so
+    it never raises BudgetError, however large its probes or objects.
+    `stats`, a Counter, gains the sequences, those decided by an
+    isomorphic leg (`iso_legs`), the one-point runs of a sequence decided
+    without a table (`point_runs`) and the table cells (lam tables:
+    sequences x grid rows x probes) checked.
+    """
+    if not len(seqs):
+        return np.zeros(0, dtype=bool)
+    iso, points, (lam_cells, prime_cells), table, args, tabulate = side()
+    alive = seqs.trivial_composites(trivial)
+    decided, alive = alive & iso, alive & ~iso
+    same = ((lam_cells == prime_cells).all(axis=(1, 2)) if lam_cells.shape == prime_cells.shape
+            else np.zeros(len(seqs), dtype=bool))
+    for run in same_size_runs(tests):
+        if not alive.any():
+            break
+        if run.m == 1 and points is not None:
+            if stats is not None:
+                stats["point_runs"] += int(alive.sum())
+            alive = points(alive)
+            continue
+        grid, primes, piece = tabulate(run)
+        for cols, idx in _slices(alive, run, max(len(grid), len(primes)),
+                                 max(run.m, seqs.g.shape[1]), budget):
+            lam = table(grid, lam_cells[idx], run, cols, budget)
+            factors = lam if primes is grid and same[idx].all() else table(
+                primes, prime_cells[idx], run, cols, budget)
+            lam, reach, classes = piece(cols, idx, lam)
+            fail = lam & ~_unique_factors(reach, factors, len(grid), *classes)
+            if fail.any():
+                at = np.arange(len(seqs))[idx]
+                alive[idx] &= ~_failing(fail, trivial, lambda i, j: args(
+                    at[i], grid[fail[i, :, j]], run.objs[cols][j]))
+            if stats is not None:
+                stats["cells"] += lam.size
+    if stats is not None:
+        stats["sequences"] += len(seqs)
+        stats["iso_legs"] += int(iso.sum())
+    return alive | decided
+
+
 def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                     classes=None, stats: Counter | None = None) -> np.ndarray:
     """The prekernel property of k for g over probes, one bool per
@@ -338,12 +402,8 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     by probe only of the rows that fail to factor.  With `classes(obj,
     base)`, giving each row of `candidate_grid(obj.n, base)` (maps out of
     obj) the first row of its class, both equalities hold up to class.
-
-    The probes of one size share the candidate grid of maps Y -> A; each
-    test is a table of sequences x grid rows x probes.  The monotone lam'
-    of the grid of maps Y -> X are counted per row, or per class, they
-    reach through k; k need not be injective.  A failed sequence skips
-    later runs.
+    The lam are the grid of maps Y -> A, the lam' that of maps Y -> X,
+    and k need not be injective.
 
     When k is an isomorphism, lam' = k^-1 o lam is the one factorization
     of every lam, also up to class (composing with k^-1 keeps stable
@@ -351,141 +411,74 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     such a sequence is decided without a table.  So is a run of one-point
     probes unless a predicate is given: each lam is a point of A, so k
     must be a bijection, or nothing up to stable equality, as every map
-    out of a point is stably trivial.
-
-    Budgets are those of `monotone_maps` on the same hom sets, checked
-    before each run that a sequence still has to tabulate, and the tables
-    are cut so that none, nor an intermediate, exceeds the budget.  An
-    isomorphic k, or a run decided without a table, meets no grid, so it
-    never raises BudgetError, however large its probes or objects.
-    `stats`, a Counter, gains the sequences, those decided by an
-    isomorphic leg (`iso_legs`), the one-point runs of a sequence decided
-    without a table (`point_runs`) and the table cells (lam tables:
-    sequences x grid rows x probes) checked.
+    out of a point is stably trivial.  Budgets, slicing and `stats` are
+    those of the engine, `_universal`.
     """
-    if not len(seqs):
-        return np.zeros(0, dtype=bool)
-    kmap, fmap = seqs.k, seqs.g
-    xn, an = kmap.shape[1], fmap.shape[1]
-    alive = seqs.trivial_composites(trivial)
-    a_bad = ~stack_bits(seqs.mids)
-    lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
-    x_bad = ~stack_bits(seqs.xs)
-    iso = _iso_legs(kmap, x_bad, a_bad)
-    decided, alive = alive & iso, alive & ~iso
-    # the lam' come from the grid of the lam when X has A's size: per
-    # sequence, do they read the cells the lam read?
-    same = (x_bad == lam_bad).all(axis=(1, 2)) if xn == an else np.zeros(len(seqs), bool)
-    for run in same_size_runs(tests):
-        if not alive.any():
-            break
-        m = run.m
-        if m == 1 and trivial is None:
-            # each lam is a point of A, and stably trivial
-            if stats is not None:
-                stats["point_runs"] += int(alive.sum())
-            if classes is None:
-                alive &= _bijective(kmap, an)
-            continue
-        grid = candidate_grid(m, an, budget)
-        primes = grid if xn == an else candidate_grid(m, xn, budget)
-        # per probe, the class of each row of the grids of the lam and the lam'
-        tables = [] if classes is None else [
-            np.stack([classes(y, n) for y in run.objs], axis=1)[None] for n in (an, xn)]
-        for cols, idx in _slices(alive, run, max(len(grid), len(primes)), max(m, an), budget):
-            part = run.objs[cols]
-            lam = maps_into_table(grid, lam_bad[idx], run, cols, budget)
-            # one table where lam and lam' read the same cells of one grid,
-            # as for every canonical prekernel under plain triviality
-            factors = lam if same[idx].all() else maps_into_table(
-                primes, x_bad[idx], run, cols, budget)
-            fail = lam & ~_unique_factors(grid_index(kmap[idx][:, primes], an), factors,
-                                          len(grid), *(t[:, :, cols] for t in tables))
-            if fail.any():
-                at = np.arange(len(seqs))[idx]
-                alive[idx] &= ~_failing(fail, trivial, lambda i, j: (
-                    fmap[at[i]][grid[fail[i, :, j]]], part[j], seqs.cs[at[i]]))
-            if stats is not None:
-                stats["cells"] += lam.size
-    if stats is not None:
-        stats["sequences"] += len(seqs)
-        stats["iso_legs"] += int(iso.sum())
-    return alive | decided
+    def side():
+        kmap, fmap = seqs.k, seqs.g
+        xn, an = kmap.shape[1], fmap.shape[1]
+        a_bad, x_bad = ~stack_bits(seqs.mids), ~stack_bits(seqs.xs)
+        lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
+
+        def tabulate(run):
+            grid = candidate_grid(run.m, an, budget)
+            primes = grid if xn == an else candidate_grid(run.m, xn, budget)
+            # per probe, the class of each row of the grids of the lam and the lam'
+            tables = [] if classes is None else [
+                np.stack([classes(y, n) for y in run.objs], axis=1)[None] for n in (an, xn)]
+            return grid, primes, lambda cols, idx, lam: (
+                lam, grid_index(kmap[idx][:, primes], an), [t[:, :, cols] for t in tables])
+        points = None if trivial is not None else lambda alive: (
+            alive if classes is not None else alive & _bijective(kmap, an))
+        return (_iso_legs(kmap, x_bad, a_bad), points, (lam_bad, x_bad), maps_into_table,
+                lambda s, rows, y: (fmap[s][rows], y, seqs.cs[s]), tabulate)
+    return _universal(seqs, tests, trivial, budget, stats, side)
 
 
 def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                       classes=None, stats: Counter | None = None) -> np.ndarray:
     """Dual engine, one bool per sequence X --f--> A --p--> C: p o f
     trivial, and unique factorization lam = lam' o p for every lam: A -> T
-    with lam o f trivial.
+    with lam o f trivial.  Triviality and classes are as in
+    `prekernel_batch`; budgets, slicing and `stats` are the engine's.
 
-    The probes of one size share the candidate grid of maps A -> T; plain
-    triviality of lam o f does not depend on the probe (lam must send the
-    image under f of each related pair of X to one point).  The monotone
-    lam' of the grid of maps C -> T are counted per row, or per class of
-    `classes`, they reach through p; p need not be surjective.  When p is
-    an isomorphism, lam' = lam o p^-1 is the one factorization, also up to
-    class, so p o f trivial decides the sequence without a table or a
-    grid.  A run of one-point probes never fails, whatever the
-    triviality: the one map into a point is the one map out of C after p.
-    Triviality, classes, budgets, slicing and `stats` are as in
-    `prekernel_batch`.
+    The lam are the grid of maps A -> T, the lam' that of maps C -> T,
+    and p need not be surjective.  Plain triviality of lam o f does not
+    depend on the probe (lam must send the image under f of each related
+    pair of X to one point).  When p is an isomorphism, lam' = lam o p^-1
+    is the one factorization, also up to class, so p o f trivial decides
+    the sequence without a table or a grid.  A run of one-point probes
+    never fails, whatever the triviality: the one map into a point is the
+    one map out of C after p.
     """
-    if not len(seqs):
-        return np.zeros(0, dtype=bool)
-    fmap, pmap = seqs.k, seqs.g
-    an, cn = pmap.shape[1], seqs.cs[0].n
-    alive = seqs.trivial_composites(trivial)
-    iso = _iso_legs(pmap, stack_bits(seqs.mids), stack_bits(seqs.cs))
-    decided, alive = alive & iso, alive & ~iso
-    # padded with the diagonal pair (0, 0), which every map below carries
-    # to a diagonal cell: related, and never apart
-    a_pairs, c_pairs = pair_rows(seqs.mids), pair_rows(seqs.cs)
-    if trivial is None:
-        rows = np.arange(len(seqs))[:, None]
-        # the cells of A x A that lam o f trivial asks lam to send to equal points
-        u, v = fmap[rows, pair_rows(seqs.xs)]
-        joined = np.zeros((len(seqs), an * an), dtype=bool)
-        joined[rows, u * an + v] = True
-    # the lam' come from the grid of the lam when C has A's size: per
-    # sequence, do they read the pairs the lam read?
-    same = ((c_pairs == a_pairs).all(axis=(0, 2)) if cn == an and c_pairs.shape == a_pairs.shape
-            else np.zeros(len(seqs), dtype=bool))
-    for run in same_size_runs(tests):
-        if not alive.any():
-            break
-        m = run.m
-        if m == 1:
-            # the one lam is the one lam' after p
-            if stats is not None:
-                stats["point_runs"] += int(alive.sum())
-            continue
-        grid = candidate_grid(an, m, budget)
-        afters = grid if cn == an else candidate_grid(cn, m, budget)
+    def side():
+        fmap, pmap = seqs.k, seqs.g
+        an, cn = pmap.shape[1], seqs.cs[0].n
         if trivial is None:
-            apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
-        # per sequence, the class of each row of the grids of the lam and the lam'
-        tables = [] if classes is None else [
-            np.stack([classes(a, m) for a in objs])[:, :, None] for objs in (seqs.mids, seqs.cs)]
-        for cols, idx in _slices(alive, run, max(len(grid), len(afters)), max(m, an), budget):
-            part = run.objs[cols]
-            monotone = maps_out_table(grid, a_pairs[:, idx], run, cols, budget)
-            lam = monotone & ~(joined[idx] @ apart.T)[:, :, None] if trivial is None else monotone
-            # one table where the lam and lam' o p read the same pairs of one grid
-            factors = monotone if same[idx].all() else maps_out_table(
-                afters, c_pairs[:, idx], run, cols, budget)
-            fail = lam & ~_unique_factors(grid_index(afters[:, pmap[idx]], m).T, factors,
-                                          len(grid), *(t[idx] for t in tables))
-            if fail.any():
-                at = np.arange(len(seqs))[idx]
-                alive[idx] &= ~_failing(fail, trivial, lambda i, j: (
-                    grid[fail[i, :, j]][:, fmap[at[i]]], seqs.xs[at[i]], part[j]))
-            if stats is not None:
-                stats["cells"] += lam.size
-    if stats is not None:
-        stats["sequences"] += len(seqs)
-        stats["iso_legs"] += int(iso.sum())
-    return alive | decided
+            rows = np.arange(len(seqs))[:, None]
+            # the cells of A x A that lam o f trivial asks lam to send to equal points
+            u, v = fmap[rows, pair_rows(seqs.xs)]
+            joined = np.zeros((len(seqs), an * an), dtype=bool)
+            joined[rows, u * an + v] = True
+
+        def tabulate(run):
+            grid = candidate_grid(an, run.m, budget)
+            afters = grid if cn == an else candidate_grid(cn, run.m, budget)
+            if trivial is None:
+                apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
+            # per sequence, the class of each row of the grids of the lam and the lam'
+            tables = [] if classes is None else [np.stack(
+                [classes(a, run.m) for a in objs])[:, :, None] for objs in (seqs.mids, seqs.cs)]
+            return grid, afters, lambda cols, idx, lam: (
+                lam & ~(joined[idx] @ apart.T)[:, :, None] if trivial is None else lam,
+                grid_index(afters[:, pmap[idx]], run.m).T, [t[idx] for t in tables])
+        # the related pairs of A and of C, sequences first, padded with (0, 0),
+        # which every map carries to a diagonal cell: related, never apart
+        pairs = pair_rows(seqs.mids).swapaxes(0, 1), pair_rows(seqs.cs).swapaxes(0, 1)
+        return (_iso_legs(pmap, stack_bits(seqs.mids), stack_bits(seqs.cs)), lambda alive: alive,
+                pairs, lambda grid, uv, *table: maps_out_table(grid, uv.swapaxes(0, 1), *table),
+                lambda s, rows, y: (rows[:, fmap[s]], seqs.xs[s], y), tabulate)
+    return _universal(seqs, tests, trivial, budget, stats, side)
 
 
 def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,

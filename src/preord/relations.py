@@ -51,6 +51,14 @@ def as_ints(what: str, xs) -> tuple[int, ...]:
         raise ValidationError(f"{what} must be integers: {e}") from None
 
 
+def carrier_size(n) -> int:
+    """n read through `as_ints` as the size of a carrier: an int >= 0."""
+    n, = as_ints("carrier sizes", (n,))
+    if n < 0:
+        raise ValidationError("carrier size must be >= 0")
+    return n
+
+
 # Carriers of at least this many points take the packed kernels.  Measured
 # crossover on random preorders, equivalences and chains: the packed
 # composition wins from about 32 points and Warshall's closure from 40 to
@@ -114,8 +122,7 @@ class Rel:
     bits: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError("carrier size must be >= 0")
+        object.__setattr__(self, "n", carrier_size(self.n))
         object.__setattr__(self, "bits", _freeze(self.n, self.bits))
 
     # ------------------------------------------------------------------
@@ -124,26 +131,26 @@ class Rel:
     @classmethod
     def identity(cls, n: int) -> "Rel":
         """The equality relation (the diagonal)."""
-        return cls(n, np.eye(n, dtype=bool))
+        return cls.from_pairs(n, (), reflexive=True)
 
     @classmethod
     def full(cls, n: int) -> "Rel":
-        return cls(n, np.ones((n, n), dtype=bool))
+        return cls(n, ~cls.empty(n).bits)
 
     @classmethod
     def empty(cls, n: int) -> "Rel":
-        return cls(n, np.zeros((n, n), dtype=bool))
+        return cls.from_pairs(n, ())
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]],
                    reflexive: bool = False) -> "Rel":
-        n, = as_ints("carrier sizes", (n,))
+        n = carrier_size(n)
         bits = np.eye(n, dtype=bool) if reflexive else np.zeros((n, n), dtype=bool)
         for pair in pairs:
-            a, b = as_ints("pair entries", pair)
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValidationError(f"pair ({a}, {b}) out of range for n={n}")
-            bits[a, b] = True
+            ab = as_ints("pair entries", pair)
+            if len(ab) != 2 or not (0 <= ab[0] < n and 0 <= ab[1] < n):
+                raise ValidationError(f"pair {ab} is not two points in range for n={n}")
+            bits[ab] = True
         return cls(n, bits)
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .category import Morph, PreObj, coproduct, is_trivial_object
 from .errors import BudgetError, ValidationError
-from .relations import Partition, Rel, as_ints
+from .relations import Partition, Rel, as_ints, carrier_size
 
 __all__ = [
     "subset_mask", "is_open", "is_clopen", "open_sets",
@@ -33,7 +33,7 @@ _CLOPEN_CAP = 20
 
 def subset_mask(n: int, members) -> np.ndarray:
     """Boolean mask of length n from an iterable of indices."""
-    n, = as_ints("carrier sizes", (n,))
+    n = carrier_size(n)
     m = np.zeros(n, dtype=bool)
     for x in as_ints("members", members):
         if not (0 <= x < n):

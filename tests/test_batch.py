@@ -199,6 +199,12 @@ class TestIsomorphicLegs:
         assert prekernel_property(self.SWAP, self.ONTO_POINT, big, None, 100)
         with pytest.raises(BudgetError):
             prekernel_property(self.UNDER, self.ONTO_POINT, big, None, 100)
+        # 11 ** 2 maps x 2 cells out of a 2-point object
+        wide = [trivial_object(11)]
+        assert precokernel_property(self.SWAP, self.FROM_POINT, wide, None, 100)
+        with pytest.raises(BudgetError):
+            precokernel_property(Morph(self.CHAIN01, self.POINT, (0, 0)), self.FROM_POINT,
+                                 wide, None, 100)
 
     def test_counted_per_sequence(self):
         stats = Counter()
@@ -208,6 +214,14 @@ class TestIsomorphicLegs:
                             (self.UNDER, const)])
         assert prekernel_batch(seqs, objects_upto(2), None, 1_000_000,
                                stats=stats).tolist() == [True, False, False]
+        assert (stats["iso_legs"], stats["sequences"]) == (2, 3)
+        # and dually: every sequence starts at the 2-chain
+        stats = Counter()
+        const = Morph(self.CHAIN01, self.CHAIN01, (0, 0))
+        seqs = SeqBatch.of([(const, self.SWAP), (self.IDENTITY01, self.SWAP),
+                            (const, Morph(self.CHAIN01, self.CHAIN10, (0, 0)))])
+        assert precokernel_batch(seqs, objects_upto(2), None, 1_000_000,
+                                 stats=stats).tolist() == [True, False, False]
         assert (stats["iso_legs"], stats["sequences"]) == (2, 3)
 
 

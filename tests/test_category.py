@@ -9,7 +9,7 @@ from preord import (
     BudgetError, Morph, PreObj, Rel, ValidationError,
     chain, compose, coproduct, find_lift, hom_enumerate, identity,
     is_epi, is_mono, is_morphism, is_trivial_morphism, is_trivial_object,
-    iso_enumerate, iso_search, make_object, monotone_maps, product,
+    iso_enumerate, iso_search, make_object, monotone_maps, product, subset_mask,
     triv_enumerate, trivial_object,
 )
 
@@ -54,9 +54,20 @@ class TestMakeObject:
         with pytest.raises(ValidationError):
             make_object(2, [(0.5, 1)])
 
-    def test_float_carrier_size_rejected(self):
+    # every carrier size is read as an int >= 0, and every pair has two entries
+    @pytest.mark.parametrize("build", [
+        lambda: make_object(2.0),
+        lambda: Rel(2.0, np.eye(2, dtype=bool)),
+        lambda: trivial_object(2.0),
+        lambda: chain(2.0),
+        lambda: trivial_object(-1),
+        lambda: make_object(3, [(0, 1, 2)]),
+        lambda: subset_mask(-1, []),
+    ], ids=["make_object", "Rel", "trivial_object", "chain", "trivial_object_negative",
+            "three_entry_pair", "subset_mask_negative"])
+    def test_float_carrier_size_rejected(self, build):
         with pytest.raises(ValidationError):
-            make_object(2.0)
+            build()
 
 
 class TestMorphisms:

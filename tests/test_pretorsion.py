@@ -541,7 +541,10 @@ class TestPretorsionVerify:
             "pass on 1466 maps\n"
             "verdict: pass")
 
-    def test_work_counters_count_every_table_cell_n3(self, objects2, objects3):
+    @pytest.mark.parametrize("max_n, counts", [(3, (13, 14, 12, 282, 6, 8)),
+                                               (4, (46, 35, 57, 33_546, 11, 24))],
+                             ids=["max_n3", "max_n4"])
+    def test_work_counters_count_every_table_cell_n3(self, max_n, counts):
         # axiom 1 checks the first object of each isomorphism class with the
         # first probe of each class: a prekernel check reads a table of the
         # maps from each probe of size m into the object (n ** m grid rows),
@@ -551,21 +554,23 @@ class TestPretorsionVerify:
         # one-point probes, which every other sequence decides without a
         # table; axiom 2 reads one table of the maps from each T-class into
         # each F-class
-        report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3)
-        classes = first_of_each_class(objects3)
-        sizes = Counter(y.n for y in first_of_each_class(objects2))
-        assert report.classes_checked == len(classes) == 13
+        n_classes, n_iso, n_points, n_cells, n_ts, n_fs = counts
+        report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, max_n)
+        classes = first_of_each_class(objects_upto(max_n))
+        sizes = Counter(y.n for y in first_of_each_class(objects_upto(max_n - 1)))
+        assert report.classes_checked == len(classes) == n_classes
         assert report.sequences_checked == 2 * len(classes)
         iso_k = [b.rel.is_symmetric() for b in classes]
         iso_p = [b.rel.is_antisymmetric() for b in classes]
-        assert report.iso_legs == sum(iso_k) + sum(iso_p) == 14
-        assert report.point_runs == 2 * len(classes) - report.iso_legs == 12
+        assert report.iso_legs == sum(iso_k) + sum(iso_p) == n_iso
+        assert report.point_runs == 2 * len(classes) - report.iso_legs == n_points
         assert report.axiom1_cells == sum(
             (b.n ** m * (not k) + m ** b.n * (not p)) * count
-            for b, k, p in zip(classes, iso_k, iso_p) for m, count in sizes.items() if m > 1)
-        ts = first_of_each_class(EQUIVALENCES.candidates(3))
-        fs = first_of_each_class(PARTIAL_ORDERS.candidates(3))
-        assert report.axiom2_class_pairs == len(ts) * len(fs) == 6 * 8
+            for b, k, p in zip(classes, iso_k, iso_p) for m, count in sizes.items() if m > 1
+        ) == n_cells
+        ts = first_of_each_class(EQUIVALENCES.candidates(max_n))
+        fs = first_of_each_class(PARTIAL_ORDERS.candidates(max_n))
+        assert report.axiom2_class_pairs == len(ts) * len(fs) == n_ts * n_fs
         assert report.axiom2_cells == sum(f.n ** t.n for t in ts for f in fs)
         assert report.axiom1_s > 0 and report.axiom2_s > 0
 
