@@ -76,6 +76,10 @@ class PreObj:
     def n(self) -> int:
         return self.rel.n
 
+    def __hash__(self) -> int:
+        # the relation's cached hash, without hashing a one-field tuple first
+        return self.rel._hash
+
     def __repr__(self) -> str:
         return f"PreObj({self.n}, {sorted(self.rel.pairs())})"
 
@@ -356,13 +360,14 @@ def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slic
     sequences x grid rows x objects.
     """
     m = run.m
-    masks = run.cells[:, cols]
+    masks = run.cells[:, cols].astype(np.float32)
     stack = bad if bad.ndim == 3 else bad[None]
 
     def table(s, rows):
         hit = stack[s][:, rows[:, :, None], rows[:, None, :]].reshape(-1, len(rows), m * m)
-        # a bool product ORs the ANDs: does the row send a pair to `bad`?
-        return ~(hit @ masks)
+        # does the row send a pair to `bad`?  float32 counts the (at most
+        # m * m) such cells exactly, and uses BLAS where a bool product does not
+        return (hit.astype(np.float32) @ masks) == 0
     out = _by_slices(table, len(stack), grid, m * m + masks.shape[1], budget)
     return out if bad.ndim == 3 else out[0]
 
@@ -402,10 +407,12 @@ class ByteLRU:
         @wraps(fn)
         def cached(*args, **kwargs):
             key = (fn, args, tuple(kwargs.items()))
-            if key in self._entries:
+            # a hit hashes the key twice: the values are arrays, never None
+            value = self._entries.get(key)
+            if value is not None:
                 self._entries.move_to_end(key)
                 counts[0] += 1
-                return self._entries[key]
+                return value
             counts[1] += 1
             value = fn(*args, **kwargs)
             if value.nbytes <= self.max_bytes:

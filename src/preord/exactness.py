@@ -90,9 +90,33 @@ def _constructed(bits: np.ndarray) -> PreObj:
     return _interned(n, bits.tobytes()) if n <= HARD_CAP else PreObj._trusted(Rel(n, bits))
 
 
+# The last outputs of `prekernel` and `precokernel` on carriers of at most
+# HARD_CAP points, up to this many, by the value of the morphism: checking
+# one morphism builds each construction several times (its verifiers, its
+# canonical sequence and that sequence's recognition).
+_BUILT = 64
+
+
+@lru_cache(maxsize=_BUILT)
+def _built(build, f: Morph) -> Morph:
+    return build(f)
+
+
+def _construction(build, f: Morph) -> Morph:
+    """build(f), kept in `_built` if f's carriers have at most HARD_CAP
+    points.  A kept output may end at the objects of an equal f built
+    from other objects."""
+    return build(f) if f.dom.n > HARD_CAP or f.cod.n > HARD_CAP else _built(build, f)
+
+
 def prekernel(f: Morph) -> Morph:
     """Canonical prekernel: the identity map out of the domain with the
-    relation cut down to pairs sharing an f-image."""
+    relation cut down to pairs sharing an f-image.  Its codomain is f.dom."""
+    k = _construction(_prekernel, f)
+    return k if k.cod is f.dom else Morph._trusted(k.dom, f.dom, k.map)
+
+
+def _prekernel(f: Morph) -> Morph:
     a = f.dom
     fmap = np.array(f.map)
     # a preorder meets an equivalence in a preorder
@@ -137,7 +161,13 @@ def image_equivalence(f: Morph) -> Rel:
 
 def precokernel(f: Morph) -> Morph:
     """Canonical precokernel: collapse the codomain by `image_equivalence`
-    and carry the join of the codomain relation with it."""
+    and carry the join of the codomain relation with it.  Its domain is
+    f.cod."""
+    p = _construction(_precokernel, f)
+    return p if p.dom is f.cod else Morph._trusted(f.cod, p.cod, p.map)
+
+
+def _precokernel(f: Morph) -> Morph:
     zeta = _image_bits(f)
     # the join of two preorders: the transitive closure of their union
     joined = transitive_closure_bits(f.cod.rel.bits | zeta)
@@ -217,8 +247,8 @@ class SeqBatch:
     @classmethod
     def of(cls, pairs) -> "SeqBatch":
         """From composable pairs (k, g) of morphisms."""
-        return cls(tuple(k.dom for k, _ in pairs), tuple(k.cod for k, _ in pairs),
-                   tuple(g.cod for _, g in pairs), np.array([k.map for k, _ in pairs]),
+        return cls(tuple([k.dom for k, _ in pairs]), tuple([k.cod for k, _ in pairs]),
+                   tuple([g.cod for _, g in pairs]), np.array([k.map for k, _ in pairs]),
                    np.array([g.map for _, g in pairs]))
 
     def __len__(self) -> int:
@@ -233,8 +263,8 @@ class SeqBatch:
         """Per sequence: is g o k trivial?  `trivial` as in the engine."""
         comp = self.g[np.arange(len(self))[:, None], self.k]
         if trivial is None:
-            apart = comp[:, :, None] != comp[:, None, :]
-            return ~(apart & stack_bits(self.xs)).any(axis=(1, 2))
+            # related points share an image
+            return ((comp[:, :, None] == comp[:, None, :]) >= stack_bits(self.xs)).all(axis=(1, 2))
         return np.array([trivial(comp[i:i + 1], x, c)[0]
                          for i, (x, c) in enumerate(zip(self.xs, self.cs))], dtype=bool)
 
@@ -246,13 +276,15 @@ def _bijective(legs: np.ndarray, n: int) -> np.ndarray:
     return (np.sort(legs, axis=1) == np.arange(n)).all(axis=1)
 
 
-def _iso_legs(legs: np.ndarray, dom_bits: np.ndarray, cod_bits: np.ndarray) -> np.ndarray:
-    """Per sequence: is its leg (a row of `legs`, between the sequence's
-    matrices of `dom_bits` and `cod_bits`) an isomorphism, a bijection
-    that carries the one relation exactly onto the other?"""
+def _iso_legs(legs: np.ndarray, bijective: np.ndarray, doms: tuple, cods: tuple) -> np.ndarray:
+    """Per sequence: is its leg (a row of `legs`, from the sequence's object
+    in `doms` to the one in `cods`) an isomorphism, a bijection (as marked
+    in `bijective`) that carries the one relation exactly onto the other?"""
+    if not bijective.any():
+        return bijective
     rows = np.arange(len(legs))[:, None, None]
-    same = cod_bits[rows, legs[:, :, None], legs[:, None, :]] == dom_bits
-    return _bijective(legs, cod_bits.shape[-1]) & same.all(axis=(1, 2))
+    same = stack_bits(cods)[rows, legs[:, :, None], legs[:, None, :]] == stack_bits(doms)
+    return bijective & same.all(axis=(1, 2))
 
 
 def _failing(fail: np.ndarray, trivial, args) -> np.ndarray:
@@ -333,16 +365,18 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     the lam and of the lam'; each test is a table of sequences x grid rows
     x probes, one for both where the grids are one and a sequence's lam'
     read the cells its lam read.  A failed sequence skips later runs.
-    `side()`, asked if the batch is not empty, gives (iso, points, cells,
-    table, args, tabulate): which legs are isomorphisms (the composite
-    then decides, without a table); None, or what is left alive after a
-    run of one-point probes, in closed form; per sequence, the cells that
-    `table(grid, cells, run, cols, budget)` reads for the lam and the
-    lam'; `args(s, rows, probe)`, what `trivial` is asked of the rows of
-    sequence s that fail to factor; and `tabulate(run)`, the two grids
-    and `piece(cols, idx, lam)`: the lam table of a slice cut down to the
-    trivial lam, the reach index (the lam grid row of each lam' after the
-    leg) and the class tables of `_unique_factors`.
+    `side()`, asked if the batch is not empty, gives (iso, points,
+    prepare): which legs are isomorphisms (the composite then decides,
+    without a table); None, or what is left alive after a run of
+    one-point probes, in closed form; and `prepare()`, asked once, at the
+    first run that needs a table, for (cells, table, args, tabulate): per
+    sequence, the cells that `table(grid, cells, run, cols, budget)` reads
+    for the lam and the lam'; `args(s, rows, probe)`, what `trivial` is
+    asked of the rows of sequence s that fail to factor; and
+    `tabulate(run)`, the two grids and `piece(cols, idx, lam)`: the lam
+    table of a slice cut down to the trivial lam, the reach index (the lam
+    grid row of each lam' after the leg) and the class tables of
+    `_unique_factors`.
 
     Budgets are those of `monotone_maps` on the same hom sets, checked
     before each run that a sequence still has to tabulate, and the tables
@@ -356,11 +390,10 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
-    iso, points, (lam_cells, prime_cells), table, args, tabulate = side()
+    iso, points, prepare = side()
     alive = seqs.trivial_composites(trivial)
     decided, alive = alive & iso, alive & ~iso
-    same = ((lam_cells == prime_cells).all(axis=(1, 2)) if lam_cells.shape == prime_cells.shape
-            else np.zeros(len(seqs), dtype=bool))
+    tabulate = None
     for run in same_size_runs(tests):
         if not alive.any():
             break
@@ -369,6 +402,10 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                 stats["point_runs"] += int(alive.sum())
             alive = points(alive)
             continue
+        if tabulate is None:
+            (lam_cells, prime_cells), table, args, tabulate = prepare()
+            same = ((lam_cells == prime_cells).all(axis=(1, 2))
+                    if lam_cells.shape == prime_cells.shape else np.zeros(len(seqs), dtype=bool))
         grid, primes, piece = tabulate(run)
         for cols, idx in _slices(alive, run, max(len(grid), len(primes)),
                                  max(run.m, seqs.g.shape[1]), budget):
@@ -416,22 +453,27 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     """
     def side():
         kmap, fmap = seqs.k, seqs.g
-        xn, an = kmap.shape[1], fmap.shape[1]
-        a_bad, x_bad = ~stack_bits(seqs.mids), ~stack_bits(seqs.xs)
-        lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
+        an = fmap.shape[1]
+        bijective = _bijective(kmap, an)
 
-        def tabulate(run):
-            grid = candidate_grid(run.m, an, budget)
-            primes = grid if xn == an else candidate_grid(run.m, xn, budget)
-            # per probe, the class of each row of the grids of the lam and the lam'
-            tables = [] if classes is None else [
-                np.stack([classes(y, n) for y in run.objs], axis=1)[None] for n in (an, xn)]
-            return grid, primes, lambda cols, idx, lam: (
-                lam, grid_index(kmap[idx][:, primes], an), [t[:, :, cols] for t in tables])
+        def prepare():
+            xn = kmap.shape[1]
+            a_bad, x_bad = ~stack_bits(seqs.mids), ~stack_bits(seqs.xs)
+            lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
+
+            def tabulate(run):
+                grid = candidate_grid(run.m, an, budget)
+                primes = grid if xn == an else candidate_grid(run.m, xn, budget)
+                # per probe, the class of each row of the grids of the lam and the lam'
+                tables = [] if classes is None else [
+                    np.stack([classes(y, n) for y in run.objs], axis=1)[None] for n in (an, xn)]
+                return grid, primes, lambda cols, idx, lam: (
+                    lam, grid_index(kmap[idx][:, primes], an), [t[:, :, cols] for t in tables])
+            return ((lam_bad, x_bad), maps_into_table,
+                    lambda s, rows, y: (fmap[s][rows], y, seqs.cs[s]), tabulate)
         points = None if trivial is not None else lambda alive: (
-            alive if classes is not None else alive & _bijective(kmap, an))
-        return (_iso_legs(kmap, x_bad, a_bad), points, (lam_bad, x_bad), maps_into_table,
-                lambda s, rows, y: (fmap[s][rows], y, seqs.cs[s]), tabulate)
+            alive if classes is not None else alive & bijective)
+        return _iso_legs(kmap, bijective, seqs.xs, seqs.mids), points, prepare
     return _universal(seqs, tests, trivial, budget, stats, side)
 
 
@@ -454,30 +496,33 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     def side():
         fmap, pmap = seqs.k, seqs.g
         an, cn = pmap.shape[1], seqs.cs[0].n
-        if trivial is None:
-            rows = np.arange(len(seqs))[:, None]
-            # the cells of A x A that lam o f trivial asks lam to send to equal points
-            u, v = fmap[rows, pair_rows(seqs.xs)]
-            joined = np.zeros((len(seqs), an * an), dtype=bool)
-            joined[rows, u * an + v] = True
 
-        def tabulate(run):
-            grid = candidate_grid(an, run.m, budget)
-            afters = grid if cn == an else candidate_grid(cn, run.m, budget)
+        def prepare():
             if trivial is None:
-                apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
-            # per sequence, the class of each row of the grids of the lam and the lam'
-            tables = [] if classes is None else [np.stack(
-                [classes(a, run.m) for a in objs])[:, :, None] for objs in (seqs.mids, seqs.cs)]
-            return grid, afters, lambda cols, idx, lam: (
-                lam & ~(joined[idx] @ apart.T)[:, :, None] if trivial is None else lam,
-                grid_index(afters[:, pmap[idx]], run.m).T, [t[idx] for t in tables])
-        # the related pairs of A and of C, sequences first, padded with (0, 0),
-        # which every map carries to a diagonal cell: related, never apart
-        pairs = pair_rows(seqs.mids).swapaxes(0, 1), pair_rows(seqs.cs).swapaxes(0, 1)
-        return (_iso_legs(pmap, stack_bits(seqs.mids), stack_bits(seqs.cs)), lambda alive: alive,
-                pairs, lambda grid, uv, *table: maps_out_table(grid, uv.swapaxes(0, 1), *table),
-                lambda s, rows, y: (rows[:, fmap[s]], seqs.xs[s], y), tabulate)
+                rows = np.arange(len(seqs))[:, None]
+                # the cells of A x A that lam o f trivial asks lam to send to equal points
+                u, v = fmap[rows, pair_rows(seqs.xs)]
+                joined = np.zeros((len(seqs), an * an), dtype=bool)
+                joined[rows, u * an + v] = True
+
+            def tabulate(run):
+                grid = candidate_grid(an, run.m, budget)
+                afters = grid if cn == an else candidate_grid(cn, run.m, budget)
+                if trivial is None:
+                    apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
+                # per sequence, the class of each row of the grids of the lam and the lam'
+                tables = [] if classes is None else [np.stack(
+                    [classes(a, run.m) for a in objs])[:, :, None] for objs in (seqs.mids, seqs.cs)]
+                return grid, afters, lambda cols, idx, lam: (
+                    lam & ~(joined[idx] @ apart.T)[:, :, None] if trivial is None else lam,
+                    grid_index(afters[:, pmap[idx]], run.m).T, [t[idx] for t in tables])
+            # the related pairs of A and of C, sequences first, padded with (0, 0),
+            # which every map carries to a diagonal cell: related, never apart
+            pairs = pair_rows(seqs.mids).swapaxes(0, 1), pair_rows(seqs.cs).swapaxes(0, 1)
+            return (pairs, lambda grid, uv, *table: maps_out_table(grid, uv.swapaxes(0, 1), *table),
+                    lambda s, rows, y: (rows[:, fmap[s]], seqs.xs[s], y), tabulate)
+        return (_iso_legs(pmap, _bijective(pmap, cn), seqs.mids, seqs.cs), lambda alive: alive,
+                prepare)
     return _universal(seqs, tests, trivial, budget, stats, side)
 
 

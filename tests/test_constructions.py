@@ -1,5 +1,6 @@
 """The array-built constructions, their trusted outputs, the interned
-construction objects and the per-object stable class tables."""
+construction objects, the construction cache, object hashing and the
+per-object stable class tables."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from preord import (
     objects_upto, precokernel, precokernel_witness, prekernel, prekernel_witness,
     trivial_object,
 )
-from preord.category import candidate_grid, same_size_runs
+from preord.category import ByteLRU, candidate_grid, same_size_runs
 from preord.exactness import (
-    _INTERNED, SeqBatch, _interned, precokernel_batch, prekernel_batch,
+    _BUILT, _INTERNED, SeqBatch, _built, _interned, precokernel_batch, prekernel_batch,
 )
 from preord.stable import _stable_canon, _stable_classes
 
@@ -88,6 +89,72 @@ class TestInterning:
     def test_carriers_beyond_the_enumeration_cap_are_not_interned(self):
         f = Morph(chain(6), trivial_object(1), (0,) * 6)
         assert prekernel(f).dom == chain(6) and prekernel(f).dom is not prekernel(f).dom
+
+
+class TestConstructionCache:
+    """`prekernel` and `precokernel` keep their last outputs on small
+    carriers, by the value of the morphism."""
+
+    def test_a_hit_equals_a_fresh_build(self, morphisms3):
+        for f in morphisms3[::29]:
+            prekernel(f), precokernel(f)
+            hits = _built.cache_info().hits
+            got = prekernel(f), precokernel(f)
+            assert _built.cache_info().hits == hits + 2
+            _built.cache_clear()
+            assert got == (prekernel(f), precokernel(f))
+
+    def test_a_hit_ends_at_the_callers_objects(self):
+        f = Morph(make_object(3, [(0, 1)]), chain(2), (0, 0, 1))
+        twin = Morph(make_object(3, [(0, 1)]), chain(2), (0, 0, 1))
+        assert twin == f and twin.dom is not f.dom and twin.cod is not f.cod
+        _built.cache_clear()
+        want = prekernel(twin), precokernel(twin)
+        k, p = prekernel(f), precokernel(f)
+        assert _built.cache_info().hits == 2
+        assert (k, p) == want
+        assert k.cod is f.dom and p.dom is f.cod
+        assert prekernel(twin).cod is twin.dom and precokernel(twin).dom is twin.cod
+
+    def test_the_cache_stays_within_its_bound(self, morphisms3):
+        _built.cache_clear()
+        for f in morphisms3[:200]:
+            prekernel(f), precokernel(f)
+            assert _built.cache_info().currsize <= _BUILT
+        assert _built.cache_info().currsize == _BUILT
+
+    def test_carriers_beyond_the_enumeration_cap_leave_the_cache_unchanged(self):
+        before = _built.cache_info()
+        for f in (Morph(chain(6), trivial_object(1), (0,) * 6),
+                  Morph(chain(6), chain(6), tuple(range(6))),
+                  Morph(chain(2), chain(6), (0, 5))):
+            assert prekernel(f).cod is f.dom and precokernel(f).dom is f.cod
+        assert _built.cache_info() == before
+
+    def test_equal_objects_hash_alike(self):
+        a, b = make_object(3, [(0, 1), (1, 2)]), chain(3)
+        assert a == b and a is not b and a.rel is not b.rel
+        assert hash(a) == hash(b) == hash(a.rel)
+        # a trusted construction output hashes as the checked object
+        k = prekernel(Morph(a, trivial_object(1), (0, 0, 0)))
+        assert k.dom == a and hash(k.dom) == hash(a)
+
+    def test_a_byte_lru_hit_hashes_its_key_at_most_twice(self):
+        class Key:
+            hashed = 0
+
+            def __hash__(self):
+                Key.hashed += 1
+                return 7
+
+        cache = ByteLRU(1 << 10)
+        zeros = cache(lambda key: np.zeros(4))
+        key = Key()
+        zeros(key)
+        Key.hashed = 0
+        zeros(key)
+        assert zeros.cache_info() == (1, 1)
+        assert 1 <= Key.hashed <= 2
 
 
 class TestStableClasses:

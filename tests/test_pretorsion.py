@@ -27,8 +27,8 @@ from preord import pretorsion
 from preord.enumeration import catalogue, class_representatives
 
 from .oracles import (
-    axiom2_scan_brute, canonical_code_brute, kind_test, precokernel_property_search,
-    prekernel_property_search,
+    axiom2_scan_brute, brute_objects, canonical_code_brute, kind_test,
+    precokernel_property_search, prekernel_property_search,
 )
 
 MIXED = make_object(3, [(0, 1), (1, 0), (1, 2)], mode="close")
@@ -824,6 +824,23 @@ class TestAxiom2ByClass:
         ts = first_of_each_class(EQUIVALENCES.candidates(3))
         fs = first_of_each_class(self.PO_BUT_CHAIN10.candidates(3))
         assert report.axiom2_class_pairs == len(ts) * len(fs) == 6 * 8
+
+    # labeled members and isomorphism classes on 5 points: Bell(5) and
+    # A000041(5), A001035(5) and A000112(5)
+    @pytest.mark.parametrize("cls, labeled5, classes5", [
+        (EQUIVALENCES, 52, 7), (PARTIAL_ORDERS, 4231, 63),
+    ], ids=["equivalences", "partial-orders"])
+    def test_class_weights_count_every_labeled_member_n5(self, cls, labeled5, classes5):
+        firsts, weights, _ = pretorsion._by_class(cls, 5)
+        per_class = Counter((n, canonical_code_brute(n, pairs))
+                            for n, pairs in brute_objects(4, KIND_OF[cls]))
+        small = [a for a in firsts if a.n <= 4]
+        assert len(firsts) == len(weights) == len(per_class) + classes5
+        assert weights.sum() == sum(per_class.values()) + labeled5
+        assert weights.tolist()[:len(small)] == [
+            per_class[a.n, canonical_code_brute(a.n, set(a.rel.pairs(include_diagonal=True)))]
+            for a in small]
+        assert (weights[len(small):] > 0).all()
 
 
 class TestClosureProp:
