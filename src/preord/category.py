@@ -81,7 +81,7 @@ class PreObj:
         return self.rel._hash
 
     def __repr__(self) -> str:
-        return f"PreObj({self.n}, {sorted(self.rel.pairs())})"
+        return f"PreObj({self.n}, {self.rel.pair_list})"
 
 
 def make_object(n: int, pairs: Iterable[tuple[int, int]] = (),

@@ -53,7 +53,7 @@ def _cmd_decompose(args) -> int:
     a = _obj(args.object)
     part, q, proj = core_quotient(a)
     print(f"torsion blocks: {_blocks_str(part.blocks)}")
-    print(f"quotient poset pairs: {sorted(q.rel.pairs())}")
+    print(f"quotient poset pairs: {q.rel.pair_list}")
     print(f"projection: {list(proj.map)}")
     return 0
 
@@ -140,7 +140,8 @@ def _cmd_classify_exact(args) -> int:
     except NotShortExactError as e:
         print(f"not short exact: {e}")
         return 1
-    part = Partition.from_equivalence(sim)
+    # the image equivalence of the prekernel is an equivalence by construction
+    part = Partition._of_equivalence(sim.bits)
     print(f"kernel equivalence blocks: {_blocks_str(part.blocks)}")
     print(f"left witness: {list(left.map)}")
     print(f"right witness: {list(right.map)}")

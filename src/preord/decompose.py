@@ -36,11 +36,19 @@ def quotient_poset(a: PreObj) -> tuple[PreObj, Morph]:
 def core_quotient(a: PreObj) -> tuple[Partition, PreObj, Morph]:
     """The blocks of the symmetric core with `quotient_poset`, built from
     one partition, for callers that need both."""
-    part = Partition.from_equivalence(symmetric_core(a))
+    return _quotient(a, a.rel.bits & a.rel.bits.T)
+
+
+def _quotient(a: PreObj, equiv: np.ndarray) -> tuple[Partition, PreObj, Morph]:
+    """The blocks of an equivalence matrix on a's carrier, the quotient of a
+    by them on the smallest member of each block, and its projection."""
+    # valid only when every block lies inside a's preorder: then the
+    # preorder restricted to one point per block is a preorder, related
+    # points land on related representatives, and the projection is monotone
+    part = Partition._of_equivalence(equiv)
     reps = [blk[0] for blk in part.blocks]
-    # a preorder restricted to some of its points is again a preorder
     q = PreObj._trusted(Rel(part.size, a.rel.bits[np.ix_(reps, reps)]))
-    return part, q, Morph(a, q, part.class_of)
+    return part, q, Morph._trusted(a, q, part.class_of)
 
 
 def assemble_preorder(sim: Rel, leq: Rel, part: Partition) -> PreObj:

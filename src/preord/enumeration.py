@@ -32,7 +32,7 @@ import numpy as np
 
 from .category import PreObj
 from .errors import BudgetError, ValidationError
-from .relations import Rel
+from .relations import Rel, carrier_size
 
 __all__ = ["KINDS", "HARD_CAP", "enumerate_objects", "count_objects", "objects_upto",
            "class_representatives"]
@@ -177,6 +177,7 @@ def catalogue(n: int) -> Catalogue:
 def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
     """All labeled objects of the kind on exactly n elements, in
     lexicographic order, from the catalogue of size n."""
+    n = carrier_size(n)
     _check(n, kind)
     cat = catalogue(n)
     # the extension keeps only preorders, so the objects skip a second check
@@ -185,6 +186,7 @@ def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
 
 
 def count_objects(n: int, kind: str = "preorder") -> int:
+    n = carrier_size(n)
     _check(n, kind)
     return int(catalogue(n).masks[kind].sum())
 
@@ -192,7 +194,7 @@ def count_objects(n: int, kind: str = "preorder") -> int:
 def objects_upto(max_n: int, kind: str = "preorder") -> list[PreObj]:
     """All objects of the kind with 1 <= size <= max_n, smaller first."""
     out: list[PreObj] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, carrier_size(max_n) + 1):
         _check(n, kind)
         cat = catalogue(n)
         out.extend(map(cat.obj, np.flatnonzero(cat.masks[kind])))
@@ -202,5 +204,5 @@ def objects_upto(max_n: int, kind: str = "preorder") -> list[PreObj]:
 def class_representatives(max_n: int) -> list[PreObj]:
     """The first object of each isomorphism class with 1 <= size <= max_n,
     smaller first and in code order within a size."""
-    return [catalogue(n).obj(i) for n in range(1, max_n + 1)
+    return [catalogue(n).obj(i) for n in range(1, carrier_size(max_n) + 1)
             for i in catalogue(n).representatives]

@@ -38,9 +38,10 @@ from .category import (
     stack_bits, table_slices,
     DEFAULT_BUDGET,
 )
+from .decompose import _quotient
 from .enumeration import HARD_CAP
 from .errors import ValidationError
-from .relations import Partition, Rel, block_ids, transitive_closure_bits
+from .relations import Rel, block_ids, transitive_closure_bits
 
 __all__ = [
     "Seq", "kernel_pair_equiv", "prekernel", "quotient_object",
@@ -134,13 +135,11 @@ def quotient_object(a: PreObj, sim: Rel) -> tuple[PreObj, Morph]:
     """
     if sim.n != a.n:
         raise ValidationError("equivalence carrier does not match the object")
-    part = Partition.from_equivalence(sim)
+    if not sim.is_equivalence():
+        raise ValidationError("relation is not an equivalence")
     if not sim.is_subrel(a.rel):
         raise ValidationError("equivalence is not contained in the relation")
-    reps = [blk[0] for blk in part.blocks]
-    # a preorder restricted to some of its points is again a preorder
-    q = PreObj._trusted(Rel(part.size, a.rel.bits[np.ix_(reps, reps)]))
-    return q, Morph(a, q, part.class_of)
+    return _quotient(a, sim.bits)[1:]
 
 
 def _image_bits(f: Morph) -> np.ndarray:
@@ -585,13 +584,13 @@ def characterize_preexact(s: Seq) -> tuple[Morph, Morph]:
     up to the iso left, precokernel(f) is pi, and right is the inverse of
     g's precokernel witness.
     """
-    if not is_short_preexact(s):
-        raise ValidationError("sequence is not short preexact")
     f, g = s.f, s.g
-    phi = precokernel_witness(g, f)
+    left = prekernel_witness(f, g)
+    phi = None if left is None else precokernel_witness(g, f)
+    if phi is None:
+        raise ValidationError("sequence is not short preexact")
     # the inverse of an isomorphism is one
-    return prekernel_witness(f, g), Morph._trusted(
-        g.cod, phi.dom, tuple(inverse_map(phi.map, g.cod.n)))
+    return left, Morph._trusted(g.cod, phi.dom, tuple(inverse_map(phi.map, g.cod.n)))
 
 
 def identity_prekernel_test(sigma: Rel, rho: Rel) -> bool:

@@ -30,8 +30,7 @@ _PALETTE = (
 
 def save_object(a: PreObj) -> str:
     """Canonical single-line JSON for an object; diagonal pairs omitted."""
-    pairs = sorted(a.rel.pairs())
-    body = {"n": a.n, "pairs": [list(p) for p in pairs], "mode": "strict"}
+    body = {"n": a.n, "pairs": [list(p) for p in a.rel.pair_list], "mode": "strict"}
     return json.dumps(body, separators=(", ", ": "))
 
 
@@ -98,7 +97,7 @@ def _hasse_edges(q: PreObj) -> list[tuple[int, int]]:
     """Covering pairs in row-major order: strict pairs with no strict
     two-step path."""
     strict = Rel(q.n, q.rel.bits & ~np.eye(q.n, dtype=bool))
-    return list(Rel(q.n, strict.bits & ~strict.compose(strict).bits).pairs())
+    return Rel(q.n, strict.bits & ~strict.compose(strict).bits).pair_list
 
 
 def export_dot(a: PreObj, hasse: bool = False, color_components: bool = False) -> str:
@@ -110,26 +109,24 @@ def export_dot(a: PreObj, hasse: bool = False, color_components: bool = False) -
     """
     if hasse:
         part, q, _ = core_quotient(a)
-        part_a = components(a)
-        blocks = part.blocks
-        names = [str(blk[0]) for blk in blocks]
+        points = [blk[0] for blk in part.blocks]
         labels = ["{" + ",".join(str(x) for x in blk) + "}" if len(blk) > 1
-                  else str(blk[0]) for blk in blocks]
-        comps = [part_a.class_of[blk[0]] for blk in blocks]
-        edges = [(names[i], names[j]) for i, j in _hasse_edges(q)]
+                  else str(blk[0]) for blk in part.blocks]
+        edges = _hasse_edges(q)
     else:
-        names = [str(i) for i in range(a.n)]
-        labels = names
-        comps = list(components(a).class_of)
-        edges = [(names[i], names[j]) for i, j in sorted(a.rel.pairs())]
+        points, edges = range(a.n), a.rel.pair_list
+        labels = [str(x) for x in points]
+    # an edge joins two positions of points: blocks of the quotient, or points
+    names = [str(x) for x in points]
+    comp_of = components(a).class_of if color_components else None
     lines = ["digraph preord {"]
-    for name, label, comp in zip(names, labels, comps):
+    for name, label, x in zip(names, labels, points):
         attrs = [f'label="{label}"']
         if color_components:
             attrs.append("style=filled")
-            attrs.append(f'fillcolor="{_PALETTE[comp % len(_PALETTE)]}"')
+            attrs.append(f'fillcolor="{_PALETTE[comp_of[x] % len(_PALETTE)]}"')
         lines.append(f'  {name} [{", ".join(attrs)}];')
-    for u, v in edges:
-        lines.append(f"  {u} -> {v};")
+    for i, j in edges:
+        lines.append(f"  {names[i]} -> {names[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -67,7 +67,7 @@ from .exactness import (
     prekernel_batch, prekernel_property,
 )
 from .enumeration import catalogue, class_representatives
-from .relations import block_ids
+from .relations import block_ids, carrier_size
 
 __all__ = [
     "ObjClass", "EQUIVALENCES", "PARTIAL_ORDERS", "TRIVIAL_OBJECTS",
@@ -105,7 +105,7 @@ class ObjClass:
         """The labeled members on 1..n points, smaller first and in
         catalogue (code) order within a size; BudgetError beyond the
         enumeration cap."""
-        return [catalogue(k).obj(i) for k in range(1, n + 1)
+        return [catalogue(k).obj(i) for k in range(1, carrier_size(n) + 1)
                 for i in np.flatnonzero(_members(self, k))]
 
 
@@ -236,7 +236,8 @@ def ends_trivial_iff_iso(f: Morph, g: Morph, cls: ObjClass, tests: list[PreObj],
 
 def torsion_part(a: PreObj) -> PreObj:
     """The carrier with only the mutually-related pairs kept."""
-    return PreObj(symmetric_core(a))
+    # a preorder meets its converse in an equivalence
+    return PreObj._trusted(symmetric_core(a))
 
 
 def torsionfree_part(a: PreObj) -> PreObj:
@@ -246,9 +247,9 @@ def torsionfree_part(a: PreObj) -> PreObj:
 
 def torsion_sequence(a: PreObj) -> Seq:
     """Identity-carried inclusion of the torsion part, then the projection."""
-    q, proj = quotient_poset(a)
-    k = Morph(torsion_part(a), a, tuple(range(a.n)))
-    return Seq(k, Morph(a, q, proj.map))
+    # the core is contained in the relation, so the identity map is monotone
+    k = Morph._trusted(torsion_part(a), a, tuple(range(a.n)))
+    return Seq(k, quotient_poset(a)[1])
 
 
 # ----------------------------------------------------------------------
@@ -516,6 +517,7 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     phases.  A max_n below 1 is a ValidationError: there would be nothing
     to check.
     """
+    max_n = carrier_size(max_n)
     if max_n < 1:
         raise ValidationError(f"max_n must be at least 1, got {max_n}")
     start = time.perf_counter()
@@ -559,6 +561,7 @@ def closure_prop_check(x: PreObj, t: ObjClass, f: ObjClass, max_n: int,
     implications hold on the range.  A max_n below 1 is a ValidationError, as in
     `pretorsion_verify`.
     """
+    max_n = carrier_size(max_n)
     if max_n < 1:
         raise ValidationError(f"max_n must be at least 1, got {max_n}")
     z, _ = _null_class(t, f, max_n)

@@ -172,7 +172,7 @@ class Rel:
         return bool(self.bits[ab])
 
     def __repr__(self) -> str:
-        return f"Rel({self.n}, {sorted(self.pairs())})"
+        return f"Rel({self.n}, {self.pair_list})"
 
     @cached_property
     def pair_index(self) -> np.ndarray:
@@ -191,9 +191,10 @@ class Rel:
         return list(zip(*self.pair_index.tolist()))
 
     def pairs(self, include_diagonal: bool = False) -> Iterator[tuple[int, int]]:
-        """Related pairs (a, b), diagonal omitted unless requested."""
-        for a, b in zip(*(np.nonzero(self.bits) if include_diagonal else self.pair_index)):
-            yield int(a), int(b)
+        """Related pairs (a, b) in row-major order, diagonal omitted unless
+        requested."""
+        yield from (map(tuple, np.argwhere(self.bits).tolist()) if include_diagonal
+                    else self.pair_list)
 
     # ------------------------------------------------------------------
     # predicates
@@ -312,7 +313,7 @@ class Partition:
             self, "blocks", tuple(tuple(int(x) for x in blk) for blk in self.blocks))
         n = len(self.class_of)
         seen = sorted(x for blk in self.blocks for x in blk)
-        if seen != list(range(n)):
+        if seen != list(range(n)) or not all(self.blocks):
             raise ValidationError("blocks do not partition the carrier")
         for i, blk in enumerate(self.blocks):
             if list(blk) != sorted(blk):
@@ -350,15 +351,21 @@ class Partition:
     def from_equivalence(cls, rel: Rel) -> "Partition":
         if not rel.is_equivalence():
             raise ValidationError("relation is not an equivalence")
-        return cls._of_equivalence(rel)
+        return cls._of_equivalence(rel.bits)
 
     @classmethod
-    def _of_equivalence(cls, rel: Rel) -> "Partition":
-        """`from_equivalence` without the check, for a relation known to
-        be an equivalence."""
-        # representative of a class = its smallest member = first True column
-        reps = rel.bits.argmax(axis=1)
-        return cls.from_class_ids(int(r) for r in reps)
+    def _of_equivalence(cls, bits: np.ndarray) -> "Partition":
+        """`from_equivalence` without the check, for a matrix known to be
+        an equivalence: the blocks as `block_ids` numbers them, built
+        without checking them again."""
+        ids = block_ids(bits)[0].tolist()
+        blocks = [[] for _ in range(max(ids) + 1)]
+        for x, c in enumerate(ids):
+            blocks[c].append(x)
+        part = object.__new__(cls)
+        object.__setattr__(part, "class_of", tuple(ids))
+        object.__setattr__(part, "blocks", tuple(map(tuple, blocks)))
+        return part
 
     def to_equivalence(self) -> Rel:
         ids = np.array(self.class_of)

@@ -78,7 +78,7 @@ def open_sets(a: PreObj) -> list[np.ndarray]:
 def components(a: PreObj) -> Partition:
     """Connected components: the classes of the equivalence generated by the relation."""
     # an equivalence by construction, so no second check
-    return Partition._of_equivalence(a.rel.equivalence_closure())
+    return Partition._of_equivalence(a.rel.equivalence_closure().bits)
 
 
 def is_indecomposable(a: PreObj) -> bool:
@@ -91,23 +91,14 @@ def clopen_enumerate(a: PreObj) -> list[np.ndarray]:
     part = components(a)
     if part.size > _CLOPEN_CAP:
         raise BudgetError(f"clopen enumeration capped at {_CLOPEN_CAP} components")
-    out = []
-    for code in range(2 ** part.size):
-        s = np.zeros(a.n, dtype=bool)
-        for i, blk in enumerate(part.blocks):
-            if (code >> i) & 1:
-                s[list(blk)] = True
-        out.append(s)
-    return out
+    # bit i of a code puts component i in the union
+    return list(np.arange(2 ** part.size)[:, None] >> np.array(part.class_of) & 1 == 1)
 
 
 def minimal_part(a: PreObj) -> np.ndarray:
-    """Union of the components with at least two elements (possibly empty)."""
-    s = np.zeros(a.n, dtype=bool)
-    for blk in components(a).blocks:
-        if len(blk) > 1:
-            s[list(blk)] = True
-    return s
+    """Union of the components with at least two elements (possibly empty):
+    the points related to some other point, one way or the other."""
+    return (a.rel.bits | a.rel.bits.T).sum(axis=1) > 1
 
 
 def is_minimal(a: PreObj) -> bool:
@@ -124,6 +115,7 @@ def specialization_preorder(n: int, opens: list[np.ndarray]) -> Rel:
     contains the empty set and the full set and is closed under union
     and intersection (finite carriers make pairwise closure enough).
     """
+    n = carrier_size(n)
     masks = [np.asarray(s, dtype=bool) for s in opens]
     for s in masks:
         if s.shape != (n,):

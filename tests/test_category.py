@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from preord import (
-    BudgetError, Morph, PreObj, Rel, ValidationError,
-    chain, compose, coproduct, find_lift, hom_enumerate, identity,
-    is_epi, is_mono, is_morphism, is_trivial_morphism, is_trivial_object,
-    iso_enumerate, iso_search, make_object, monotone_maps, product, subset_mask,
-    triv_enumerate, trivial_object,
+    EQUIVALENCES, PARTIAL_ORDERS, BudgetError, Morph, PreObj, Rel, ValidationError,
+    chain, closure_prop_check, compose, count_objects, coproduct, enumerate_objects,
+    find_lift, hom_enumerate, identity, is_epi, is_mono, is_morphism, is_trivial_morphism,
+    is_trivial_object, iso_enumerate, iso_search, make_object, monotone_maps, objects_upto,
+    pretorsion_verify, product, specialization_preorder, subset_mask, triv_enumerate,
+    trivial_object,
 )
 
 from preord.category import (
     ByteLRU, _probe_runs, array_cache, candidate_grid, inverse_map, maps_into_table,
     maps_out_table, pair_rows, same_size_runs, table_slices,
 )
+from preord.enumeration import class_representatives
 from preord.exactness import SeqBatch, precokernel_batch
 
 from .oracles import brute_monotone_maps, precokernel_property_search
@@ -50,6 +52,10 @@ class TestMakeObject:
         # True is the point 1, not a mask selecting all of row 2
         assert make_object(3, [(True, 2)]) == make_object(3, [(1, 2)])
 
+    def test_bool_carrier_size_reads_as_one(self):
+        assert count_objects(True) == count_objects(1) == 1
+        assert objects_upto(True) == objects_upto(1)
+
     def test_float_pair_entry_rejected(self):
         with pytest.raises(ValidationError):
             make_object(2, [(0.5, 1)])
@@ -63,8 +69,21 @@ class TestMakeObject:
         lambda: trivial_object(-1),
         lambda: make_object(3, [(0, 1, 2)]),
         lambda: subset_mask(-1, []),
+        lambda: count_objects(2.0),
+        lambda: list(enumerate_objects(2.0)),
+        lambda: objects_upto(1.0),
+        lambda: class_representatives(1.0),
+        lambda: EQUIVALENCES.candidates(2.0),
+        lambda: pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 1.0),
+        lambda: count_objects("2"),
+        lambda: closure_prop_check(chain(2), EQUIVALENCES, PARTIAL_ORDERS, "3"),
+        lambda: specialization_preorder(2.0, [np.zeros(2, bool), np.ones(2, bool)]),
+        lambda: specialization_preorder(-1, []),
     ], ids=["make_object", "Rel", "trivial_object", "chain", "trivial_object_negative",
-            "three_entry_pair", "subset_mask_negative"])
+            "three_entry_pair", "subset_mask_negative", "count_objects", "enumerate_objects",
+            "objects_upto", "class_representatives", "candidates", "pretorsion_verify",
+            "count_objects_str", "closure_prop_check_str", "specialization_preorder",
+            "specialization_preorder_negative"])
     def test_float_carrier_size_rejected(self, build):
         with pytest.raises(ValidationError):
             build()

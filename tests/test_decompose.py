@@ -1,14 +1,22 @@
+import hashlib
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from preord import (
-    Partition, Rel, ValidationError, assemble_preorder, chain, count_objects,
-    enumerate_objects, is_epi, is_mono, make_object, quotient_poset,
-    roundtrip_check, symmetric_core, trivial_object,
+    BudgetError, Morph, Partition, PreObj, Rel, ValidationError, assemble_preorder, chain,
+    clopen_enumerate, components, count_objects, enumerate_objects, is_epi, is_mono,
+    make_object, minimal_part, quotient_object, quotient_poset, roundtrip_check,
+    symmetric_core, trivial_object,
 )
+from preord.decompose import core_quotient
+from preord.pretorsion import torsion_part, torsion_sequence
 
 from .oracles import condensation
 from .strategies import preorders
+from .test_enumeration_io import seeded_preorder
 
 MIXED = make_object(3, [(0, 1), (1, 0), (1, 2)], mode="close")
 FULL3 = make_object(3, [(i, j) for i in range(3) for j in range(3) if i != j])
@@ -144,3 +152,85 @@ class TestBijection:
         # the two-sided bijection forces the pair count to match the
         # preorder count
         assert total == count_objects(n)
+
+
+def quotient_digest(objects):
+    """SHA-256 of every quotient-path output of each object: the symmetric
+    core's partition, quotient and projection, `quotient_poset`, the
+    torsion part and sequence, the components, the minimal part and the
+    clopen sets (or the BudgetError beyond their cap)."""
+    h = hashlib.sha256()
+    for a in objects:
+        part, q, proj = core_quotient(a)
+        q2, proj2 = quotient_poset(a)
+        seq = torsion_sequence(a)
+        comps = components(a)
+        try:
+            clopens = np.array(clopen_enumerate(a)).tobytes()
+        except BudgetError as e:
+            clopens = str(e).encode()
+        for x in (part.class_of, part.blocks, q.n, proj.map, q2.n, proj2.map, seq.f.map,
+                  seq.g.map, seq.g.cod.n, comps.class_of, comps.blocks):
+            h.update(repr(x).encode())
+        for bits in (q.rel.bits, q2.rel.bits, torsion_part(a).rel.bits, seq.f.dom.rel.bits,
+                     seq.g.cod.rel.bits, minimal_part(a)):
+            h.update(bits.tobytes())
+        h.update(clopens)
+    return h.hexdigest()
+
+
+def all_relations(n):
+    return [Rel(n, np.reshape(cells, (n, n)))
+            for cells in itertools.product((False, True), repeat=n * n)]
+
+
+def quotient_object_digest(objects):
+    """SHA-256 of `quotient_object` of each object by every relation on its
+    carrier and by one on a larger carrier: the quotient and projection,
+    or the ValidationError message."""
+    h = hashlib.sha256()
+    for a in objects:
+        for sim in all_relations(a.n) + [Rel.identity(a.n + 1)]:
+            try:
+                q, proj = quotient_object(a, sim)
+                h.update(q.rel.bits.tobytes() + repr(proj.map).encode())
+            except ValidationError as e:
+                h.update(str(e).encode())
+    return h.hexdigest()
+
+
+class TestOneQuotientPath:
+    # The digests pin the outputs of the checked construction that the one
+    # unchecked quotient path replaced: `Partition.from_equivalence` with a
+    # relabeling loop over the argmax of each row, then the checking `Morph`.
+    def test_outputs_pinned_on_every_object_n4(self, objects4):
+        assert quotient_digest(objects4) == (
+            "7e259eb4578b1cb16ea50d7b4253d5646f6ccb0ed002bc729921375bb8ca51f8")
+
+    def test_outputs_pinned_on_hundreds_of_points(self):
+        assert quotient_digest(seeded_preorder(seed) for seed in range(20)) == (
+            "9e05e8f8801a52c73cfd7d8658a61b14769f6a1c6daa4e1b97fcf277efc2dded")
+
+    def test_quotient_object_pinned_on_every_relation_n3(self, objects3):
+        assert quotient_object_digest(objects3) == (
+            "eeb91021cb1d7a8f650e09eb41f2d23535d966be9f97fe819a850bc776d83b71")
+
+    def test_outputs_match_the_oracle_and_the_checking_constructors(self, objects4):
+        seeded = [seeded_preorder(seed) for seed in range(20)]
+        quotients = [quotient_object(a, sim) for a in objects4 if a.n <= 3
+                     for sim in all_relations(a.n) if sim.is_equivalence() and sim <= a.rel]
+        for a in list(objects4) + seeded:
+            part, q, proj = core_quotient(a)
+            blocks, rel = condensation(a.n, a.rel.pair_list)
+            assert list(part.blocks) == blocks
+            assert q.rel.bits.tolist() == rel
+            for p in (part, components(a)):
+                assert Partition(p.class_of, p.blocks) == p
+            quotients.append((q, proj))
+            seq = torsion_sequence(a)
+            assert PreObj(torsion_part(a).rel) == torsion_part(a)
+            quotients += [(seq.f.dom, seq.f), (seq.g.cod, seq.g)]
+        for q, f in quotients:
+            assert PreObj(q.rel) == q
+            assert type(f.map) is tuple and all(type(x) is int for x in f.map)
+            assert Morph(PreObj(f.dom.rel), PreObj(f.cod.rel), f.map) == f

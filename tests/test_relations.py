@@ -318,3 +318,7 @@ class TestPartition:
         p = Partition.from_class_ids([5, 7, 5, 9])
         assert p.blocks == ((0, 2), (1,), (3,))
         assert p.class_of == (0, 1, 0, 2)
+
+    def test_rejects_an_empty_block(self):
+        with pytest.raises(ValidationError):
+            Partition((0, 1), ((0,), (1,), ()))
