@@ -13,12 +13,13 @@ the objects keep those in the masks of all cells a row's related pairs
 land on; maps out of them keep those in no mask of a cell that a row
 sends to a forbidden cell.
 
-Both tables take a leading sequence axis: given a stack of forbidden-cell
-matrices, or the related pairs of a stack of same-size domains (one row
-per domain, padded with the diagonal pair (0, 0) to equal length), they
-return sequences x grid rows x objects, cut into slices of sequences, or
-of one sequence's rows, that keep the table and every intermediate within
-the budget.
+Both tables take stacks only: a stack of forbidden-cell matrices, or the
+related pairs of a stack of same-size domains (one row per domain, padded
+with the diagonal pair (0, 0) to equal length).  They return sequences x
+grid rows x objects, cut into slices of sequences, or of one sequence's
+rows, that keep the table and every intermediate within the budget.
+`monotone_maps` is the out table of one domain against a run of one
+codomain.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def make_object(n: int, pairs: Iterable[tuple[int, int]] = (),
         raise ValidationError("objects must be non-empty")
     r = Rel.from_pairs(n, pairs, reflexive=True)
     if mode == "close":
-        return PreObj(r.transitive_closure())
+        # the closure of a non-empty reflexive relation is a preorder
+        return PreObj._trusted(r.transitive_closure())
     if mode == "strict":
         # r is non-empty and reflexive, so PreObj can only reject it as
         # not transitive; its check is the only one
@@ -127,12 +129,7 @@ class Morph:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "map", as_ints("map entries", self.map))
-        if len(self.map) != self.dom.n:
-            raise ValidationError(
-                f"map length {len(self.map)} does not match domain size {self.dom.n}")
-        if min(self.map) < 0 or max(self.map) >= self.cod.n:
-            raise ValidationError("map image out of codomain range")
+        object.__setattr__(self, "map", _map_entries(self.map, self.dom, self.cod))
         if not _monotone_map(self.map, self.dom, self.cod):
             raise ValidationError("map is not monotone")
 
@@ -164,6 +161,17 @@ def inverse_map(map_: Sequence[int], n: int) -> list[int]:
     return inv
 
 
+def _map_entries(map_: Sequence[int], dom: PreObj, cod: PreObj) -> tuple[int, ...]:
+    """The map's entries as Python ints, once they are one point of cod
+    per point of dom."""
+    map_ = as_ints("map entries", map_)
+    if len(map_) != dom.n:
+        raise ValidationError(f"map length {len(map_)} does not match domain size {dom.n}")
+    if min(map_) < 0 or max(map_) >= cod.n:
+        raise ValidationError("map image out of codomain range")
+    return map_
+
+
 def _monotone_map(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
     # one map: a Python loop beats numpy's per-call overhead
     bits = cod.rel.bits
@@ -179,12 +187,7 @@ def is_iso_map(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
 
 def is_morphism(map_: Sequence[int], dom: PreObj, cod: PreObj) -> bool:
     """Is this image tuple a monotone map dom -> cod?"""
-    map_ = as_ints("map entries", map_)
-    if len(map_) != dom.n:
-        raise ValidationError("map length does not match domain size")
-    if any(not (0 <= x < cod.n) for x in map_):
-        raise ValidationError("map image out of codomain range")
-    return _monotone_map(map_, dom, cod)
+    return _monotone_map(_map_entries(map_, dom, cod), dom, cod)
 
 
 def identity(a: PreObj) -> Morph:
@@ -337,57 +340,43 @@ def pair_rows(objs: Sequence[PreObj]) -> np.ndarray:
     return out
 
 
-def _and_over_pairs(rows: np.ndarray, u: np.ndarray, v: np.ndarray, masks: np.ndarray,
-                    m: int) -> np.ndarray:
-    """Per pair list (a row of u and v, sources and targets) and per map
-    into m points (a row of `rows`): the AND of the bool masks, one per
-    cell of the m x m square (row-major), of the cells its pairs land on;
-    pair lists x rows (x mask columns)."""
-    cols = rows.T
-    return np.logical_and.reduce(masks[cols[u] * m + cols[v]], axis=1)
-
-
 def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slice,
                     budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Grid rows x the objects run.objs[cols]: does the map (a grid row,
-    from the objects' common carrier into the points indexing the square
-    matrix `bad`) send no related pair of the object to a cell of `bad`?
-    A row keeps the objects in no `run.cells` mask of a cell it sends to
-    `bad`.  With bad = ~cod.rel.bits the table says which rows are
-    monotone maps from each object into cod.
-
-    With a stack of matrices `bad`, one per sequence, the result is
-    sequences x grid rows x objects.
+    """Sequences x grid rows x the objects run.objs[cols]: does the map (a
+    grid row, from the objects' common carrier into the points indexing
+    the square matrices of the stack `bad`, one per sequence) send no
+    related pair of the object to a cell of the sequence's `bad`?  A row
+    keeps the objects in no `run.cells` mask of a cell it sends to `bad`.
+    With bad = ~cod.rel.bits[None] the table says which rows are monotone
+    maps from each object into cod.
     """
     m = run.m
     masks = run.cells[:, cols].astype(np.float32)
-    stack = bad if bad.ndim == 3 else bad[None]
 
     def table(s, rows):
-        hit = stack[s][:, rows[:, :, None], rows[:, None, :]].reshape(-1, len(rows), m * m)
+        hit = bad[s][:, rows[:, :, None], rows[:, None, :]].reshape(-1, len(rows), m * m)
         # does the row send a pair to `bad`?  float32 counts the (at most
         # m * m) such cells exactly, and uses BLAS where a bool product does not
         return (hit.astype(np.float32) @ masks) == 0
-    out = _by_slices(table, len(stack), grid, m * m + masks.shape[1], budget)
-    return out if bad.ndim == 3 else out[0]
+    return _by_slices(table, len(bad), grid, m * m + masks.shape[1], budget)
 
 
-def maps_out_table(grid: np.ndarray, dom, run: ProbeRun, cols: slice,
+def maps_out_table(grid: np.ndarray, pairs: np.ndarray, run: ProbeRun, cols: slice,
                    budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Grid rows x the objects run.objs[cols]: is the map (a grid row, from
-    dom into the objects' common carrier) monotone into the object?  A row
-    keeps the objects in the `run.cells` masks of all cells its related
-    pairs of dom land on.
-
-    With the padded pairs of a stack of domains of one size (as from
-    `pair_rows`) instead of dom, the result is domains x grid rows x
-    objects.
+    """Domains x grid rows x the objects run.objs[cols]: is the map (a grid
+    row, from the domain into the objects' common carrier) monotone into
+    the object?  `pairs` holds the padded related pairs of a stack of
+    domains of one size, domains first (`pair_rows(doms).swapaxes(0, 1)`,
+    or `dom.rel.pair_index[None]` for one).  A row keeps the objects in
+    the `run.cells` masks of all cells its related pairs land on.
     """
-    masks = run.cells[:, cols]
-    u, v = pair_rows([dom]) if isinstance(dom, PreObj) else dom
-    out = _by_slices(lambda s, rows: _and_over_pairs(rows, u[s], v[s], masks, run.m),
-                     len(u), grid, max(1, u.shape[1]) * masks.shape[1], budget)
-    return out[0] if isinstance(dom, PreObj) else out
+    m, masks = run.m, run.cells[:, cols]
+
+    def table(s, rows):
+        # per domain and row, the cells its pairs land on, then the AND of their masks
+        at = rows.T[pairs[s]]
+        return np.logical_and.reduce(masks[at[:, 0] * m + at[:, 1]], axis=1)
+    return _by_slices(table, len(pairs), grid, max(1, pairs.shape[2]) * masks.shape[1], budget)
 
 
 class ByteLRU:
@@ -443,11 +432,9 @@ def monotone_maps(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> np.
     in `array_cache`, which is bounded by bytes.
     """
     grid = candidate_grid(dom.n, cod.n, budget)
-    u, v = dom.rel.pair_index
-    # one object: the cells of its relation matrix are the masks, one bit each
-    out = grid[_by_slices(lambda s, rows: _and_over_pairs(rows, u[None], v[None],
-                                                          cod.rel.bits.ravel(), cod.n),
-                          1, grid, max(1, len(u)), budget)[0]]
+    # one object: a run of its own, outside the shared run cache
+    out = grid[maps_out_table(grid, dom.rel.pair_index[None], ProbeRun((cod,)), slice(None),
+                              budget)[0, :, 0]]
     out.setflags(write=False)
     return out
 

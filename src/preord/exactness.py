@@ -518,8 +518,8 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             # the related pairs of A and of C, sequences first, padded with (0, 0),
             # which every map carries to a diagonal cell: related, never apart
             pairs = pair_rows(seqs.mids).swapaxes(0, 1), pair_rows(seqs.cs).swapaxes(0, 1)
-            return (pairs, lambda grid, uv, *table: maps_out_table(grid, uv.swapaxes(0, 1), *table),
-                    lambda s, rows, y: (rows[:, fmap[s]], seqs.xs[s], y), tabulate)
+            return (pairs, maps_out_table, lambda s, rows, y: (rows[:, fmap[s]], seqs.xs[s], y),
+                    tabulate)
         return (_iso_legs(pmap, _bijective(pmap, cn), seqs.mids, seqs.cs), lambda alive: alive,
                 prepare)
     return _universal(seqs, tests, trivial, budget, stats, side)

@@ -144,8 +144,11 @@ def factors_through(f: Morph, cls: ObjClass, budget: int = DEFAULT_BUDGET) -> bo
 
 def _map_factors_through(map_row, dom: PreObj, cod: PreObj, cls: ObjClass,
                          budget: int) -> bool:
+    # f = h o g through z0 gives (h o phi^-1) o (phi o g) through any
+    # z1 = phi(z0), so the first member of each isomorphism class serves,
+    # and is a member even where the class is not closed under isomorphism
     row = np.asarray(map_row)
-    for z0 in cls.candidates(dom.n):
+    for z0 in _by_class(cls, dom.n)[0]:
         outs, ins = monotone_maps(dom, z0, budget), monotone_maps(z0, cod, budget)
         # g pins h on its image; look for a monotone h with h o g = the map
         if any((ins[:, g] == row).all(axis=1).any() for g in outs):
@@ -178,7 +181,8 @@ def _hom_tables(doms, cods, budget: int):
             grid = candidate_grid(a.n, run.m, budget)
             for cols in table_slices(len(run.objs), len(grid), budget):
                 at = slice(start + cols.start, start + min(cols.stop, len(run.objs)))
-                yield i, at, grid, maps_out_table(grid, a, run, cols, budget)
+                yield i, at, grid, maps_out_table(grid, a.rel.pair_index[None], run, cols,
+                                                  budget)[0]
             start += len(run.objs)
 
 
@@ -214,8 +218,7 @@ def relative_precokernel_check(p: Morph, f: Morph, cls: ObjClass,
 def relative_preexact(f: Morph, g: Morph, cls: ObjClass, tests: list[PreObj],
                       budget: int = DEFAULT_BUDGET) -> bool:
     """f is a relative prekernel of g and g a relative precokernel of f."""
-    if f.cod != g.dom:
-        raise ValidationError("sequence legs do not compose")
+    Seq(f, g)  # checks that the legs compose
     return (relative_prekernel_check(f, g, cls, tests, budget)
             and relative_precokernel_check(g, f, cls, tests, budget))
 

@@ -276,6 +276,9 @@ def block_ids(equiv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (on the last two axes), numbered by smallest member as in `Partition`:
     per point, the number of its block and whether it is the smallest
     member of that block."""
+    if not equiv.shape[-1]:
+        # no points: argmax has no column to find
+        return np.zeros(equiv.shape[:-1], dtype=np.intp), np.zeros(equiv.shape[:-1], dtype=bool)
     reps = equiv.argmax(axis=-1)  # the first True column: the smallest member
     is_rep = reps == np.arange(equiv.shape[-1])
     ids = np.cumsum(is_rep, axis=-1) - 1
@@ -359,7 +362,7 @@ class Partition:
         an equivalence: the blocks as `block_ids` numbers them, built
         without checking them again."""
         ids = block_ids(bits)[0].tolist()
-        blocks = [[] for _ in range(max(ids) + 1)]
+        blocks = [[] for _ in range(max(ids, default=-1) + 1)]
         for x, c in enumerate(ids):
             blocks[c].append(x)
         part = object.__new__(cls)

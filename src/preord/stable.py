@@ -28,7 +28,7 @@ from .category import (
 )
 from .errors import NotShortExactError, ValidationError
 from .exactness import (
-    image_equivalence, precokernel, precokernel_property, prekernel,
+    Seq, image_equivalence, precokernel, precokernel_property, prekernel,
     prekernel_property,
 )
 from .relations import Rel
@@ -241,8 +241,7 @@ def classify_short_exact(f: Morph, g: Morph, tests: list[PreObj],
     right o g stably equal to the canonical projection.  Raises
     NotShortExactError naming the failing half otherwise.
     """
-    if f.cod != g.dom:
-        raise ValidationError("sequence legs do not compose")
+    Seq(f, g)  # checks that the legs compose
     if not verify_stable_kernel(StableHom(f), g, tests, budget):
         raise NotShortExactError(
             "first morphism is not a kernel of the second in the stable category")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -22,6 +23,7 @@ from preord.enumeration import class_representatives
 from preord.exactness import SeqBatch, precokernel_batch
 
 from .oracles import brute_monotone_maps, precokernel_property_search
+from .test_enumeration_io import seeded_preorder
 
 
 class TestMakeObject:
@@ -51,6 +53,36 @@ class TestMakeObject:
     def test_bool_pair_entry_reads_as_one(self):
         # True is the point 1, not a mask selecting all of row 2
         assert make_object(3, [(True, 2)]) == make_object(3, [(1, 2)])
+
+    @staticmethod
+    def warshall(n, pairs):
+        """The reflexive-transitive closure of the pairs, point by point."""
+        bits = np.eye(n, dtype=bool)
+        for a, b in pairs:
+            bits[a, b] = True
+        for k in range(n):
+            bits |= bits[:, k:k + 1] & bits[k:k + 1, :]
+        return bits
+
+    def test_close_mode_outputs_pass_the_checking_constructor(self):
+        # close mode builds its output unchecked: each must pass PreObj's
+        # checks and hold the closure of its generators
+        rng = random.Random(5)
+        cases = [(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 2, 7, 64, 130)]
+        for _ in range(40):
+            n = rng.randint(1, 70)
+            cases.append((n, [(rng.randrange(n), rng.randrange(n))
+                              for _ in range(rng.randint(0, 2 * n))]))
+        for n, pairs in cases:
+            a = make_object(n, pairs)
+            assert PreObj(a.rel) == a
+            assert np.array_equal(a.rel.bits, self.warshall(n, pairs))
+        assert all(chain(n) == make_object(n, [(i, i + 1) for i in range(n - 1)])
+                   for n in (1, 2, 7, 64, 130))
+        for seed in range(20):
+            a = seeded_preorder(seed)
+            assert PreObj(a.rel) == a
+            assert np.array_equal(a.rel.bits, self.warshall(a.n, a.rel.pair_list))
 
     def test_bool_carrier_size_reads_as_one(self):
         assert count_objects(True) == count_objects(1) == 1
@@ -125,6 +157,14 @@ class TestMorphisms:
         a = chain(2)
         with pytest.raises(ValidationError):
             is_morphism((0.5, 1.2), a, a)
+
+    def test_morph_and_is_morphism_check_entries_alike(self):
+        for entries, message in [((0,), "map length 1 does not match domain size 2"),
+                                 ((0, 2), "map image out of codomain range"),
+                                 ((-1, 0), "map image out of codomain range")]:
+            for check in (Morph, lambda dom, cod, map_: is_morphism(map_, dom, cod)):
+                with pytest.raises(ValidationError, match=message):
+                    check(chain(2), chain(2), entries)
 
     def test_numpy_integer_entries_become_python_ints(self):
         f = Morph(chain(2), chain(2), np.array([0, 1]))
@@ -305,6 +345,27 @@ class TestHomEnumeration:
                 got = monotone_maps(a, b)
                 assert [tuple(r) for r in got] == brute
 
+    def test_a_budget_of_the_grid_cuts_it_into_row_pieces_n3(self, objects3):
+        # at exactly the grid's cells, a domain with more related pairs
+        # than points reads its grid a piece of rows at a time
+        cut = 0
+        for a in objects3:
+            for b in objects3:
+                budget = b.n ** a.n * a.n
+                cut += len(a.rel.pair_list) > a.n
+                got = monotone_maps(a, b, budget)
+                assert [tuple(r) for r in got] == brute_monotone_maps(
+                    a.n, b.n, list(a.rel.pairs()), list(b.rel.pairs()))
+        assert cut
+
+    @pytest.mark.parametrize("n, m, count", [(8, 3, 45), (10, 2, 11), (6, 4, 84), (5, 3, 21)])
+    def test_chains_beyond_the_catalogue_count_multisets(self, n, m, count):
+        # a monotone map chain(n) -> chain(m) is a multiset of n points of m
+        assert count == math.comb(n + m - 1, n)
+        rows = monotone_maps(chain(n), chain(m))
+        assert len(rows) == count
+        assert (np.diff(rows, axis=1) >= 0).all()
+
 
 class TestHomTables:
     """Both hom tables against brute-force hom sets, whole and with a
@@ -319,7 +380,8 @@ class TestHomTables:
         for a in objects3:
             for run in same_size_runs(objects3):
                 grid = candidate_grid(a.n, run.m)
-                table = maps_out_table(grid, a, run, slice(0, len(run.objs)), budget)
+                table = maps_out_table(grid, a.rel.pair_index[None], run, slice(0, len(run.objs)),
+                                       budget)[0]
                 for j, b in enumerate(run.objs):
                     assert {tuple(r) for r in grid[table[:, j]]} == self.brute(a, b)
 
@@ -328,7 +390,8 @@ class TestHomTables:
         for b in objects3:
             for run in same_size_runs(objects3):
                 grid = candidate_grid(run.m, b.n)
-                table = maps_into_table(grid, ~b.rel.bits, run, slice(0, len(run.objs)), budget)
+                table = maps_into_table(grid, ~b.rel.bits[None], run, slice(0, len(run.objs)),
+                                        budget)[0]
                 for j, a in enumerate(run.objs):
                     assert {tuple(r) for r in grid[table[:, j]]} == self.brute(a, b)
 
@@ -339,12 +402,14 @@ class TestHomTables:
         everyone = slice(0, len(run.objs))
         for a in objects3:
             outs, ins = candidate_grid(a.n, run.m), candidate_grid(run.m, a.n)
-            out_whole = maps_out_table(outs, a, run, everyone)
-            in_whole = maps_into_table(ins, ~a.rel.bits, run, everyone)
+            out_whole = maps_out_table(outs, a.rel.pair_index[None], run, everyone)[0]
+            in_whole = maps_into_table(ins, ~a.rel.bits[None], run, everyone)[0]
             for cols in table_slices(len(run.objs), len(outs), 3 * len(outs)):
-                assert (maps_out_table(outs, a, run, cols) == out_whole[:, cols]).all()
+                assert (maps_out_table(outs, a.rel.pair_index[None], run, cols)[0]
+                        == out_whole[:, cols]).all()
             for cols in table_slices(len(run.objs), len(ins), 3 * len(ins)):
-                assert (maps_into_table(ins, ~a.rel.bits, run, cols) == in_whole[:, cols]).all()
+                assert (maps_into_table(ins, ~a.rel.bits[None], run, cols)[0]
+                        == in_whole[:, cols]).all()
 
     @staticmethod
     def one_per_pair_count(objs):
@@ -370,15 +435,32 @@ class TestHomTables:
         # 9 cells cut the table into slices of one domain, and those of
         # the 27-row grids into single rows
         stack = self.one_per_pair_count(a for a in objects3 if a.n == 3)
-        pairs = pair_rows(stack)
+        pairs = pair_rows(stack).swapaxes(0, 1)
         for run in same_size_runs(objects3):
             grid, everyone = candidate_grid(3, run.m), slice(0, len(run.objs))
             table = maps_out_table(grid, pairs, run, everyone, budget)
             assert table.shape == (len(stack), len(grid), len(run.objs))
             for a, of_a in zip(stack, table):
-                assert (of_a == maps_out_table(grid, a, run, everyone, budget)).all()
+                assert (of_a == maps_out_table(grid, a.rel.pair_index[None], run, everyone,
+                                               budget)[0]).all()
                 for j, b in enumerate(run.objs):
                     assert {tuple(r) for r in grid[of_a[:, j]]} == self.brute(a, b)
+
+    @pytest.mark.parametrize("budget", [9, 1_000_000])
+    def test_into_tables_of_a_stack_match_each_matrix_n3(self, objects3, budget):
+        # 9 cells cut the table into slices of one matrix, and those of the
+        # larger grids into pieces of rows
+        stack = self.one_per_pair_count(a for a in objects3 if a.n == 3)
+        bad = ~np.stack([b.rel.bits for b in stack])
+        for run in same_size_runs(objects3):
+            grid, everyone = candidate_grid(run.m, 3), slice(0, len(run.objs))
+            table = maps_into_table(grid, bad, run, everyone, budget)
+            assert table.shape == (len(stack), len(grid), len(run.objs))
+            for b, into_b in zip(stack, table):
+                assert (into_b == maps_into_table(grid, ~b.rel.bits[None], run, everyone,
+                                                  budget)[0]).all()
+                for j, a in enumerate(run.objs):
+                    assert {tuple(r) for r in grid[into_b[:, j]]} == self.brute(a, b)
 
     @pytest.mark.parametrize("budget", [24, 1_000_000])
     def test_precokernels_over_codomains_of_mixed_pair_counts(self, objects2, objects3, budget):
@@ -414,11 +496,11 @@ class TestHomTables:
             make_object(9, [(i, (i + 1) % 9), (8 - i, 4)]) for i in range(7)]
         run, = same_size_runs(nine)
         grid = candidate_grid(2, 9)
-        table = maps_out_table(grid, chain(2), run, slice(0, len(nine)))
+        table = maps_out_table(grid, chain(2).rel.pair_index[None], run, slice(0, len(nine)))[0]
         for j, b in enumerate(nine):
             assert {tuple(r) for r in grid[table[:, j]]} == self.brute(chain(2), b)
         grid = candidate_grid(9, 2)
-        table = maps_into_table(grid, ~chain(2).rel.bits, run, slice(0, len(nine)))
+        table = maps_into_table(grid, ~chain(2).rel.bits[None], run, slice(0, len(nine)))[0]
         for j, a in enumerate(nine):
             assert {tuple(r) for r in grid[table[:, j]]} == self.brute(a, chain(2))
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -27,7 +28,7 @@ from preord import pretorsion
 from preord.enumeration import catalogue, class_representatives
 
 from .oracles import (
-    axiom2_scan_brute, brute_objects, canonical_code_brute, kind_test,
+    axiom2_scan_brute, brute_objects, canonical_code_brute, factors_through_search, kind_test,
     precokernel_property_search, prekernel_property_search,
 )
 
@@ -114,6 +115,25 @@ class TestFactorsThrough:
                     assert factors_through(f, searched) == \
                         factors_through(f, TRIVIAL_OBJECTS) == \
                         is_trivial_morphism(f)
+
+    # neither closed under isomorphism: the points and the chain 0 <= 1 but
+    # not 1 <= 0, and the objects whose point 0 lies below every point
+    NOT_CLOSED = [
+        ObjClass("points+chain01", lambda a: a.n == 1 or a == make_object(2, [(0, 1)])),
+        ObjClass("0-least", lambda a: all(a.rel[0, x] for x in range(a.n)))]
+
+    @pytest.mark.parametrize("cls", [EQUIVALENCES, PARTIAL_ORDERS] + NOT_CLOSED,
+                             ids=lambda c: c.name)
+    def test_one_member_per_class_finds_every_labeled_factorization_n3(self, objects3, cls):
+        # f = h o g through z0 gives (h o phi^-1) o (phi o g) through any
+        # z1 = phi(z0): the search over every labeled member agrees
+        maps = [f for a in objects3 for b in objects3 for f in hom_enumerate(a, b)]
+        sample = random.Random(11).sample(maps, 400)
+        got = [factors_through(f, cls) for f in sample]
+        want = [factors_through_search(f.map, brute_spec(f.dom), brute_spec(f.cod),
+                                       [brute_spec(z) for z in cls.candidates(f.dom.n)])
+                for f in sample]
+        assert got == want and len(set(want)) == 2
 
     def test_null_factoring_equals_zero_in_the_pointed_quotient_n2(self, objects2):
         # once trivial objects become zero objects, factoring through the

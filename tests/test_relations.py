@@ -322,3 +322,14 @@ class TestPartition:
     def test_rejects_an_empty_block(self):
         with pytest.raises(ValidationError):
             Partition((0, 1), ((0,), (1,), ()))
+
+    def test_the_empty_carrier_has_the_empty_partition(self):
+        # Rel allows n = 0; numpy's argmax finds no column in a 0 x 0 matrix
+        assert Partition.from_equivalence(Rel.empty(0)) == Partition((), ())
+        assert Partition.from_class_ids([]) == Partition((), ())
+
+    def test_block_ids_of_empty_matrices_are_empty(self):
+        ids, is_rep = preord.relations.block_ids(np.zeros((0, 0), dtype=bool))
+        assert ids.shape == is_rep.shape == (0,) and is_rep.dtype == bool
+        ids, is_rep = preord.relations.block_ids(np.zeros((3, 0, 0), dtype=bool))
+        assert ids.shape == is_rep.shape == (3, 0)
