@@ -278,6 +278,8 @@ class ProbeRun:
 
     @cached_property
     def cells(self) -> np.ndarray:
+        if len(self.objs) == 1:  # one object (as in `monotone_maps`): a view, no copy
+            return self.objs[0].rel.bits.reshape(-1, 1)
         return np.stack([a.rel.bits.ravel() for a in self.objs], axis=1)
 
 
@@ -375,7 +377,7 @@ def maps_out_table(grid: np.ndarray, pairs: np.ndarray, run: ProbeRun, cols: sli
     def table(s, rows):
         # per domain and row, the cells its pairs land on, then the AND of their masks
         at = rows.T[pairs[s]]
-        return np.logical_and.reduce(masks[at[:, 0] * m + at[:, 1]], axis=1)
+        return np.logical_and.reduce(masks.take(at[:, 0] * m + at[:, 1], axis=0), axis=1)
     return _by_slices(table, len(pairs), grid, max(1, pairs.shape[2]) * masks.shape[1], budget)
 
 
