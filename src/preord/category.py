@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, wraps
 from itertools import groupby
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -494,14 +495,10 @@ def product(objs: Sequence[PreObj], budget: int = DEFAULT_BUDGET) -> tuple[PreOb
     """
     if not objs:
         raise ValidationError("product of an empty family")
-    total = reduce(lambda x, y: x * y, (a.n for a in objs), 1)
+    total = prod(a.n for a in objs)
     if total ** 2 > budget:
         raise BudgetError(f"product relation of {total} x {total} cells exceeds budget {budget}")
-    digits = []
-    idx = np.arange(total)
-    for i, a in enumerate(objs):
-        stride = reduce(lambda x, y: x * y, (b.n for b in objs[i + 1:]), 1)
-        digits.append((idx // stride) % a.n)
+    digits = np.unravel_index(np.arange(total), [a.n for a in objs])
     bits = np.ones((total, total), dtype=bool)
     for d, a in zip(digits, objs):
         bits &= a.rel.bits[d[:, None], d[None, :]]
@@ -572,12 +569,7 @@ def find_lift(g: Morph, f: Morph, budget: int = DEFAULT_BUDGET) -> Morph | None:
         raise ValidationError("lifts are searched along epimorphisms only")
     x, a = g.dom, f.dom
     maps = monotone_maps(x, a, budget)
-    fmap = np.array(f.map)
-    gmap = np.array(g.map)
-    keep = np.ones(len(maps), dtype=bool)
-    for i in range(x.n):
-        keep &= fmap[maps[:, i]] == gmap[i]
-    rows = maps[keep]
+    rows = maps[(np.asarray(f.map)[maps] == g.map).all(axis=1)]
     if len(rows) == 0:
         return None
     return Morph(x, a, tuple(rows[0]))

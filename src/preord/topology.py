@@ -9,7 +9,11 @@ stay open) carry the same information.  The convention used throughout:
 The opposite (successor-closed) convention is just as common elsewhere;
 with this one, y lies in the closure of {x} exactly when x is related to
 y, so `specialization_preorder` inverts `open_sets` on the nose.
-Subsets are boolean numpy masks.
+Subsets are boolean numpy masks.  A family of them is a stack of masks,
+one row per set: `open_sets` keeps the down-closed rows of all 2^n
+subsets, and `specialization_preorder` checks a family by looking up
+S | down{x} for each member S and point x, not by a loop over pairs of
+members.
 """
 
 from __future__ import annotations
@@ -63,16 +67,22 @@ def is_clopen(a: PreObj, s: np.ndarray) -> bool:
     return not crossing
 
 
+def _down_closed(bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per row of a stack of masks (sets x points): is the set open, i.e.
+    does it hold every point related to one of its members?"""
+    # float32 counts each point's members above it exactly, and uses BLAS
+    # where a bool product does not
+    above = masks.astype(np.float32) @ bits.T.astype(np.float32) > 0
+    return (above <= masks).all(axis=1)
+
+
 def open_sets(a: PreObj) -> list[np.ndarray]:
     """Every open subset, as masks, in binary counting order."""
     if a.n > _OPEN_SET_CAP:
         raise BudgetError(f"open-set scan capped at n <= {_OPEN_SET_CAP}")
-    out = []
-    for code in range(2 ** a.n):
-        s = np.array([(code >> i) & 1 == 1 for i in range(a.n)])
-        if is_open(a, s):
-            out.append(s)
-    return out
+    # bit i of a code puts point i in the set
+    masks = np.arange(2 ** a.n)[:, None] >> np.arange(a.n) & 1 == 1
+    return list(masks[_down_closed(a.rel.bits, masks)])
 
 
 def components(a: PreObj) -> Partition:
@@ -109,38 +119,36 @@ def is_minimal(a: PreObj) -> bool:
 
 
 def specialization_preorder(n: int, opens: list[np.ndarray]) -> Rel:
-    """Recover x <= y as: closure{y} contained in closure{x}.
+    """Recover x <= y as: every open holding y holds x (so closure{x} is
+    the row of x).
 
     The open family must be an Alexandroff topology on {0..n-1}: it
     contains the empty set and the full set and is closed under union
-    and intersection (finite carriers make pairwise closure enough).
+    and intersection.  Each member is a down-set of the preorder
+    recovered from the family, so a family holding the empty set is
+    closed exactly when it holds every down-set: when S | down{x} is a
+    member for every member S and point x (each down-set D is
+    D' | down{x} for a maximal x of D and a smaller down-set D').
     """
     n = carrier_size(n)
     masks = [np.asarray(s, dtype=bool) for s in opens]
-    for s in masks:
-        if s.shape != (n,):
-            raise ValidationError("open set mask has wrong length")
-    keys = {s.tobytes() for s in masks}
-    if np.zeros(n, dtype=bool).tobytes() not in keys:
+    if any(s.shape != (n,) for s in masks):
+        raise ValidationError("open set mask has wrong length")
+    masks = np.array(masks, dtype=bool).reshape(len(masks), n)
+    if not (~masks).all(axis=1).any():
         raise ValidationError("topology must contain the empty set")
-    if np.ones(n, dtype=bool).tobytes() not in keys:
+    if not masks.all(axis=1).any():
         raise ValidationError("topology must contain the full carrier")
-    for s in masks:
-        for t in masks:
-            if (s | t).tobytes() not in keys or (s & t).tobytes() not in keys:
-                raise ValidationError("family is not closed under union/intersection")
-    # closure{z} = complement of the largest open avoiding z
-    closures = []
-    for z in range(n):
-        avoid = np.zeros(n, dtype=bool)
-        for s in masks:
-            if not s[z]:
-                avoid |= s
-        closures.append(~avoid)
-    bits = np.zeros((n, n), dtype=bool)
+    # x <= y unless some member holds y but not x
+    bits = (~masks).T.astype(np.float32) @ masks.astype(np.float32) == 0
+    # each set as one key, its packed bits; one point at a time, so that
+    # memory stays members x points
+    packed, down = np.packbits(masks, axis=1), np.packbits(bits.T, axis=1)
+    keys = np.sort(packed.view(f"V{packed.shape[1]}").ravel())
     for x in range(n):
-        for y in range(n):
-            bits[x, y] = bool((closures[y] <= closures[x]).all())
+        grown = (packed | down[x]).view(keys.dtype).ravel()
+        if (keys[np.searchsorted(keys, grown).clip(max=len(keys) - 1)] != grown).any():
+            raise ValidationError("family is not closed under union/intersection")
     return Rel(n, bits)
 
 

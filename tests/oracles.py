@@ -5,6 +5,7 @@ no code path with the numpy production implementations it checks.
 """
 
 from itertools import permutations, product
+from math import factorial
 
 
 def naive_transitive_closure(pairs, n):
@@ -289,6 +290,30 @@ def count_partial_orders_brute(n):
                and all(a == b for a, b in rel if (b, a) in rel))
 
 
+# labeled preorders on n = 0..6 points (OEIS A000798)
+PREORDER_COUNTS = (1, 1, 4, 29, 355, 6942, 209527)
+# labeled partial orders on k = 0..6 points (OEIS A001035)
+PARTIAL_ORDER_COUNTS = (1, 1, 3, 19, 219, 4231, 130023)
+# preorders on n = 0..6 points up to isomorphism (OEIS A001930)
+PREORDER_CLASS_COUNTS = (1, 1, 3, 9, 33, 139, 718)
+
+
+def stirling2(n, k):
+    """Partitions of n labeled points into k non-empty blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def count_preorders_by_blocks(n):
+    """Labeled preorders on n points counted as a set partition into k
+    blocks (the symmetric part) and a labeled partial order on the
+    blocks: sum over k of S(n, k) * P(k)."""
+    return sum(stirling2(n, k) * PARTIAL_ORDER_COUNTS[k] for k in range(n + 1))
+
+
 def relation_code(n, pairs):
     """The off-diagonal cells in row-major order as bits of one binary
     number, the first cell highest."""
@@ -317,6 +342,12 @@ def automorphism_count_brute(n, pairs):
     """The permutations that map the relation onto itself."""
     pairs = set(pairs)
     return sum(1 for r in relabelings(n, pairs) if r == pairs)
+
+
+def orbit_sizes_brute(n, reps):
+    """The labeled relations in the orbits of the relations `reps` (sets
+    of pairs) under relabeling: n! / |Aut| each."""
+    return sum(factorial(n) // automorphism_count_brute(n, pairs) for pairs in reps)
 
 
 KIND_TESTS = {
@@ -374,3 +405,30 @@ def axiom2_scan_brute(max_n, t_kind, f_kind):
                 if not factors_through_search(m, dom, cod, small):
                     return (dom, cod, m), visited
     return None, visited
+
+
+def alexandroff_failure_pairwise(n, opens):
+    """Why a family of subsets of {0..n-1} (bool sequences) is not an
+    Alexandroff topology, found member against member, in the words of
+    `specialization_preorder`; None when it is one."""
+    sets = [tuple(bool(v) for v in s) for s in opens]
+    if any(len(s) != n for s in sets):
+        return "open set mask has wrong length"
+    keys = set(sets)
+    if (False,) * n not in keys:
+        return "topology must contain the empty set"
+    if (True,) * n not in keys:
+        return "topology must contain the full carrier"
+    for s in sets:
+        for t in sets:
+            union = tuple(a or b for a, b in zip(s, t))
+            meet = tuple(a and b for a, b in zip(s, t))
+            if union not in keys or meet not in keys:
+                return "family is not closed under union/intersection"
+    return None
+
+
+def specialization_pairs_brute(n, opens):
+    """The pairs (x, y) such that every set of the family holding y holds x."""
+    return {(x, y) for x in range(n) for y in range(n)
+            if all(s[x] for s in opens if s[y])}

@@ -16,15 +16,16 @@ from preord import (
     coproduct, count_objects, enumerate_objects, export_dot, load_morphism, load_object,
     make_object, quotient_poset, save_object, trivial_object,
 )
-from preord.enumeration import _extend, catalogue
+from preord.enumeration import HARD_CAP, _extend, catalogue
 from preord.io import _hasse_edges
 
 import preord
 
 from .oracles import (
-    automorphism_count_brute, brute_reflexive_relations, canonical_code_brute,
-    count_equivalences_brute, count_partial_orders_brute, count_preorders_brute,
-    naive_covering_pairs, naive_is_transitive,
+    PARTIAL_ORDER_COUNTS, PREORDER_CLASS_COUNTS, PREORDER_COUNTS, automorphism_count_brute,
+    brute_reflexive_relations, canonical_code_brute, count_equivalences_brute,
+    count_partial_orders_brute, count_preorders_brute, count_preorders_by_blocks,
+    naive_covering_pairs, naive_is_transitive, orbit_sizes_brute, stirling2,
 )
 
 
@@ -98,14 +99,6 @@ BRUTE_KINDS = {
     "partial_order": lambda rel, n: all(a == b for a, b in rel if (b, a) in rel),
     "trivial": lambda rel, n: len(rel) == n,
 }
-
-
-def stirling2(n, k):
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 class TestCatalogue:
@@ -198,6 +191,28 @@ class TestIsomorphismClasses:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
         assert out.stdout.split() == ["0", "False"]
+
+
+class TestCountOracles:
+    """The catalogue's counts against counts that read no catalogue."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_partial_order_counts_are_the_brute_force_ones(self, k):
+        assert PARTIAL_ORDER_COUNTS[k] == count_partial_orders_brute(k)
+
+    @pytest.mark.parametrize("n", range(1, HARD_CAP + 1))
+    def test_preorders_are_partitions_with_posets_on_their_blocks(self, n):
+        assert count_objects(n) == count_preorders_by_blocks(n) == PREORDER_COUNTS[n]
+
+    @pytest.mark.parametrize("n", range(1, HARD_CAP + 1))
+    def test_representatives_fill_the_catalogue_by_orbit_stabilizer(self, n):
+        cat = catalogue(n)
+        reps = [set(cat.objs[i].rel.pairs(include_diagonal=True)) for i in cat.representatives]
+        assert orbit_sizes_brute(n, reps) == count_objects(n)
+
+    @pytest.mark.parametrize("n", range(1, HARD_CAP + 1))
+    def test_representatives_are_a001930(self, n):
+        assert len(catalogue(n).representatives) == PREORDER_CLASS_COUNTS[n]
 
 
 class TestObjectFiles:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -10,7 +11,9 @@ from preord import (
     open_sets, restrict, specialization_preorder, subset_mask, trivial_object,
 )
 
-from .oracles import union_find_blocks
+from preord.topology import _down_closed
+
+from .oracles import alexandroff_failure_pairwise, specialization_pairs_brute, union_find_blocks
 
 
 def all_masks(n):
@@ -18,7 +21,34 @@ def all_masks(n):
         yield np.array(picks)
 
 
+def varied_families(objs, variants=5, seed=21):
+    """The open sets of each object, then `variants` seeded variations of
+    them: each member dropped with probability 1/5, then up to two random
+    masks added."""
+    rng = np.random.default_rng(seed)
+    for a in objs:
+        opens = open_sets(a)
+        yield a.n, opens
+        for _ in range(variants):
+            kept = [s for s in opens if rng.random() >= 0.2]
+            yield a.n, kept + list(rng.random((rng.integers(3), a.n)) < 0.5)
+
+
 class TestOpen:
+    def test_open_sets_are_the_open_codes_of_a_scan_n4(self, objects4):
+        for a in objects4:
+            scan = [s for s in (np.array([(code >> i) & 1 == 1 for i in range(a.n)])
+                                for code in range(2 ** a.n)) if is_open(a, s)]
+            assert [s.tolist() for s in open_sets(a)] == [s.tolist() for s in scan]
+
+    def test_down_closed_is_is_open_and_with_the_complement_is_clopen_n4(self, objects4):
+        for a in objects4:
+            masks = np.array(list(all_masks(a.n)))
+            opened = _down_closed(a.rel.bits, masks)
+            assert opened.tolist() == [is_open(a, s) for s in masks]
+            assert (opened & _down_closed(a.rel.bits, ~masks)).tolist() \
+                == [is_clopen(a, s) for s in masks]
+
     def test_empty_and_full_are_open(self, objects3):
         for a in objects3:
             assert is_open(a, np.zeros(a.n, dtype=bool))
@@ -215,6 +245,58 @@ class TestSpecialization:
                  subset_mask(3, [0, 1, 2])]
         with pytest.raises(ValidationError):
             specialization_preorder(3, opens)
+
+    def test_empty_carrier_with_its_one_open_set(self):
+        assert specialization_preorder(0, [np.zeros(0, dtype=bool)]) == Rel.empty(0)
+
+    def test_empty_carrier_without_open_sets_rejected(self):
+        with pytest.raises(ValidationError, match="topology must contain the empty set"):
+            specialization_preorder(0, [])
+
+    def test_verdicts_and_messages_are_the_pairwise_ones_n4(self, objects4):
+        verdicts = []
+        for n, family in varied_families(objects4):
+            want = alexandroff_failure_pairwise(n, family)
+            verdicts.append(want)
+            if want is None:
+                got = specialization_preorder(n, family)
+                assert set(got.pairs(include_diagonal=True)) \
+                    == specialization_pairs_brute(n, family)
+            else:
+                with pytest.raises(ValidationError) as err:
+                    specialization_preorder(n, family)
+                assert str(err.value) == want
+        # every verdict occurs, so no branch of the check goes untried
+        assert len(verdicts) == 6 * len(objects4) == 2334
+        assert set(verdicts) == {
+            None, "topology must contain the empty set",
+            "topology must contain the full carrier",
+            "family is not closed under union/intersection"}
+
+    def test_members_are_down_sets_of_the_preorder_they_give_n4(self, objects4):
+        # why the check needs no down-set test of the members themselves:
+        # x <= y when every member holding y holds x, for any family
+        for n, family in varied_families(objects4):
+            bits = np.zeros((n, n), dtype=bool)
+            for x, y in specialization_pairs_brute(n, family):
+                bits[x, y] = True
+            assert _down_closed(bits, np.array(family).reshape(-1, n)).all()
+
+    def test_chain_of_1000_points_round_trips_in_members_x_points_memory(self):
+        # the 1,001 down-sets of the chain; a members x points x points
+        # block would take 1 GB
+        family = list(np.tri(1001, 1000, -1, dtype=bool))
+        tracemalloc.start()
+        try:
+            got = specialization_preorder(1000, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == chain(1000).rel
+        assert peak < 64 * 2 ** 20
+        # {2} with {0} lacks their union {0, 2}
+        with pytest.raises(ValidationError, match="not closed under union/intersection"):
+            specialization_preorder(1000, family + [subset_mask(1000, [2])])
 
     def test_roundtrip_on_all_objects_n4(self, objects4):
         for a in objects4:
