@@ -139,32 +139,44 @@ def factors_through(f: Morph, cls: ObjClass, budget: int = DEFAULT_BUDGET) -> bo
     """
     if cls.trivial_exact:
         return is_trivial_morphism(f)
-    return _map_factors_through(list(f.map), f.dom, f.cod, cls, budget)
-
-
-def _map_factors_through(map_row, dom: PreObj, cod: PreObj, cls: ObjClass,
-                         budget: int) -> bool:
-    # f = h o g through z0 gives (h o phi^-1) o (phi o g) through any
-    # z1 = phi(z0), so the first member of each isomorphism class serves,
-    # and is a member even where the class is not closed under isomorphism
-    row = np.asarray(map_row)
-    for z0 in _by_class(cls, dom.n)[0]:
-        outs, ins = monotone_maps(dom, z0, budget), monotone_maps(z0, cod, budget)
-        # g pins h on its image; look for a monotone h with h o g = the map
-        if any((ins[:, g] == row).all(axis=1).any() for g in outs):
-            return True
-    return False
+    return bool(_class_trivial(cls, budget)(np.array([f.map]), f.dom, f.cod)[0])
 
 
 def _class_trivial(cls: ObjClass, budget: int):
     """Triviality relative to the class, as the engine takes it: None
     (plain triviality, checked pairwise as a table) for a trivial_exact
-    class, else a row predicate searching a factorization per row."""
+    class, else a predicate `trivial(rows, dom, cod)` on a stack of maps.
+
+    The predicate searches the whole stack at once, through the first
+    member z0 of each isomorphism class the class holds on up to dom.n
+    points, in `_by_class` order.  Per z0 it gathers the composites h o g
+    of the monotone g: dom -> z0 and h: z0 -> cod as one array, in slices
+    of the g that keep a block of composites within the budget, and marks
+    the rows equal to one of them, compared whole.  It stops before the
+    next z0 once every row is marked, so it enumerates the same hom sets,
+    and raises the same BudgetError, as a search row by row.
+    """
     if cls.trivial_exact:
         return None
-    return lambda rows, dom, cod: np.array(
-        [_map_factors_through(row.tolist(), dom, cod, cls, budget) for row in rows],
-        dtype=bool)
+
+    def trivial(rows, dom: PreObj, cod: PreObj) -> np.ndarray:
+        # a map as one opaque item of dom.n int64s, so that maps compare whole
+        rows = np.ascontiguousarray(rows, np.int64).view(f"V{8 * dom.n}").ravel()
+        found = np.zeros(len(rows), dtype=bool)
+        # f = h o g through z0 gives (h o phi^-1) o (phi o g) through any
+        # z1 = phi(z0), so the first member of each isomorphism class
+        # serves, and is a member even where the class is not closed under
+        # isomorphism
+        for z0 in _by_class(cls, dom.n)[0]:
+            if found.all():
+                break
+            outs, ins = monotone_maps(dom, z0, budget), monotone_maps(z0, cod, budget)
+            # ins holds the constant maps, so a slice is never empty; take
+            # gathers the composites h o g of a slice as one contiguous block
+            for part in table_slices(len(outs), len(ins) * dom.n, budget):
+                found |= np.isin(rows, np.take(ins, outs[part], axis=1).view(rows.dtype))
+        return found
+    return trivial
 
 
 def _hom_tables(doms, cods, budget: int):

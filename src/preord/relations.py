@@ -34,9 +34,10 @@ __all__ = ["Rel", "Partition", "generated_equivalence", "join_preorders"]
 
 def _freeze(n: int, bits) -> np.ndarray:
     a = np.asarray(bits, dtype=bool)
-    if a.shape != (n, n):
+    # an empty list is the 0 x 0 matrix, not a row of no entries
+    if a.shape != (n, n) and (n, a.shape) != (0, (0,)):
         raise ValidationError(f"relation matrix must be {n}x{n}, got shape {a.shape}")
-    a = a.copy()
+    a = a.reshape(n, n).copy()
     a.setflags(write=False)
     return a
 

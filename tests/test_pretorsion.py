@@ -135,6 +135,44 @@ class TestFactorsThrough:
                 for f in sample]
         assert got == want and len(set(want)) == 2
 
+    @pytest.mark.parametrize("cls", [EQUIVALENCES, PARTIAL_ORDERS] + NOT_CLOSED,
+                             ids=lambda c: c.name)
+    def test_stack_predicate_matches_search_on_every_hom_set_n3(self, objects3, cls):
+        trivial = pretorsion._class_trivial(cls, 10 ** 6)
+        for a in objects3:
+            zs = [brute_spec(z) for z in cls.candidates(a.n)]
+            for b in objects3:
+                rows = monotone_maps(a, b)
+                want = [factors_through_search(row, brute_spec(a), brute_spec(b), zs)
+                        for row in rows.tolist()]
+                assert trivial(rows, a, b).tolist() == want
+                empty = trivial(rows[:0], a, b)
+                assert empty.dtype == bool and empty.shape == (0,)
+
+    def test_stack_predicate_raises_where_a_search_row_by_row_would(self):
+        # the first member of each class, in order: the point, then the
+        # two-point objects, whose maps into chain(5) exceed the budget;
+        # a stack whose rows all factor through the point stops before them
+        trivial = pretorsion._class_trivial(ALL_PREORDERS, 40)
+        dom, cod = chain(2), chain(5)
+        assert trivial(np.array([[3, 3], [1, 1]]), dom, cod).tolist() == [True, True]
+        over = "25 candidate maps x 2 cells exceed budget 40"
+        with pytest.raises(BudgetError, match=over):
+            trivial(np.array([[3, 3], [0, 1]]), dom, cod)
+        with pytest.raises(BudgetError, match=over):
+            factors_through(Morph(dom, cod, (0, 1)), ALL_PREORDERS, 40)
+        assert factors_through(Morph(dom, cod, (3, 3)), ALL_PREORDERS, 40)
+
+    def test_stack_predicate_reads_every_slice_of_the_maps_into_the_member(self):
+        # budget 8 keeps 3 maps h x 2 cells to one g per slice; the identity
+        # of chain(2) factors through it only by g = (0, 1), the second
+        # of (0, 0), (0, 1), (1, 1)
+        c2 = chain(2)
+        only = ObjClass("chain(2)", lambda a: a == c2)
+        trivial = pretorsion._class_trivial(only, 8)
+        assert trivial(np.array([[0, 1], [1, 1], [0, 0]]), c2, c2).tolist() == [True] * 3
+        assert factors_through(identity(c2), only, 8)
+
     def test_null_factoring_equals_zero_in_the_pointed_quotient_n2(self, objects2):
         # once trivial objects become zero objects, factoring through the
         # null class is exactly being the zero morphism

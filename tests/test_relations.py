@@ -68,6 +68,16 @@ class TestValueSemantics:
         # hashed once, then read back: memoization keys hash it many times
         assert vars(r)["_hash"] == hash(r)
 
+    def test_empty_list_is_the_empty_relation_on_no_points(self):
+        r = Rel(0, [])
+        assert r.n == 0 and r.bits.shape == (0, 0)
+        assert r == Rel.empty(0) == Rel(0, np.zeros((0, 0), dtype=bool))
+        # a flat list of entries is still not a matrix, nor [] of a carrier
+        with pytest.raises(ValidationError, match="must be 2x2"):
+            Rel(2, [True, False, False, True])
+        with pytest.raises(ValidationError, match="must be 2x2"):
+            Rel(2, [])
+
     def test_string_pair_entry_rejected(self):
         with pytest.raises(ValidationError):
             Rel.from_pairs(2, [("0", 1)])

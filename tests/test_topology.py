@@ -305,17 +305,14 @@ class TestSpecialization:
     def test_morphism_equals_continuity_n3(self, objects3):
         # a map is monotone iff preimages of opens are open
         from preord import is_morphism
+        opens = {b: open_sets(b) for b in objects3}
         for a in objects3:
-            opens_cache = None
             for b in objects3:
-                if opens_cache is None:
-                    opens_cache = open_sets(b)
                 for m in iproduct(range(b.n), repeat=a.n):
                     cont = all(
                         is_open(a, np.array([s[m[x]] for x in range(a.n)]))
-                        for s in open_sets(b))
+                        for s in opens[b])
                     assert is_morphism(m, a, b) == cont
-            del opens_cache
 
 
 class TestDecomposition:
