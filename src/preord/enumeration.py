@@ -2,9 +2,10 @@
 
 Objects come out in lexicographic order of the row-major off-diagonal
 bit string (the diagonal is forced), that is by increasing code, the bit
-string read as a binary number.  Sizes are hard-capped: the counts grow
-like labeled topologies, and pairwise hom scans beyond n = 5 are
-hopeless at desk scale anyway.
+string read as a binary number.  Sizes are hard-capped at n = 6
+(209,527 labeled preorders): the counts grow like labeled topologies,
+and n = 7 (6,129,859 of them, each with 5,040 relabelings for its
+canonical code) is out of desk-scale reach.
 
 Every kind is read from one catalogue per carrier size, built once per
 process on first use: the labeled preorders on n points as a stack of
@@ -38,7 +39,7 @@ __all__ = ["KINDS", "HARD_CAP", "enumerate_objects", "count_objects", "objects_u
            "class_representatives"]
 
 KINDS = ("preorder", "equivalence", "partial_order", "trivial")
-HARD_CAP = 5
+HARD_CAP = 6
 
 # candidates checked per chunk of the extension: at most 4,096 matrices of
 # n * n cells, far below DEFAULT_BUDGET cells at the cap
@@ -69,8 +70,8 @@ def _canonical_codes(bits: np.ndarray) -> np.ndarray:
     w[~np.eye(n, dtype=bool).ravel()] = 2.0 ** np.arange(n * (n - 1) - 1, -1, -1)
     w = w.reshape(n, n)
     q = np.array(list(permutations(range(n)))).T
-    # cells x relabelings; codes stay below 2 ** 20 at the cap, so the
-    # float64 products are exact
+    # cells x relabelings; codes stay below 2 ** 30 at the cap (n = 6), so
+    # the float64 products are exact
     weights = w[q[:, None, :], q[None, :, :]].reshape(n * n, q.shape[1])
     flat = bits.reshape(len(bits), n * n)
     per = max(1, _CHUNK * 256 // weights.size)

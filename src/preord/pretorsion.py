@@ -23,8 +23,8 @@ bit vector per class and size: the four built-in classes read their
 kind's mask of the catalogue, and any other class asks its predicate
 once per labeled object and keeps the answers.  Whether Z is exactly the
 trivial objects is an array comparison of those bits with the
-catalogue's trivial mask, and the intersection of two classes is the
-same class on every call, so its bits are kept too.
+catalogue's trivial mask, and the null class is read as the AND of the
+two classes' bits, never built as a class of its own.
 
 Hom sets and Z-triviality carry over along isomorphisms, whether or not
 Z is closed under them, so both axioms are checked once per isomorphism
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -122,11 +122,13 @@ _KIND_OF = {ALL_PREORDERS: "preorder", EQUIVALENCES: "equivalence",
 
 @lru_cache(maxsize=64)
 def intersect_classes(t: ObjClass, f: ObjClass) -> ObjClass:
-    """The class of the objects in both; the same class for the same pair,
-    so that its membership bits are kept across verdicts."""
+    """The class of the objects in both, for the single-map checks
+    (`factors_through` and the relative checks) that take one class; the
+    same class for the same pair, so that its membership bits are kept.
+    The verifiers read their null class as the AND of t's and f's bits
+    instead, and never ask its predicate."""
     # the trivial_exact flag never propagates: an intersection with the
-    # trivial class could miss trivial objects of some sizes, and
-    # pretorsion_verify re-detects the flag on its working range anyway
+    # trivial class could miss trivial objects of some sizes
     return ObjClass(f"{t.name} ^ {f.name}", lambda a: t.contains(a) and f.contains(a))
 
 
@@ -139,16 +141,17 @@ def factors_through(f: Morph, cls: ObjClass, budget: int = DEFAULT_BUDGET) -> bo
     """
     if cls.trivial_exact:
         return is_trivial_morphism(f)
-    return bool(_class_trivial(cls, budget)(np.array([f.map]), f.dom, f.cod)[0])
+    return bool(_class_trivial((cls,), budget)(np.array([f.map]), f.dom, f.cod)[0])
 
 
-def _class_trivial(cls: ObjClass, budget: int):
-    """Triviality relative to the class, as the engine takes it: None
-    (plain triviality, checked pairwise as a table) for a trivial_exact
-    class, else a predicate `trivial(rows, dom, cod)` on a stack of maps.
+def _class_trivial(classes: tuple[ObjClass, ...], budget: int):
+    """Triviality relative to the objects in all the classes, as the engine
+    takes it: None (plain triviality, checked pairwise as a table) when
+    every class is trivial_exact, else a predicate `trivial(rows, dom,
+    cod)` on a stack of maps.
 
     The predicate searches the whole stack at once, through the first
-    member z0 of each isomorphism class the class holds on up to dom.n
+    member z0 of each isomorphism class the classes hold on up to dom.n
     points, in `_by_class` order.  Per z0 it gathers the composites h o g
     of the monotone g: dom -> z0 and h: z0 -> cod as one array, in slices
     of the g that keep a block of composites within the budget, and marks
@@ -156,7 +159,7 @@ def _class_trivial(cls: ObjClass, budget: int):
     next z0 once every row is marked, so it enumerates the same hom sets,
     and raises the same BudgetError, as a search row by row.
     """
-    if cls.trivial_exact:
+    if all(cls.trivial_exact for cls in classes):
         return None
 
     def trivial(rows, dom: PreObj, cod: PreObj) -> np.ndarray:
@@ -167,7 +170,7 @@ def _class_trivial(cls: ObjClass, budget: int):
         # z1 = phi(z0), so the first member of each isomorphism class
         # serves, and is a member even where the class is not closed under
         # isomorphism
-        for z0 in _by_class(cls, dom.n)[0]:
+        for z0 in _by_class(classes, dom.n)[0]:
             if found.all():
                 break
             outs, ins = monotone_maps(dom, z0, budget), monotone_maps(z0, cod, budget)
@@ -217,14 +220,14 @@ def relative_prekernel_check(k: Morph, f: Morph, cls: ObjClass,
                              tests: list[PreObj],
                              budget: int = DEFAULT_BUDGET) -> bool:
     """Definitional prekernel property relative to the class, over probes."""
-    return prekernel_property(k, f, tests, _class_trivial(cls, budget), budget)
+    return prekernel_property(k, f, tests, _class_trivial((cls,), budget), budget)
 
 
 def relative_precokernel_check(p: Morph, f: Morph, cls: ObjClass,
                                tests: list[PreObj],
                                budget: int = DEFAULT_BUDGET) -> bool:
     """Definitional precokernel property relative to the class, over probes."""
-    return precokernel_property(p, f, tests, _class_trivial(cls, budget), budget)
+    return precokernel_property(p, f, tests, _class_trivial((cls,), budget), budget)
 
 
 def relative_preexact(f: Morph, g: Morph, cls: ObjClass, tests: list[PreObj],
@@ -342,34 +345,47 @@ def _members(cls: ObjClass, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _by_class(cls: ObjClass, max_n: int):
-    """The labeled members of the class on 1..max_n points by isomorphism
-    class: (the first member of each class that holds one, in candidate
-    order; per class, how many members it holds; per member, in candidate
-    order, the position of its class among the first)."""
+def _by_class(classes: tuple[ObjClass, ...], max_n: int):
+    """The labeled objects on 1..max_n points that every one of the classes
+    holds, by isomorphism class: (the first member of each isomorphism
+    class that holds one, in candidate order; per isomorphism class, how
+    many members it holds; per member, in candidate order, the position of
+    its isomorphism class among the first)."""
     firsts, of = [], []
     for n in range(1, max_n + 1):
         cat = catalogue(n)
-        at = np.flatnonzero(_members(cls, n))
-        classes = cat.class_of[at]
+        # the objects in every one of the classes: the AND of their bits
+        at = np.flatnonzero(np.logical_and.reduce([_members(cls, n) for cls in classes]))
+        iso = cat.class_of[at]
         # a stable sort puts each class's first member first in its group
-        order = np.argsort(classes, kind="stable")
-        first = np.sort(order[np.diff(classes[order], prepend=-1) != 0])
+        order = np.argsort(iso, kind="stable")
+        first = np.sort(order[np.diff(iso[order], prepend=-1) != 0])
         index = np.zeros(len(cat.codes), dtype=np.intp)
-        index[classes[first]] = len(firsts) + np.arange(len(first))
-        of.append(index[classes])
+        index[iso[first]] = len(firsts) + np.arange(len(first))
+        of.append(index[iso])
         firsts.extend(map(cat.obj, at[first]))
     of = np.concatenate(of)
     return tuple(firsts), np.bincount(of, minlength=len(firsts)), of
 
 
-def _null_class(t: ObjClass, f: ObjClass, max_n: int) -> tuple[ObjClass, bool]:
-    z = intersect_classes(t, f)
+def _null_class(t: ObjClass, f: ObjClass, max_n: int, budget: int):
+    """The prologue of both verifiers, for the null class Z = t ^ f read as
+    the AND of t's and f's membership bits: (max_n read as a carrier size,
+    the catalogues of sizes 1..max_n, the triviality relative to Z that
+    the engine takes, and whether Z is exactly the trivial objects on the
+    range).  The triviality is None exactly in that case.
+
+    A max_n below 1 is a ValidationError; the catalogues are all built
+    (BudgetError beyond the enumeration cap) before any predicate is
+    asked."""
+    max_n = carrier_size(max_n)
+    if max_n < 1:
+        raise ValidationError(f"max_n must be at least 1, got {max_n}")
+    cats = [catalogue(n) for n in range(1, max_n + 1)]
     # a list, not a generator: every size gets its membership bits
-    trivial_on_range = all([
-        np.array_equal(_members(t, n) & _members(f, n), catalogue(n).masks["trivial"])
-        for n in range(1, max_n + 1)])
-    return (replace(z, trivial_exact=True) if trivial_on_range else z), trivial_on_range
+    exact = all([np.array_equal(_members(t, cat.n) & _members(f, cat.n), cat.masks["trivial"])
+                 for cat in cats])
+    return max_n, cats, None if exact else _class_trivial((t, f), budget), exact
 
 
 @lru_cache(maxsize=None)
@@ -484,8 +500,8 @@ def _axiom2(t: ObjClass, f: ObjClass, max_n: int, trivial, budget: int):
     class pair holds the first failing labeled pair: its table is the
     labeled table of that pair, and the maps before it are read from the
     hom counts of the class pairs before it."""
-    t_firsts, t_mult, t_of = _by_class(t, max_n)
-    f_firsts, f_mult, f_of = _by_class(f, max_n)
+    t_firsts, t_mult, t_of = _by_class((t,), max_n)
+    f_firsts, f_mult, f_of = _by_class((f,), max_n)
     homs_of = np.zeros((len(t_firsts), len(f_firsts)), dtype=np.int64)
     work = Counter()
     for i, cols, grid, homs in _hom_tables(t_firsts, f_firsts, budget):
@@ -532,13 +548,8 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     phases.  A max_n below 1 is a ValidationError: there would be nothing
     to check.
     """
-    max_n = carrier_size(max_n)
-    if max_n < 1:
-        raise ValidationError(f"max_n must be at least 1, got {max_n}")
     start = time.perf_counter()
-    cats = [catalogue(n) for n in range(1, max_n + 1)]
-    z, z_trivial = _null_class(t, f, max_n)
-    trivial = _class_trivial(z, budget)
+    max_n, cats, trivial, z_trivial = _null_class(t, f, max_n, budget)
     probes = class_representatives(max(1, max_n - 1))
     ax1 = Counter()
     built = time.perf_counter()
@@ -573,21 +584,18 @@ def closure_prop_check(x: PreObj, t: ObjClass, f: ObjClass, max_n: int,
     relative to the intersection class, then x must lie in t; dually for
     morphisms out of t-members into x.  Each isomorphism class of members
     is checked once, through its first member.  Returns whether both
-    implications hold on the range.  A max_n below 1 is a ValidationError, as in
-    `pretorsion_verify`.
+    implications hold on the range.  A max_n below 1 is a ValidationError,
+    and one beyond the enumeration cap a BudgetError raised before any
+    predicate is asked, as in `pretorsion_verify`.
     """
-    max_n = carrier_size(max_n)
-    if max_n < 1:
-        raise ValidationError(f"max_n must be at least 1, got {max_n}")
-    z, _ = _null_class(t, f, max_n)
-    trivial = _class_trivial(z, budget)
+    max_n, _, trivial, _ = _null_class(t, f, max_n, budget)
 
     def all_trivial(doms, cods):
         return not any(_nontrivial(trivial, doms[i], cods[cols], grid, homs).any()
                        for i, cols, grid, homs in _hom_tables(doms, cods, budget))
     # a map into or out of a member is trivial exactly when the matching
     # map for the first member of its isomorphism class is
-    t_firsts, f_firsts = _by_class(t, max_n)[0], _by_class(f, max_n)[0]
+    t_firsts, f_firsts = _by_class((t,), max_n)[0], _by_class((f,), max_n)[0]
     imp1 = (not all_trivial((x,), f_firsts)) or t.contains(x)
     imp2 = (not all_trivial(t_firsts, (x,))) or f.contains(x)
     return imp1 and imp2

@@ -4,6 +4,7 @@ Everything here is deliberately pure-python and naive so that it shares
 no code path with the numpy production implementations it checks.
 """
 
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
@@ -110,13 +111,20 @@ def condensation(n, pairs):
 
 
 def brute_monotone_maps(n_dom, n_cod, dom_pairs, cod_pairs):
-    """All monotone maps as tuples, via raw filtering of every map."""
-    cod_set = set(cod_pairs) | {(x, x) for x in range(n_cod)}
+    """All monotone maps as tuples, via raw filtering of every map; a new
+    list on each call, from a memo per (sizes, pair sets)."""
+    return list(_brute_monotone_maps(n_dom, n_cod, frozenset(map(tuple, dom_pairs)),
+                                     frozenset(map(tuple, cod_pairs))))
+
+
+@lru_cache(maxsize=1 << 14)
+def _brute_monotone_maps(n_dom, n_cod, dom_pairs, cod_pairs):
+    cod_set = cod_pairs | {(x, x) for x in range(n_cod)}
     out = []
     for m in product(range(n_cod), repeat=n_dom):
         if all((m[a], m[b]) in cod_set for a, b in dom_pairs):
             out.append(m)
-    return out
+    return tuple(out)
 
 
 def collapses_relation(map_row, pairs):

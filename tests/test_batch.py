@@ -57,7 +57,7 @@ def shapes(prop: str) -> dict:
 def engine(check, budget):
     """(trivial, canon) of the engine: plain triviality, triviality decided
     by a factorization search, or plain triviality up to stable equality."""
-    return {"plain": (None, None), "searched": (_class_trivial(SEARCHED, budget), None),
+    return {"plain": (None, None), "searched": (_class_trivial((SEARCHED,), budget), None),
             "stable": (None, _stable_classes)}[check]
 
 
@@ -270,7 +270,8 @@ class TestTorsionBatches:
                 spec(seqs.cs[i]), specs) for i in range(len(seqs))]
             iso = seqs.xs == seqs.mids
             plain, searched = (0, 0) if iso else (wider, 2 * runs)
-            for trivial, tables in ((None, plain), (_class_trivial(SEARCHED, 1_000_000), searched)):
+            searching = _class_trivial((SEARCHED,), 1_000_000)
+            for trivial, tables in ((None, plain), (searching, searched)):
                 calls.clear()
                 assert prekernel_batch(seqs, objects2, trivial, 1_000_000).tolist() == want
                 assert len(calls) == tables
@@ -287,7 +288,7 @@ class TestTorsionBatches:
         cs = list(seqs.cs)
         cs[wrong] = make_object(2, [(0, 1), (1, 0)])
         broken = SeqBatch(seqs.xs, seqs.mids, tuple(cs), seqs.k, seqs.g)
-        trivial = None if trivial_class is None else _class_trivial(trivial_class, 1_000_000)
+        trivial = None if trivial_class is None else _class_trivial((trivial_class,), 1_000_000)
         got = precokernel_batch(broken, objects2, trivial, 1_000_000).tolist()
         assert got == [i != wrong for i in range(len(at))]
         assert prekernel_batch(broken, objects2, trivial, 1_000_000).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from preord import (
-    Partition, chain, components, coproduct, count_objects, export_dot,
+    HARD_CAP, Partition, chain, components, coproduct, count_objects, export_dot,
     load_object, make_object, quotient_poset, save_object, symmetric_core,
     trivial_object,
 )
@@ -63,7 +63,8 @@ class TestBasicCommands:
             assert capsys.readouterr().out == f"count: {want}\n"
 
     @pytest.mark.parametrize("count_only", [[], ["--count-only"]])
-    @pytest.mark.parametrize("args", [["preorder", "0"], ["preorder", "6"], ["lattice", "2"]])
+    @pytest.mark.parametrize("args", [["preorder", "0"], ["preorder", str(HARD_CAP + 1)],
+                                      ["lattice", "2"]])
     def test_enumerate_usage_errors_exit_2(self, args, count_only, capsys):
         assert main(["enumerate", *args, *count_only]) == 2
         assert capsys.readouterr().out == ""
@@ -204,7 +205,7 @@ class TestMorphismCommands:
     def test_classify_exact_probes_beyond_the_cap_are_a_usage_error(self, tmp_path, capsys):
         c = write(tmp_path, "c.json", '{"n": 2, "pairs": [[0, 1]], "mode": "strict"}')
         ident = write(tmp_path, "id.json", '{"map": [0, 1]}')
-        assert main(["classify-exact", c, c, c, ident, ident, "--max-n", "6"]) == 2
+        assert main(["classify-exact", c, c, c, ident, ident, "--max-n", str(HARD_CAP + 1)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from preord import (
-    Morph, PreObj, chain, compose, hom_enumerate, image_equivalence, make_object,
+    HARD_CAP, Morph, PreObj, chain, compose, hom_enumerate, image_equivalence, make_object,
     objects_upto, precokernel, precokernel_witness, prekernel, prekernel_witness,
     trivial_object,
 )
@@ -87,8 +87,9 @@ class TestInterning:
         assert _interned.cache_info().currsize == _INTERNED
 
     def test_carriers_beyond_the_enumeration_cap_are_not_interned(self):
-        f = Morph(chain(6), trivial_object(1), (0,) * 6)
-        assert prekernel(f).dom == chain(6) and prekernel(f).dom is not prekernel(f).dom
+        over = HARD_CAP + 1
+        f = Morph(chain(over), trivial_object(1), (0,) * over)
+        assert prekernel(f).dom == chain(over) and prekernel(f).dom is not prekernel(f).dom
 
 
 class TestConstructionCache:
@@ -124,10 +125,10 @@ class TestConstructionCache:
         assert _built.cache_info().currsize == _BUILT
 
     def test_carriers_beyond_the_enumeration_cap_leave_the_cache_unchanged(self):
-        before = _built.cache_info()
-        for f in (Morph(chain(6), trivial_object(1), (0,) * 6),
-                  Morph(chain(6), chain(6), tuple(range(6))),
-                  Morph(chain(2), chain(6), (0, 5))):
+        before, over = _built.cache_info(), HARD_CAP + 1
+        for f in (Morph(chain(over), trivial_object(1), (0,) * over),
+                  Morph(chain(over), chain(over), tuple(range(over))),
+                  Morph(chain(2), chain(over), (0, over - 1))):
             assert prekernel(f).cod is f.dom and precokernel(f).dom is f.cod
         assert _built.cache_info() == before
 

@@ -79,7 +79,7 @@ class TestEnumeration:
 
     def test_cap_and_validation(self):
         with pytest.raises(BudgetError):
-            list(enumerate_objects(6))
+            list(enumerate_objects(HARD_CAP + 1))
         with pytest.raises(ValidationError):
             list(enumerate_objects(0))
         with pytest.raises(ValidationError):

@@ -25,7 +25,7 @@ from preord import (
 
 import preord
 from preord import pretorsion
-from preord.enumeration import catalogue, class_representatives
+from preord.enumeration import HARD_CAP, catalogue, class_representatives
 
 from .oracles import (
     axiom2_scan_brute, brute_objects, canonical_code_brute, factors_through_search, kind_test,
@@ -138,7 +138,7 @@ class TestFactorsThrough:
     @pytest.mark.parametrize("cls", [EQUIVALENCES, PARTIAL_ORDERS] + NOT_CLOSED,
                              ids=lambda c: c.name)
     def test_stack_predicate_matches_search_on_every_hom_set_n3(self, objects3, cls):
-        trivial = pretorsion._class_trivial(cls, 10 ** 6)
+        trivial = pretorsion._class_trivial((cls,), 10 ** 6)
         for a in objects3:
             zs = [brute_spec(z) for z in cls.candidates(a.n)]
             for b in objects3:
@@ -153,7 +153,7 @@ class TestFactorsThrough:
         # the first member of each class, in order: the point, then the
         # two-point objects, whose maps into chain(5) exceed the budget;
         # a stack whose rows all factor through the point stops before them
-        trivial = pretorsion._class_trivial(ALL_PREORDERS, 40)
+        trivial = pretorsion._class_trivial((ALL_PREORDERS,), 40)
         dom, cod = chain(2), chain(5)
         assert trivial(np.array([[3, 3], [1, 1]]), dom, cod).tolist() == [True, True]
         over = "25 candidate maps x 2 cells exceed budget 40"
@@ -169,7 +169,7 @@ class TestFactorsThrough:
         # of (0, 0), (0, 1), (1, 1)
         c2 = chain(2)
         only = ObjClass("chain(2)", lambda a: a == c2)
-        trivial = pretorsion._class_trivial(only, 8)
+        trivial = pretorsion._class_trivial((only,), 8)
         assert trivial(np.array([[0, 1], [1, 1], [0, 0]]), c2, c2).tolist() == [True] * 3
         assert factors_through(identity(c2), only, 8)
 
@@ -434,7 +434,7 @@ class TestEngineBudget:
 
         def first_failure(t, f, budget):
             return pretorsion._first_axiom1_failure(
-                2, t, f, pretorsion._class_trivial(point, budget), probes, budget, Counter())
+                2, t, f, pretorsion._class_trivial((point,), budget), probes, budget, Counter())
         assert catalogue(2).objs[0] == trivial_object(2)
         assert first_failure(no_trivial_part, everything, 1) == (
             0, "torsion part is outside the torsion class")
@@ -675,6 +675,43 @@ class TestPretorsionVerify:
         pretorsion_verify(t, f, 3)
         assert asked == before
 
+    def test_a_searched_null_class_asks_each_predicate_once_n3(self, objects3):
+        # the null class was built as a class of its own, whose predicate
+        # asked both classes of every labeled object a second time
+        asked = Counter()
+        t, f = counting(ALL_PREORDERS, asked), counting(EQUIVALENCES, asked)
+        report = pretorsion_verify(t, f, 3)
+        assert not report.null_class_is_trivial
+        assert len(objects3) == 34
+        assert asked == Counter({(c.name, a): 1 for c in (t, f) for a in objects3})
+
+    def test_a_range_beyond_the_cap_asks_no_predicate(self):
+        # the catalogues come first: the closure check asked the predicates
+        # of every size below the cap before it raised
+        asked = Counter()
+        t, f = counting(ALL_PREORDERS, asked), counting(EQUIVALENCES, asked)
+        with pytest.raises(BudgetError):
+            pretorsion_verify(t, f, HARD_CAP + 1)
+        with pytest.raises(BudgetError):
+            closure_prop_check(chain(2), t, f, HARD_CAP + 1)
+        assert not asked
+
+    def test_a_searched_null_class_builds_only_the_objects_it_reads(self):
+        # reading the null class through a predicate built every labeled
+        # object of every size
+        code = ("from preord import ALL_PREORDERS, EQUIVALENCES, pretorsion_verify\n"
+                "from preord.enumeration import catalogue\n"
+                "pretorsion_verify(ALL_PREORDERS, EQUIVALENCES, 4)\n"
+                "objs = catalogue(4)._objs\n"
+                "print(sum(a is not None for a in objs), len(objs))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(preord.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        built, labeled = map(int, out.stdout.split())
+        assert labeled == 355 and built < labeled
+
     def test_the_verdict_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on its first call, 13 ms of a cold verdict
         code = ("import sys\n"
@@ -889,7 +926,7 @@ class TestAxiom2ByClass:
         (EQUIVALENCES, 52, 7), (PARTIAL_ORDERS, 4231, 63),
     ], ids=["equivalences", "partial-orders"])
     def test_class_weights_count_every_labeled_member_n5(self, cls, labeled5, classes5):
-        firsts, weights, _ = pretorsion._by_class(cls, 5)
+        firsts, weights, _ = pretorsion._by_class((cls,), 5)
         per_class = Counter((n, canonical_code_brute(n, pairs))
                             for n, pairs in brute_objects(4, KIND_OF[cls]))
         small = [a for a in firsts if a.n <= 4]
