@@ -10,11 +10,13 @@ canonical code) is out of desk-scale reach.
 Every kind is read from one catalogue per carrier size, built once per
 process on first use: the labeled preorders on n points as a stack of
 relation matrices sorted by code, with a mask per kind.  A kind's objects
-are built from its masked matrices only.  Each catalogue also gives,
-on first use, the canonical code of every object, the smallest code over
-its n! relabelings: two objects get the same one exactly when they are
-isomorphic, and the object holding it, the first of its isomorphism class
-in code order, represents the class.
+are built from its masked matrices only.  A range of sizes 1..max_n is
+read through `catalogues`, which asks for the largest first, so a range
+beyond the cap fails before any catalogue is built.  Each catalogue also
+gives, on first use, the canonical code of every object, the smallest
+code over its n! relabelings: two objects get the same one exactly when
+they are isomorphic, and the object holding it, the first of its
+isomorphism class in code order, represents the class.
 Removing the last point of a preorder leaves a preorder, so the
 preorders on n points are those on n - 1 points, each with a down-set
 and an up-set for the new last point that keep it transitive (one-point
@@ -107,11 +109,6 @@ class Catalogue:
         return a
 
     @cached_property
-    def objs(self) -> tuple[PreObj, ...]:
-        """All the objects in code order, the preorder kind's, as `obj` gives them."""
-        return tuple(map(self.obj, range(len(self.codes))))
-
-    @cached_property
     def canonical_codes(self) -> np.ndarray:
         """Per object, the smallest code over its n! relabelings: equal
         exactly on isomorphic objects."""
@@ -158,28 +155,37 @@ def _extend(prev: np.ndarray) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _check(n: int, kind: str) -> None:
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    if n < 1:
-        raise ValidationError("objects must be non-empty")
-    if n > HARD_CAP:
-        raise BudgetError(f"enumeration capped at n <= {HARD_CAP}")
 
 
 @lru_cache(maxsize=None)
 def catalogue(n: int) -> Catalogue:
-    """The catalogue of the labeled preorders on n points, 1 <= n <= HARD_CAP."""
-    _check(n, "preorder")
+    """The catalogue of the labeled preorders on n points, 1 <= n <= HARD_CAP;
+    the size is checked before any smaller catalogue is built."""
+    if n < 1:
+        raise ValidationError("objects must be non-empty")
+    if n > HARD_CAP:
+        raise BudgetError(f"enumeration capped at n <= {HARD_CAP}")
     return Catalogue(n, np.ones((1, 1, 1), dtype=bool) if n == 1
                      else _extend(catalogue(n - 1).bits))
+
+
+def catalogues(max_n: int) -> list[Catalogue]:
+    """The catalogues of sizes 1..max_n, smaller first, max_n read as a
+    carrier size; BudgetError beyond the enumeration cap before any
+    catalogue is built."""
+    max_n = carrier_size(max_n)
+    # the largest first: it raises beyond the cap, else builds the others
+    return [catalogue(n) for n in range(max_n, 0, -1)][::-1]
 
 
 def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
     """All labeled objects of the kind on exactly n elements, in
     lexicographic order, from the catalogue of size n."""
     n = carrier_size(n)
-    _check(n, kind)
+    _check_kind(kind)
     cat = catalogue(n)
     # the extension keeps only preorders, so the objects skip a second check
     for bits in cat.bits[cat.masks[kind]]:
@@ -188,22 +194,18 @@ def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
 
 def count_objects(n: int, kind: str = "preorder") -> int:
     n = carrier_size(n)
-    _check(n, kind)
+    _check_kind(kind)
     return int(catalogue(n).masks[kind].sum())
 
 
 def objects_upto(max_n: int, kind: str = "preorder") -> list[PreObj]:
-    """All objects of the kind with 1 <= size <= max_n, smaller first."""
-    out: list[PreObj] = []
-    for n in range(1, carrier_size(max_n) + 1):
-        _check(n, kind)
-        cat = catalogue(n)
-        out.extend(map(cat.obj, np.flatnonzero(cat.masks[kind])))
-    return out
+    """All objects of the kind with 1 <= size <= max_n, smaller first; a
+    bad kind is a ValidationError at every max_n."""
+    _check_kind(kind)
+    return [cat.obj(i) for cat in catalogues(max_n) for i in np.flatnonzero(cat.masks[kind])]
 
 
 def class_representatives(max_n: int) -> list[PreObj]:
     """The first object of each isomorphism class with 1 <= size <= max_n,
     smaller first and in code order within a size."""
-    return [catalogue(n).obj(i) for n in range(1, carrier_size(max_n) + 1)
-            for i in catalogue(n).representatives]
+    return [cat.obj(i) for cat in catalogues(max_n) for i in cat.representatives]

@@ -508,6 +508,9 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                 grid = candidate_grid(an, run.m, budget)
                 afters = grid if cn == an else candidate_grid(cn, run.m, budget)
                 if trivial is None:
+                    # read through a product with the joined cells: comparing
+                    # grid[:, u] == grid[:, v] per joined pair instead took
+                    # 5.5 ms against 0.3-0.4 ms at a = 6, m = 5 (2-vCPU Linux)
                     apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
                 # per sequence, the class of each row of the grids of the lam and the lam'
                 tables = [] if classes is None else [np.stack(

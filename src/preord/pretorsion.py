@@ -66,7 +66,7 @@ from .exactness import (
     Seq, SeqBatch, plain_trivial, precokernel_batch, precokernel_property,
     prekernel_batch, prekernel_property,
 )
-from .enumeration import catalogue, class_representatives
+from .enumeration import catalogue, catalogues, class_representatives, enumerate_objects
 from .relations import block_ids, carrier_size
 
 __all__ = [
@@ -104,9 +104,8 @@ class ObjClass:
     def candidates(self, n: int) -> list[PreObj]:
         """The labeled members on 1..n points, smaller first and in
         catalogue (code) order within a size; BudgetError beyond the
-        enumeration cap."""
-        return [catalogue(k).obj(i) for k in range(1, carrier_size(n) + 1)
-                for i in np.flatnonzero(_members(self, k))]
+        enumeration cap, before the predicate is asked."""
+        return [cat.obj(i) for cat in catalogues(n) for i in np.flatnonzero(_members(self, cat.n))]
 
 
 EQUIVALENCES = ObjClass("equivalences", lambda a: a.rel.is_symmetric())
@@ -337,11 +336,11 @@ class PretorsionReport:
 def _members(cls: ObjClass, n: int) -> np.ndarray:
     """Which labeled preorders on n points, in catalogue order, the class
     holds: a built-in class reads its kind's mask, any other asks its
-    predicate once per object."""
+    predicate once per object, on objects it does not keep."""
     kind = _KIND_OF.get(cls)
     if kind is not None:
         return catalogue(n).masks[kind]
-    return np.fromiter(map(cls.contains, catalogue(n).objs), dtype=bool)
+    return np.fromiter(map(cls.contains, enumerate_objects(n)), dtype=bool)
 
 
 @lru_cache(maxsize=64)
@@ -352,10 +351,9 @@ def _by_class(classes: tuple[ObjClass, ...], max_n: int):
     many members it holds; per member, in candidate order, the position of
     its isomorphism class among the first)."""
     firsts, of = [], []
-    for n in range(1, max_n + 1):
-        cat = catalogue(n)
+    for cat in catalogues(max_n):
         # the objects in every one of the classes: the AND of their bits
-        at = np.flatnonzero(np.logical_and.reduce([_members(cls, n) for cls in classes]))
+        at = np.flatnonzero(np.logical_and.reduce([_members(cls, cat.n) for cls in classes]))
         iso = cat.class_of[at]
         # a stable sort puts each class's first member first in its group
         order = np.argsort(iso, kind="stable")
@@ -375,13 +373,13 @@ def _null_class(t: ObjClass, f: ObjClass, max_n: int, budget: int):
     the engine takes, and whether Z is exactly the trivial objects on the
     range).  The triviality is None exactly in that case.
 
-    A max_n below 1 is a ValidationError; the catalogues are all built
-    (BudgetError beyond the enumeration cap) before any predicate is
+    A max_n below 1 is a ValidationError, and one beyond the enumeration
+    cap a BudgetError raised before any catalogue is built or predicate
     asked."""
     max_n = carrier_size(max_n)
     if max_n < 1:
         raise ValidationError(f"max_n must be at least 1, got {max_n}")
-    cats = [catalogue(n) for n in range(1, max_n + 1)]
+    cats = catalogues(max_n)
     # a list, not a generator: every size gets its membership bits
     exact = all([np.array_equal(_members(t, cat.n) & _members(f, cat.n), cat.masks["trivial"])
                  for cat in cats])

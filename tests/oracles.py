@@ -7,6 +7,7 @@ no code path with the numpy production implementations it checks.
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
+from operator import itemgetter
 
 
 def naive_transitive_closure(pairs, n):
@@ -304,6 +305,8 @@ PREORDER_COUNTS = (1, 1, 4, 29, 355, 6942, 209527)
 PARTIAL_ORDER_COUNTS = (1, 1, 3, 19, 219, 4231, 130023)
 # preorders on n = 0..6 points up to isomorphism (OEIS A001930)
 PREORDER_CLASS_COUNTS = (1, 1, 3, 9, 33, 139, 718)
+# partial orders on k = 0..6 points up to isomorphism (OEIS A000112)
+PARTIAL_ORDER_CLASS_COUNTS = (1, 1, 2, 5, 16, 63, 318)
 
 
 def stirling2(n, k):
@@ -313,6 +316,19 @@ def stirling2(n, k):
     if k == 0 or k > n:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def bell(n):
+    """Partitions of n labeled points: the labeled equivalences (Bell numbers)."""
+    return sum(stirling2(n, k) for k in range(n + 1))
+
+
+def integer_partitions(n, largest=None):
+    """Partitions of n into parts of at most `largest` (default n): the
+    equivalences on n points up to isomorphism (OEIS A000041)."""
+    if n == 0:
+        return 1
+    return sum(integer_partitions(n - part, part) for part in range(1, min(n, largest or n) + 1))
 
 
 def count_preorders_by_blocks(n):
@@ -384,15 +400,30 @@ def brute_objects(max_n, kind):
     return out
 
 
+def _spec_key(spec):
+    n, pairs = spec
+    return n, frozenset(map(tuple, pairs))
+
+
 def factors_through_search(map_row, dom, cod, factor_objs):
     """Is the map h o g for monotone g: dom -> z and h: z -> cod, for some
     z among the (n, pairs) specs?"""
+    composites = _composites(_spec_key(dom), _spec_key(cod), tuple(map(_spec_key, factor_objs)))
+    return tuple(map(int, map_row)) in composites
+
+
+@lru_cache(maxsize=1 << 12)
+def _composites(dom, cod, factor_objs):
+    """Every map h o g for monotone g: dom -> z and h: z -> cod, z among
+    the factor specs, as a set of tuples; a memo per (dom, cod, factors)."""
+    out = set()
     for z_n, z_pairs in factor_objs:
         hs = brute_monotone_maps(z_n, cod[0], z_pairs, cod[1])
         for g in brute_monotone_maps(dom[0], z_n, dom[1], z_pairs):
-            if any(all(h[g[a]] == map_row[a] for a in range(dom[0])) for h in hs):
-                return True
-    return False
+            pick = itemgetter(*g)
+            # itemgetter of one index gives the item, not a 1-tuple
+            out.update(map(pick, hs) if len(g) > 1 else zip(map(pick, hs)))
+    return frozenset(out)
 
 
 def axiom2_scan_brute(max_n, t_kind, f_kind):

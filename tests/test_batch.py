@@ -230,19 +230,19 @@ class TestTorsionBatches:
         for n in range(1, 5):
             cat = catalogue(n)
             # every labeled object, and one per class as axiom 1 asks
-            for positions in (np.arange(len(cat.objs)), cat.representatives):
+            for positions in (np.arange(len(cat.codes)), cat.representatives):
                 seen = []
                 for at, seqs, cores, quotients in _torsion_batches(n, positions):
                     for i, pos in enumerate(at):
-                        want = torsion_sequence(cat.objs[pos])
-                        assert seqs.mids[i] is cat.objs[pos]
+                        want = torsion_sequence(cat.obj(pos))
+                        assert seqs.mids[i] is cat.obj(pos)
                         assert (seqs.xs[i], seqs.mids[i], seqs.cs[i]) == (
                             want.f.dom, want.f.cod, want.g.cod)
                         assert tuple(seqs.k[i]) == want.f.map
                         assert tuple(seqs.g[i]) == want.g.map
                         # the objects are the catalogues', at the positions given
-                        assert seqs.xs[i] is cat.objs[cores[i]]
-                        assert seqs.cs[i] is catalogue(want.g.cod.n).objs[quotients[i]]
+                        assert seqs.xs[i] is cat.obj(cores[i])
+                        assert seqs.cs[i] is catalogue(want.g.cod.n).obj(quotients[i])
                     seen.extend(at.tolist())
                 # the first object alone, then every other object once
                 assert seen[0] == positions[0] and sorted(seen) == positions.tolist()
@@ -264,7 +264,7 @@ class TestTorsionBatches:
         runs = len(same_size_runs(objects2))
         wider = sum(run.m > 1 for run in same_size_runs(objects2))
         specs = [spec(y) for y in objects2]
-        for _, seqs, *_ in _torsion_batches(3, np.arange(len(catalogue(3).objs))):
+        for _, seqs, *_ in _torsion_batches(3, np.arange(len(catalogue(3).codes))):
             want = [prekernel_property_search(
                 seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(), spec(seqs.mids[i]),
                 spec(seqs.cs[i]), specs) for i in range(len(seqs))]
@@ -278,7 +278,7 @@ class TestTorsionBatches:
 
     @pytest.mark.parametrize("trivial_class", [None, SEARCHED])
     def test_a_wrong_quotient_fails_among_torsion_sequences(self, objects2, trivial_class):
-        everyone = np.arange(len(catalogue(3).objs))
+        everyone = np.arange(len(catalogue(3).codes))
         (at, seqs), = [(at, s) for at, s, *_ in _torsion_batches(3, everyone)
                        if len(at) > 1 and s.cs[0].n == 2]
         # the projection onto a 2-point quotient, read as a map onto the

@@ -160,7 +160,8 @@ class TestIsomorphismClasses:
     def test_canonical_codes_are_the_brute_force_minimum(self, n):
         cat = catalogue(n)
         assert cat.canonical_codes.tolist() == [
-            canonical_code_brute(n, set(a.rel.pairs(include_diagonal=True))) for a in cat.objs]
+            canonical_code_brute(n, set(a.rel.pairs(include_diagonal=True)))
+            for a in enumerate_objects(n)]
 
     def test_class_counts_are_a001930(self):
         assert [len(catalogue(n).representatives) for n in range(1, 6)] == [1, 3, 9, 33, 139]
@@ -173,7 +174,7 @@ class TestIsomorphismClasses:
         assert (cat.class_of <= np.arange(len(cat.codes))).all()
         assert np.flatnonzero(members).tolist() == cat.representatives.tolist()
         for i in cat.representatives:
-            pairs = set(cat.objs[i].rel.pairs(include_diagonal=True))
+            pairs = set(cat.obj(i).rel.pairs(include_diagonal=True))
             assert members[i] * automorphism_count_brute(n, pairs) == math.factorial(n)
 
     def test_codes_are_built_on_first_use_only(self):
@@ -207,7 +208,7 @@ class TestCountOracles:
     @pytest.mark.parametrize("n", range(1, HARD_CAP + 1))
     def test_representatives_fill_the_catalogue_by_orbit_stabilizer(self, n):
         cat = catalogue(n)
-        reps = [set(cat.objs[i].rel.pairs(include_diagonal=True)) for i in cat.representatives]
+        reps = [set(cat.obj(i).rel.pairs(include_diagonal=True)) for i in cat.representatives]
         assert orbit_sizes_brute(n, reps) == count_objects(n)
 
     @pytest.mark.parametrize("n", range(1, HARD_CAP + 1))

@@ -25,10 +25,11 @@ from preord import (
 
 import preord
 from preord import pretorsion
-from preord.enumeration import HARD_CAP, catalogue, class_representatives
+from preord.enumeration import HARD_CAP, catalogue, class_representatives, enumerate_objects
 
 from .oracles import (
-    axiom2_scan_brute, brute_objects, canonical_code_brute, factors_through_search, kind_test,
+    PARTIAL_ORDER_CLASS_COUNTS, PARTIAL_ORDER_COUNTS, axiom2_scan_brute, bell, brute_objects,
+    canonical_code_brute, factors_through_search, integer_partitions, kind_test,
     precokernel_property_search, prekernel_property_search,
 )
 
@@ -44,6 +45,15 @@ def counting(cls, asked):
         asked[cls.name, a] += 1
         return cls.contains(a)
     return ObjClass(cls.name, contains, trivial_exact=cls.trivial_exact)
+
+
+def fresh(code):
+    """What the code prints, run in a new interpreter on this preord."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(preord.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        if p))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
 
 
 def brute_spec(a):
@@ -82,7 +92,8 @@ class TestObjClass:
         for n in range(1, 6):
             cat = catalogue(n)
             for cls, kind in KIND_OF.items():
-                assert cat.masks[kind].tolist() == [bool(cls.contains(a)) for a in cat.objs]
+                assert cat.masks[kind].tolist() == [
+                    bool(cls.contains(a)) for a in enumerate_objects(n)]
                 assert pretorsion._members(cls, n) is cat.masks[kind]
 
     def test_a_candidate_list_is_rejected(self):
@@ -435,7 +446,7 @@ class TestEngineBudget:
         def first_failure(t, f, budget):
             return pretorsion._first_axiom1_failure(
                 2, t, f, pretorsion._class_trivial((point,), budget), probes, budget, Counter())
-        assert catalogue(2).objs[0] == trivial_object(2)
+        assert catalogue(2).obj(0) == trivial_object(2)
         assert first_failure(no_trivial_part, everything, 1) == (
             0, "torsion part is outside the torsion class")
         with pytest.raises(BudgetError):
@@ -599,6 +610,18 @@ class TestPretorsionVerify:
             "pass on 1466 maps\n"
             "verdict: pass")
 
+    def test_report_text_of_a_failing_verdict_is_pinned_n3(self):
+        assert str(pretorsion_verify(PARTIAL_ORDERS, EQUIVALENCES, 3)) == (
+            "pretorsion check for (partial-orders, equivalences) up to n=3\n"
+            "null class = intersection; members on range are exactly the trivial objects\n"
+            "axiom 1 (canonical sequence is relatively preexact with ends in the classes): "
+            "FAIL on 3 objects\n"
+            "  counterexample: PreObj(2, [(1, 0)]) (quotient is outside the torsion-free class)\n"
+            "axiom 2 (every hom from torsion to torsion-free is null-trivial): "
+            "FAIL on 79 maps\n"
+            "  counterexample: [0, 1] from PreObj(2, [(1, 0)]) to PreObj(2, [(0, 1), (1, 0)])\n"
+            "verdict: FAIL")
+
     @pytest.mark.parametrize("max_n, counts", [(3, (13, 14, 12, 282, 6, 8)),
                                                (4, (46, 35, 57, 33_546, 11, 24))],
                              ids=["max_n3", "max_n4"])
@@ -704,13 +727,48 @@ class TestPretorsionVerify:
                 "pretorsion_verify(ALL_PREORDERS, EQUIVALENCES, 4)\n"
                 "objs = catalogue(4)._objs\n"
                 "print(sum(a is not None for a in objs), len(objs))\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(Path(preord.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-            if p))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True)
-        built, labeled = map(int, out.stdout.split())
+        built, labeled = map(int, fresh(code).split())
         assert labeled == 355 and built < labeled
+
+    # each range reader built every catalogue below the cap, and a searched
+    # class asked its predicate of their objects, before the cap's BudgetError
+    BEYOND_CAP = {
+        "objects_upto": "objects_upto(HARD_CAP + 1)",
+        "class_representatives": "class_representatives(HARD_CAP + 1)",
+        "candidates": "t.candidates(HARD_CAP + 1)",
+        "pretorsion_verify": "pretorsion_verify(t, f, HARD_CAP + 1)",
+        "closure_prop_check": "closure_prop_check(chain(2), t, f, HARD_CAP + 1)",
+        "factors_through": "factors_through(Morph(chain(HARD_CAP + 1), chain(1), "
+                           "(0,) * (HARD_CAP + 1)), t)",
+    }
+
+    @pytest.mark.parametrize("call", list(BEYOND_CAP.values()), ids=list(BEYOND_CAP))
+    def test_a_range_beyond_the_cap_builds_no_catalogue(self, call):
+        code = ("from preord import (BudgetError, Morph, ObjClass, chain, closure_prop_check,\n"
+                "                    factors_through, objects_upto, pretorsion_verify)\n"
+                "from preord.enumeration import HARD_CAP, catalogue, class_representatives\n"
+                "asked = []\n"
+                "t = ObjClass('sym', lambda a: asked.append(a) or a.rel.is_symmetric())\n"
+                "f = ObjClass('anti', lambda a: asked.append(a) or a.rel.is_antisymmetric())\n"
+                "try:\n"
+                f"    {call}\n"
+                "except BudgetError as e:\n"
+                "    print(e)\n"
+                "print(len(asked), catalogue.cache_info().currsize)\n")
+        assert fresh(code).splitlines() == [f"enumeration capped at n <= {HARD_CAP}", "0 0"]
+
+    def test_a_user_class_builds_no_more_objects_than_its_built_in_twin(self):
+        # a user class asked its predicate of the catalogue's own objects, so
+        # the catalogue kept every labeled object
+        code = ("from preord import EQUIVALENCES, ObjClass, PARTIAL_ORDERS, pretorsion_verify\n"
+                "from preord.enumeration import catalogue\n"
+                "assert pretorsion_verify({}, PARTIAL_ORDERS, 4).ok\n"
+                "objs = catalogue(4)._objs\n"
+                "print(sum(a is not None for a in objs), len(objs))\n")
+        user, labeled = map(int, fresh(code.format(
+            "ObjClass('symmetric', lambda a: a.rel.is_symmetric())")).split())
+        builtin, _ = map(int, fresh(code.format("EQUIVALENCES")).split())
+        assert labeled == 355 and user <= builtin < labeled
 
     def test_the_verdict_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on its first call, 13 ms of a cold verdict
@@ -718,12 +776,7 @@ class TestPretorsionVerify:
                 "from preord import EQUIVALENCES, PARTIAL_ORDERS, pretorsion_verify\n"
                 "assert pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 3).ok\n"
                 "print('numpy.ma' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(Path(preord.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-            if p))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True)
-        assert out.stdout.strip() == "False"
+        assert fresh(code).strip() == "False"
 
     def test_null_class_is_exactly_the_trivial_objects_n3(self, objects3):
         z = intersect_classes(EQUIVALENCES, PARTIAL_ORDERS)
@@ -919,6 +972,23 @@ class TestAxiom2ByClass:
         ts = first_of_each_class(EQUIVALENCES.candidates(3))
         fs = first_of_each_class(self.PO_BUT_CHAIN10.candidates(3))
         assert report.axiom2_class_pairs == len(ts) * len(fs) == 6 * 8
+
+    @pytest.mark.parametrize("max_n", range(1, HARD_CAP + 1))
+    def test_class_weights_match_the_count_oracles(self, max_n):
+        # per size, the isomorphism classes and the labeled members: A000041
+        # and Bell numbers for the equivalences, A000112 and A001035 for the
+        # partial orders, and one trivial object for their intersection
+        sizes = range(1, max_n + 1)
+        for classes, n_classes, labeled in (
+                ((EQUIVALENCES,), map(integer_partitions, sizes), map(bell, sizes)),
+                ((PARTIAL_ORDERS,), (PARTIAL_ORDER_CLASS_COUNTS[n] for n in sizes),
+                 (PARTIAL_ORDER_COUNTS[n] for n in sizes)),
+                ((EQUIVALENCES, PARTIAL_ORDERS), (1 for _ in sizes), (1 for _ in sizes))):
+            firsts, weights, _ = pretorsion._by_class(classes, max_n)
+            size = np.array([a.n for a in firsts])
+            assert [(size == n).sum() for n in sizes] == list(n_classes)
+            assert [weights[size == n].sum() for n in sizes] == list(labeled)
+        assert all(map(is_trivial_object, firsts)) and (weights == 1).all()
 
     # labeled members and isomorphism classes on 5 points: Bell(5) and
     # A000041(5), A001035(5) and A000112(5)

@@ -7,7 +7,7 @@ import pytest
 
 from preord import (
     Morph, NotShortExactError, Seq, StableHom, ValidationError, chain,
-    classify_short_exact, compose, congruence_check, hom_enumerate,
+    classify_short_exact, compose, congruence_check, coproduct, hom_enumerate,
     identity, image_equivalence, is_stable_zero,
     is_trivial_object, is_clopen, make_object, minimal_part, monotone_maps,
     precokernel, prekernel, quotient_object, restrict, stable_cokernel,
@@ -18,6 +18,7 @@ from preord import (
     verify_stable_kernel, quotient_poset,
 )
 
+from preord import stable
 from preord.enumeration import class_representatives
 
 from .oracles import (
@@ -430,6 +431,26 @@ class TestClassify:
             classify_short_exact(f, g, objects2)
         assert "kernel" in str(exc.value)
 
+    def test_a_left_witness_without_a_stable_inverse_is_diagnosed(self, objects2, monkeypatch):
+        seq = torsion_sequence(MIXED)
+        monkeypatch.setattr(stable, "stable_inverse", lambda f, budget: None)
+        with pytest.raises(NotShortExactError, match="^left witness is not a stable isomorphism$"):
+            classify_short_exact(seq.f, seq.g, objects2)
+
+    def test_right_witnesses_without_a_stable_inverse_are_diagnosed(self, objects2, monkeypatch):
+        # the left witness keeps its inverse, every right candidate loses its own
+        seq = torsion_sequence(MIXED)
+        asked = []
+        real = stable.stable_inverse
+
+        def left_only(f, budget):
+            asked.append(f)
+            return real(f, budget) if len(asked) == 1 else None
+        monkeypatch.setattr(stable, "stable_inverse", left_only)
+        with pytest.raises(NotShortExactError, match="^no stable right witness found$"):
+            classify_short_exact(seq.f, seq.g, objects2)
+        assert len(asked) > 1
+
 
 class TestCoproductPreservation:
     def test_two_points(self, objects2):
@@ -444,3 +465,20 @@ class TestCoproductPreservation:
 
     def test_mixed_family_against_small_probes(self, objects2):
         assert verify_coproduct_preservation([MIXED, chain(2)], objects2)
+
+    def test_maps_that_share_every_restriction_fail(self, monkeypatch):
+        # a sum with a third chain that no injection reaches: every family of
+        # components is realized, but two maps that differ only on the third
+        # chain, stably distinct, have the same restrictions
+        a = chain(2)
+        summed, injections = coproduct([a, a, a])
+        monkeypatch.setattr(stable, "coproduct", lambda objs: (summed, injections[:2]))
+        assert not verify_coproduct_preservation([a, a], [chain(2)])
+
+    def test_families_that_no_map_realizes_fail(self, monkeypatch):
+        # the two chains glued into one: a map out of it is determined by its
+        # restrictions, but those are equal, so two stably distinct
+        # components never come together
+        a = chain(2)
+        monkeypatch.setattr(stable, "coproduct", lambda objs: (a, [identity(a)] * 2))
+        assert not verify_coproduct_preservation([a, a], [chain(2)])
