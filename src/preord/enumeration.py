@@ -4,7 +4,7 @@ Objects come out in lexicographic order of the row-major off-diagonal
 bit string (the diagonal is forced), that is by increasing code, the bit
 string read as a binary number.  Sizes are hard-capped at n = 6
 (209,527 labeled preorders): the counts grow like labeled topologies,
-and n = 7 (6,129,859 of them, each with 5,040 relabelings for its
+and n = 7 (9,535,241 of them, each with 5,040 relabelings for its
 canonical code) is out of desk-scale reach.
 
 Every kind is read from one catalogue per carrier size, built once per
@@ -28,7 +28,7 @@ in chunks, one batched transitivity test per chunk.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import compress, permutations
 from typing import Iterator
 
 import numpy as np
@@ -187,9 +187,12 @@ def enumerate_objects(n: int, kind: str = "preorder") -> Iterator[PreObj]:
     n = carrier_size(n)
     _check_kind(kind)
     cat = catalogue(n)
-    # the extension keeps only preorders, so the objects skip a second check
-    for bits in cat.bits[cat.masks[kind]]:
-        yield PreObj._trusted(Rel(n, bits))
+    # one position at a time, with no masked copy of the stack and no index
+    # array; the extension keeps only preorders, so the objects skip a
+    # second check
+    mask = cat.masks[kind]
+    for i in compress(range(len(mask)), mask):
+        yield PreObj._trusted(Rel(n, cat.bits[i]))
 
 
 def count_objects(n: int, kind: str = "preorder") -> int:

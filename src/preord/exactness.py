@@ -36,7 +36,7 @@ from .category import (
     Morph, PreObj, candidate_grid, compose, grid_index, inverse_map, is_iso_map,
     is_trivial_morphism, maps_into_table, maps_out_table, pair_rows, same_size_runs,
     stack_bits, table_slices,
-    DEFAULT_BUDGET,
+    DEFAULT_BUDGET, _GRID_CACHE_CELLS,
 )
 from .decompose import _quotient
 from .enumeration import HARD_CAP
@@ -352,8 +352,19 @@ def _slices(alive: np.ndarray, run, rows: int, width: int, budget: int):
             yield cols, live[part]
 
 
+def _identity_legs(seqs: SeqBatch) -> np.ndarray:
+    """Per sequence X --k--> A --g--> C: is k the identity map, with X
+    exactly A cut down to the fibres of g, as in the canonical prekernel?"""
+    kmap, fmap = seqs.k, seqs.g
+    if kmap.shape[1] != fmap.shape[1]:
+        return np.zeros(len(seqs), dtype=bool)
+    fibres = fmap[:, :, None] == fmap[:, None, :]
+    return ((kmap == np.arange(kmap.shape[1])).all(axis=1)
+            & (stack_bits(seqs.xs) == stack_bits(seqs.mids) & fibres).all(axis=(1, 2)))
+
+
 def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
-               stats: Counter | None, side) -> np.ndarray:
+               stats: Counter | None, side, closed=None) -> np.ndarray:
     """The engine of `prekernel_batch` and `precokernel_batch`: per sequence
     X --k--> A --g--> C of the batch, does its leg (k, or g) have the
     universal property over the probes?
@@ -362,9 +373,10 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     through the leg by exactly one of the monotone lam', counted per row,
     or per class, they reach.  The probes of one size share the grids of
     the lam and of the lam'; each test is a table of sequences x grid rows
-    x probes, one for both where the grids are one and a sequence's lam'
-    read the cells its lam read.  A failed sequence skips later runs.
-    `side()`, asked if the batch is not empty, gives (iso, points,
+    x probes.  A failed sequence skips later runs.
+    `closed(seqs)`, if given, marks the sequences that pass in closed form
+    before anything else is built: only the others go on, as a batch of
+    their own.  `side(seqs)`, asked if that batch is not empty, gives (iso, points,
     prepare): which legs are isomorphisms (the composite then decides,
     without a table); None, or what is left alive after a run of
     one-point probes, in closed form; and `prepare()`, asked once, at the
@@ -379,17 +391,27 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
 
     Budgets are those of `monotone_maps` on the same hom sets, checked
     before each run that a sequence still has to tabulate, and the tables
-    are cut so that none, nor an intermediate, exceeds the budget.  An
-    isomorphic leg, or a run decided without a table, meets no grid, so
-    it never raises BudgetError, however large its probes or objects.
-    `stats`, a Counter, gains the sequences, those decided by an
-    isomorphic leg (`iso_legs`), the one-point runs of a sequence decided
-    without a table (`point_runs`) and the table cells (lam tables:
-    sequences x grid rows x probes) checked.
+    are cut so that none, nor an intermediate, exceeds the budget.  A
+    sequence passed by `closed`, an isomorphic leg, or a run decided
+    without a table meets no grid, so it never raises BudgetError,
+    however large its probes or objects.  `stats`, a Counter, gains the
+    sequences, those passed by `closed` (`identity_legs`), those of the
+    others decided by an isomorphic leg (`iso_legs`), the one-point runs
+    of a sequence decided without a table (`point_runs`) and the table
+    cells (lam tables: sequences x grid rows x probes) checked.
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
-    iso, points, prepare = side()
+    if closed is not None:
+        passed = closed(seqs)
+        if passed.any():
+            if stats is not None:
+                stats.update(sequences=int(passed.sum()), identity_legs=int(passed.sum()))
+            if not passed.all():
+                rest = np.flatnonzero(~passed)
+                passed[rest] = _universal(seqs.take(rest), tests, trivial, budget, stats, side)
+            return passed
+    iso, points, prepare = side(seqs)
     alive = seqs.trivial_composites(trivial)
     decided, alive = alive & iso, alive & ~iso
     tabulate = None
@@ -403,14 +425,11 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             continue
         if tabulate is None:
             (lam_cells, prime_cells), table, args, tabulate = prepare()
-            same = ((lam_cells == prime_cells).all(axis=(1, 2))
-                    if lam_cells.shape == prime_cells.shape else np.zeros(len(seqs), dtype=bool))
         grid, primes, piece = tabulate(run)
         for cols, idx in _slices(alive, run, max(len(grid), len(primes)),
                                  max(run.m, seqs.g.shape[1]), budget):
             lam = table(grid, lam_cells[idx], run, cols, budget)
-            factors = lam if primes is grid and same[idx].all() else table(
-                primes, prime_cells[idx], run, cols, budget)
+            factors = table(primes, prime_cells[idx], run, cols, budget)
             lam, reach, classes = piece(cols, idx, lam)
             fail = lam & ~_unique_factors(reach, factors, len(grid), *classes)
             if fail.any():
@@ -441,16 +460,23 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     The lam are the grid of maps Y -> A, the lam' that of maps Y -> X,
     and k need not be injective.
 
-    When k is an isomorphism, lam' = k^-1 o lam is the one factorization
-    of every lam, also up to class (composing with k^-1 keeps stable
-    equality), so k is a prekernel of g exactly when g o k is trivial:
-    such a sequence is decided without a table.  So is a run of one-point
-    probes unless a predicate is given: each lam is a point of A, so k
-    must be a bijection, or nothing up to stable equality, as every map
-    out of a point is stably trivial.  Budgets, slicing and `stats` are
-    those of the engine, `_universal`.
+    Under plain triviality an identity leg passes in closed form, before
+    the composite or any table is built: k the identity map and X exactly
+    A cut down to the fibres of g, as in the canonical prekernel.  Then
+    g o k is trivial, and each lam with g o lam trivial sends related
+    points into one fibre, so lam itself is monotone into X and is its
+    one lam'; up to class too, as the lam and the lam' are the same rows
+    of one grid, with the same classes.  A searched predicate keeps its
+    tables.  When k is an isomorphism, lam' = k^-1 o lam is the one
+    factorization of every lam, also up to class (composing with k^-1
+    keeps stable equality), so k is a prekernel of g exactly when g o k is
+    trivial: such a sequence is decided without a table.  So is a run of
+    one-point probes unless a predicate is given: each lam is a point of
+    A, so k must be a bijection, or nothing up to stable equality, as
+    every map out of a point is stably trivial.  Budgets, slicing and
+    `stats` are those of the engine, `_universal`.
     """
-    def side():
+    def side(seqs):
         kmap, fmap = seqs.k, seqs.g
         an = fmap.shape[1]
         bijective = _bijective(kmap, an)
@@ -473,7 +499,20 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
         points = None if trivial is not None else lambda alive: (
             alive if classes is not None else alive & bijective)
         return _iso_legs(kmap, bijective, seqs.xs, seqs.mids), points, prepare
-    return _universal(seqs, tests, trivial, budget, stats, side)
+    return _universal(seqs, tests, trivial, budget, stats, side,
+                      _identity_legs if trivial is None else None)
+
+
+def _apart(grid: np.ndarray) -> np.ndarray:
+    """Per row of a grid of maps, the cells (u, v) of the domain square
+    that the map sends to unequal points, row-major; write-protected."""
+    apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), -1)
+    apart.setflags(write=False)
+    return apart
+
+
+# `_apart` of the grid of maps from a points into m, kept like small grids
+_cached_apart = lru_cache(maxsize=64)(lambda a, m: _apart(candidate_grid(a, m)))
 
 
 def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
@@ -492,7 +531,7 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     never fails, whatever the triviality: the one map into a point is the
     one map out of C after p.
     """
-    def side():
+    def side(seqs):
         fmap, pmap = seqs.k, seqs.g
         an, cn = pmap.shape[1], seqs.cs[0].n
 
@@ -511,7 +550,8 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                     # read through a product with the joined cells: comparing
                     # grid[:, u] == grid[:, v] per joined pair instead took
                     # 5.5 ms against 0.3-0.4 ms at a = 6, m = 5 (2-vCPU Linux)
-                    apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), an * an)
+                    apart = (_cached_apart(an, run.m) if len(grid) * an * an <= _GRID_CACHE_CELLS
+                             else _apart(grid))
                 # per sequence, the class of each row of the grids of the lam and the lam'
                 tables = [] if classes is None else [np.stack(
                     [classes(a, run.m) for a in objs])[:, :, None] for objs in (seqs.mids, seqs.cs)]

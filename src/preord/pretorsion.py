@@ -288,7 +288,8 @@ class PretorsionReport:
     null_class_is_trivial: bool = field(default=False)
     # work counters, not printed: isomorphism classes whose torsion
     # sequence went to the engine, sequences given to the engine (once per
-    # property) and those of them that an isomorphic leg decided without a
+    # property), those of them that an identity leg passed in closed form
+    # and those of the others that an isomorphic leg decided without a
     # table, runs of one-point probes that a sequence decided without a
     # table, pairs of a T-class and an F-class whose hom set axiom 2 read,
     # table cells (grid rows x probes, or x F-classes for axiom 2) and
@@ -296,6 +297,7 @@ class PretorsionReport:
     # null-class test and the probes) and per axiom
     classes_checked: int = 0
     sequences_checked: int = 0
+    identity_legs: int = 0
     iso_legs: int = 0
     point_runs: int = 0
     axiom2_class_pairs: int = 0
@@ -531,9 +533,14 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     objects and of probes (`classes_checked` of the report counts the
     classes sent to the engine), which decides it for every labeled
     member; objects_checked counts the objects up to and including the
-    first that fails, in enumeration order.  A torsion sequence whose
-    leg is an isomorphism (k of an equivalence, p of a partial order) is
-    decided by its composite alone (`iso_legs` of the report).  Axiom 2
+    first that fails, in enumeration order.  Under plain triviality (a
+    null class of exactly the trivial objects) every k is an identity
+    leg, the canonical prekernel of its g, and passes in closed form
+    (`identity_legs` of the report); a searched null class tabulates it.
+    A torsion sequence whose other leg is an isomorphism (k of an
+    equivalence under a searched null class, p of a partial order) is
+    decided by its composite alone (`iso_legs` of the report).  Neither
+    meets a grid, so neither raises BudgetError.  Axiom 2
     asks every map from a t-member to an f-member to factor through the
     intersection class, one table per pair of isomorphism classes
     (`axiom2_class_pairs`); maps_checked counts the labeled maps up to and
@@ -568,7 +575,8 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
         objects_checked=checked, maps_checked=maps_checked,
         null_class_is_trivial=z_trivial,
         classes_checked=ax1["classes"], sequences_checked=ax1["sequences"],
-        iso_legs=ax1["iso_legs"], point_runs=ax1["point_runs"], axiom2_class_pairs=ax2["pairs"],
+        identity_legs=ax1["identity_legs"], iso_legs=ax1["iso_legs"],
+        point_runs=ax1["point_runs"], axiom2_class_pairs=ax2["pairs"],
         axiom1_cells=ax1["cells"], axiom2_cells=ax2["cells"],
         catalogue_s=built - start, axiom1_s=mid - built, axiom2_s=time.perf_counter() - mid,
     )

@@ -299,10 +299,10 @@ def count_partial_orders_brute(n):
                and all(a == b for a, b in rel if (b, a) in rel))
 
 
-# labeled preorders on n = 0..6 points (OEIS A000798)
-PREORDER_COUNTS = (1, 1, 4, 29, 355, 6942, 209527)
-# labeled partial orders on k = 0..6 points (OEIS A001035)
-PARTIAL_ORDER_COUNTS = (1, 1, 3, 19, 219, 4231, 130023)
+# labeled preorders on n = 0..7 points (OEIS A000798)
+PREORDER_COUNTS = (1, 1, 4, 29, 355, 6942, 209527, 9535241)
+# labeled partial orders on k = 0..7 points (OEIS A001035)
+PARTIAL_ORDER_COUNTS = (1, 1, 3, 19, 219, 4231, 130023, 6129859)
 # preorders on n = 0..6 points up to isomorphism (OEIS A001930)
 PREORDER_CLASS_COUNTS = (1, 1, 3, 9, 33, 139, 718)
 # partial orders on k = 0..6 points up to isomorphism (OEIS A000112)

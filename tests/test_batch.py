@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from preord import (
-    BudgetError, Morph, ObjClass, hom_enumerate, is_trivial_object,
-    make_object, objects_upto, torsion_sequence, trivial_object,
+    BudgetError, Morph, ObjClass, StableHom, chain, hom_enumerate, identity,
+    is_trivial_object, make_object, objects_upto, prekernel, torsion_sequence,
+    trivial_object, verify_prekernel_definitional, verify_stable_kernel,
 )
 from preord import exactness
 from preord.category import same_size_runs
-from preord.enumeration import catalogue
+from preord.enumeration import catalogue, class_representatives
 from preord.exactness import (
     SeqBatch, _slices, precokernel_batch, precokernel_property, prekernel_batch,
     prekernel_property,
@@ -156,6 +157,16 @@ def test_random_batches_match_single_calls(data):
         single(prop, k, g, probes, check, budget) for k, g in seqs]
 
 
+def test_apart_tables_are_kept_per_small_grid():
+    # per grid row, the cells (u, v) of the domain square sent to unequal
+    # points: built once per sizes (a, m) of a grid within the grid cache
+    apart = exactness._cached_apart(3, 2)
+    grid = exactness.candidate_grid(3, 2)
+    assert exactness._cached_apart(3, 2) is apart and not apart.flags.writeable
+    assert (apart == (grid[:, :, None] != grid[:, None, :]).reshape(8, 9)).all()
+    assert (exactness._apart(grid) == apart).all()
+
+
 class TestIsomorphicLegs:
     """When k (or p) is an isomorphism, lam' = k^-1 o lam (or lam o p^-1) is
     the one factorization of every lam, so triviality of the composite
@@ -248,12 +259,11 @@ class TestTorsionBatches:
                 assert seen[0] == positions[0] and sorted(seen) == positions.tolist()
 
     def test_canonical_prekernels_read_one_table_per_run(self, objects2, monkeypatch):
-        # under plain triviality the factor table of a canonical prekernel
-        # reads the same cells as its lam table, so it is not built again,
-        # and a run of one-point probes is decided without one; a searched
-        # null class keeps two tables per run; a batch whose objects are
-        # all their own cores (equivalences, k the identity, an
-        # isomorphism) is decided without a table
+        # under plain triviality a canonical prekernel is an identity leg,
+        # passed in closed form with no table; a searched null class keeps
+        # two tables per run; a batch whose objects are all their own cores
+        # (equivalences, k the identity, an isomorphism) is decided without
+        # a table
         calls = []
         orig = exactness.maps_into_table
 
@@ -262,14 +272,13 @@ class TestTorsionBatches:
             return orig(*args, **kwargs)
         monkeypatch.setattr(exactness, "maps_into_table", counting)
         runs = len(same_size_runs(objects2))
-        wider = sum(run.m > 1 for run in same_size_runs(objects2))
         specs = [spec(y) for y in objects2]
         for _, seqs, *_ in _torsion_batches(3, np.arange(len(catalogue(3).codes))):
             want = [prekernel_property_search(
                 seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(), spec(seqs.mids[i]),
                 spec(seqs.cs[i]), specs) for i in range(len(seqs))]
             iso = seqs.xs == seqs.mids
-            plain, searched = (0, 0) if iso else (wider, 2 * runs)
+            plain, searched = 0, 0 if iso else 2 * runs
             searching = _class_trivial((SEARCHED,), 1_000_000)
             for trivial, tables in ((None, plain), (searching, searched)):
                 calls.clear()
@@ -297,3 +306,94 @@ class TestTorsionBatches:
                                             broken.k[i].tolist(), spec(broken.xs[i]),
                                             spec(broken.mids[i]), specs)
                 for i in range(len(at))] == got
+
+
+class TestIdentityLegs:
+    """Under plain triviality a sequence whose k is the identity map, with
+    X exactly A cut down to the fibres of g (the canonical prekernel of g),
+    passes in closed form: each lam with g o lam trivial is its own lam'.
+    Every sequence the rule decides is checked here against the search
+    oracles, and identity-carried legs it must not decide against the
+    table."""
+
+    def test_every_canonical_torsion_prekernel_n4(self):
+        # probed as axiom 1 probes max_n = 4: one object per class up to n = 3
+        probes = class_representatives(3)
+        specs = [spec(y) for y in probes]
+        decided = 0
+        for n in range(1, 5):
+            for _, seqs, *_ in _torsion_batches(n, np.arange(len(catalogue(n).codes))):
+                for classes in (None, _stable_classes):
+                    stats = Counter()
+                    got = prekernel_batch(seqs, probes, None, 1_000_000, classes, stats)
+                    assert got.all()
+                    assert stats["identity_legs"] == stats["sequences"] == len(seqs)
+                    assert stats["cells"] == stats["iso_legs"] == 0
+                assert all(prekernel_property_search(
+                    seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(),
+                    spec(seqs.mids[i]), spec(seqs.cs[i]), specs) for i in range(len(seqs)))
+                decided += len(seqs)
+        assert decided == 1 + 4 + 29 + 355
+
+    def test_the_canonical_prekernel_of_every_morphism_n3(self, objects3):
+        probes = class_representatives(2)
+        specs = [spec(y) for y in probes]
+        morphs = [f for a in objects3 for b in objects3 for f in hom_enumerate(a, b)]
+        assert len(morphs) == 11_310
+        groups = {}
+        for f in morphs:
+            k = prekernel(f)
+            args = k.map, spec(k.dom), f.map, spec(f.dom), spec(f.cod), specs
+            assert verify_prekernel_definitional(k, f, probes)
+            assert prekernel_property_search(*args)
+            assert verify_stable_kernel(StableHom(k), f, probes)
+            assert stable_prekernel_property_search(*args)
+            groups.setdefault((k.dom.n, f.dom.n, f.cod.n), []).append((k, f))
+        # every one of them is decided by the rule, in batches of one shape
+        for group in groups.values():
+            for classes in (None, _stable_classes):
+                stats = Counter()
+                assert prekernel_batch(SeqBatch.of(group), probes, None, 1_000_000,
+                                       classes, stats).all()
+                assert stats["identity_legs"] == len(group) and stats["cells"] == 0
+
+    POINT = trivial_object(1)
+    CHAIN3 = chain(3)
+    CONTROLS = {
+        # the 2-chain under a constant g, from the discrete 2-set: X lacks
+        # the one fibre pair (0, 1)
+        "lacks-a-fibre-pair": (Morph(trivial_object(2), make_object(2, [(0, 1)]), (0, 1)),
+                               Morph(make_object(2, [(0, 1)]), POINT, (0, 0))),
+        # the full 2-point relation under a constant g, from the 2-chain:
+        # X lacks the fibre pair (1, 0)
+        "lacks-a-symmetric-fibre-pair": (
+            Morph(make_object(2, [(0, 1)]), make_object(2, [(0, 1), (1, 0)]), (0, 1)),
+            Morph(make_object(2, [(0, 1), (1, 0)]), POINT, (0, 0))),
+        # the identity of the 3-chain itself, before a g with the fibre
+        # {0, 1} that parts the related points 1 and 2: g o k is not trivial
+        "from-A-itself": (identity(CHAIN3), Morph(CHAIN3, chain(2), (0, 0, 1))),
+    }
+
+    @pytest.mark.parametrize("classes", [None, _stable_classes], ids=["plain", "stable"])
+    @pytest.mark.parametrize("control", sorted(CONTROLS))
+    def test_identity_carried_legs_the_rule_does_not_decide(self, objects2, control, classes):
+        k, g = self.CONTROLS[control]
+        stats = Counter()
+        assert not prekernel_batch(SeqBatch.of([(k, g)]), objects2, None, 1_000_000,
+                                   classes, stats)[0]
+        assert stats["identity_legs"] == 0
+        # decided by the table, or, where X is A, by the composite alone
+        assert (stats["cells"] > 0) == (k.dom != k.cod)
+        search = prekernel_property_search if classes is None else stable_prekernel_property_search
+        assert not search(k.map, spec(k.dom), g.map, spec(k.cod), spec(g.cod),
+                          [spec(y) for y in objects2])
+
+    @pytest.mark.parametrize("classes", [None, _stable_classes], ids=["plain", "stable"])
+    def test_a_decided_leg_meets_no_budget(self, classes):
+        # 2 ** 7 maps x 7 cells into a 2-point object exceed a budget of 100
+        big = [trivial_object(7)]
+        g = Morph(make_object(2, [(0, 1)]), self.POINT, (0, 0))
+        assert prekernel_property(prekernel(g), g, big, None, 100, classes)
+        k, g = self.CONTROLS["lacks-a-fibre-pair"]
+        with pytest.raises(BudgetError):
+            prekernel_property(k, g, big, None, 100, classes)

@@ -141,6 +141,21 @@ class TestCatalogue:
         assert count_objects(5, "partial_order") == 4231
         assert not built
 
+    def test_the_first_object_holds_no_copy_of_the_stack(self):
+        # objects are read one catalogue position at a time: neither the
+        # masked stack (173,550 bytes at n = 5) nor an index array of its
+        # positions (55,536 bytes) is built
+        stack = catalogue(5).bits
+        objs = enumerate_objects(5)
+        tracemalloc.start()
+        try:
+            first = next(objs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.rel == Rel(5, stack[0])
+        assert peak < stack.nbytes // 20
+
     def test_extension_chunks_stay_within_the_budget(self):
         # one chunk holds at most _CHUNK candidate matrices; all 90,880
         # candidates at n = 5 at once would take 9 MB of float32 alone
@@ -204,6 +219,12 @@ class TestCountOracles:
     @pytest.mark.parametrize("n", range(1, HARD_CAP + 1))
     def test_preorders_are_partitions_with_posets_on_their_blocks(self, n):
         assert count_objects(n) == count_preorders_by_blocks(n) == PREORDER_COUNTS[n]
+
+    def test_preorders_beyond_the_cap_are_partitions_with_posets_on_their_blocks(self):
+        # n = 7 has 9,535,241 labeled preorders (A000798), not the
+        # 6,129,859 labeled partial orders (A001035)
+        assert count_preorders_by_blocks(HARD_CAP + 1) == PREORDER_COUNTS[7] == 9_535_241
+        assert PARTIAL_ORDER_COUNTS[7] == 6_129_859
 
     @pytest.mark.parametrize("n", range(1, HARD_CAP + 1))
     def test_representatives_fill_the_catalogue_by_orbit_stabilizer(self, n):
