@@ -14,9 +14,11 @@ They run on one engine, `_universal`, that checks a `SeqBatch` of
 same-shape sequences X --k--> A --g--> C against all probes of one size
 in one array pass, one table of sequences x grid rows x probes per test;
 `prekernel_batch` and `precokernel_batch` give it what the two differ
-in: the grids, the table kernel (`category.maps_into_table` or
-`maps_out_table`), how a lam' reaches a lam, and the verdict of a run
-of one-point probes.  A single morphism is a batch of one.  The
+in: the closed-form rule for a canonical leg (`_identity_legs`,
+`_quotient_legs`), the grids, the table kernel
+(`category.maps_into_table` or `maps_out_table`), how a lam' reaches a
+lam, and the verdict of a run of one-point probes.  A single morphism
+is a batch of one.  The
 class-relative checks of `preord.pretorsion` pass a row-wise triviality
 predicate; the stable verifiers of `preord.stable` pass `classes(obj,
 base)`, the first row of the stable class of each row of
@@ -142,20 +144,32 @@ def quotient_object(a: PreObj, sim: Rel) -> tuple[PreObj, Morph]:
     return _quotient(a, sim.bits)[1:]
 
 
-def _image_bits(f: Morph) -> np.ndarray:
-    """`image_equivalence` of f as a matrix: the closure of the images of
-    the domain's related pairs, both ways round, with the diagonal."""
-    n = f.cod.n
-    u, v = np.array(f.map)[f.dom.rel.pair_index]
-    gens = np.eye(n, dtype=bool)
-    gens[u, v] = gens[v, u] = True
+def _quotient_closures(xs: tuple, fmap: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Per map X --f--> A of a stack (xs, the rows of fmap, and the
+    relation matrices `mids` of the As): the image equivalence zeta of f
+    and the join of A with zeta, as two stacks of matrices.  They are the
+    closures of the images of X's related pairs, both ways round, with the
+    diagonal, and of those with A; the second holds zeta, as it holds the
+    images, so one pass closes both."""
+    rows = np.arange(len(fmap))[:, None]
+    u, v = fmap[rows, pair_rows(xs)]
+    gens = np.empty((2,) + mids.shape, dtype=bool)
+    gens[0] = np.eye(mids.shape[-1], dtype=bool)
+    gens[0, rows, u, v] = True
+    gens[0] |= gens[0].swapaxes(1, 2)
+    np.bitwise_or(mids, gens[0], out=gens[1])
     return transitive_closure_bits(gens)
+
+
+def _closures_of(f: Morph) -> np.ndarray:
+    """`_quotient_closures` of the one morphism f."""
+    return _quotient_closures((f.dom,), np.array([f.map], dtype=np.intp), f.cod.rel.bits[None])
 
 
 def image_equivalence(f: Morph) -> Rel:
     """Smallest equivalence on the codomain relating f(a) and f(b) for
     every related pair a, b of the domain."""
-    return Rel(f.cod.n, _image_bits(f))
+    return Rel(f.cod.n, _closures_of(f)[0, 0])
 
 
 def precokernel(f: Morph) -> Morph:
@@ -167,9 +181,7 @@ def precokernel(f: Morph) -> Morph:
 
 
 def _precokernel(f: Morph) -> Morph:
-    zeta = _image_bits(f)
-    # the join of two preorders: the transitive closure of their union
-    joined = transitive_closure_bits(f.cod.rel.bits | zeta)
+    (zeta,), (joined,) = _closures_of(f)
     proj, is_rep = block_ids(zeta)
     reps = np.flatnonzero(is_rep)
     # the join restricted to one point per block of zeta, which it contains
@@ -363,6 +375,32 @@ def _identity_legs(seqs: SeqBatch) -> np.ndarray:
             & (stack_bits(seqs.xs) == stack_bits(seqs.mids) & fibres).all(axis=(1, 2)))
 
 
+def _quotient_legs(seqs: SeqBatch) -> np.ndarray:
+    """Per sequence X --f--> A --p--> C: is p onto C, are its fibres
+    exactly the image equivalence zeta of f, and is C's relation, pulled
+    back along p, exactly the join of A with zeta?  The canonical
+    precokernel of f is such a p, under any labelling of C.
+
+    Such a p is a precokernel of f under plain triviality, also up to
+    stable class.  p o f is trivial, as zeta lies in p's fibres.  A lam
+    with lam o f trivial is constant on the blocks of zeta, so lam =
+    lam' o p for exactly one function lam', as p is onto.  lam' is
+    monotone: C's relation is the closure of p's image of A, and the
+    probe's relation is transitive.  Up to class, take one component D
+    of C: the components of A that cover it are glued only by shared
+    image points, so if lam'1 o p and lam'2 o p are stably equal, lam'1
+    and lam'2 are equal on D or both constant there.  Hence, under plain
+    triviality, every isomorphic p with a trivial composite meets the
+    rule: an isomorphic leg is left only to a searched predicate."""
+    zeta, joined = _quotient_closures(seqs.xs, seqs.k, stack_bits(seqs.mids))
+    rows, u, v = np.arange(len(seqs))[:, None], seqs.g[:, :, None], seqs.g[:, None, :]
+    onto = np.zeros((len(seqs), seqs.cs[0].n), dtype=bool)
+    onto[rows, seqs.g] = True
+    # the fibres of p, and C pulled back along p
+    return onto.all(axis=1) & ((u == v) == zeta).all(axis=(1, 2)) & (
+        stack_bits(seqs.cs)[rows[:, :, None], u, v] == joined).all(axis=(1, 2))
+
+
 def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                stats: Counter | None, side, closed=None) -> np.ndarray:
     """The engine of `prekernel_batch` and `precokernel_batch`: per sequence
@@ -374,9 +412,10 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     or per class, they reach.  The probes of one size share the grids of
     the lam and of the lam'; each test is a table of sequences x grid rows
     x probes.  A failed sequence skips later runs.
-    `closed(seqs)`, if given, marks the sequences that pass in closed form
-    before anything else is built: only the others go on, as a batch of
-    their own.  `side(seqs)`, asked if that batch is not empty, gives (iso, points,
+    `closed`, if given, is a rule and the name of its counter: `rule(seqs)`
+    marks the sequences that pass in closed form before anything else is
+    built, and only the others go on, as a batch of their own.
+    `side(seqs)`, asked if that batch is not empty, gives (iso, points,
     prepare): which legs are isomorphisms (the composite then decides,
     without a table); None, or what is left alive after a run of
     one-point probes, in closed form; and `prepare()`, asked once, at the
@@ -395,18 +434,20 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     sequence passed by `closed`, an isomorphic leg, or a run decided
     without a table meets no grid, so it never raises BudgetError,
     however large its probes or objects.  `stats`, a Counter, gains the
-    sequences, those passed by `closed` (`identity_legs`), those of the
-    others decided by an isomorphic leg (`iso_legs`), the one-point runs
-    of a sequence decided without a table (`point_runs`) and the table
-    cells (lam tables: sequences x grid rows x probes) checked.
+    sequences, those passed by `closed` (under its name: `identity_legs`
+    or `quotient_legs`), those of the others decided by an isomorphic leg
+    (`iso_legs`), the one-point runs of a sequence decided without a
+    table (`point_runs`) and the table cells (lam tables: sequences x
+    grid rows x probes) checked.
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
     if closed is not None:
-        passed = closed(seqs)
+        rule, name = closed
+        passed = rule(seqs)
         if passed.any():
             if stats is not None:
-                stats.update(sequences=int(passed.sum()), identity_legs=int(passed.sum()))
+                stats.update({"sequences": int(passed.sum()), name: int(passed.sum())})
             if not passed.all():
                 rest = np.flatnonzero(~passed)
                 passed[rest] = _universal(seqs.take(rest), tests, trivial, budget, stats, side)
@@ -500,7 +541,7 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
             alive if classes is not None else alive & bijective)
         return _iso_legs(kmap, bijective, seqs.xs, seqs.mids), points, prepare
     return _universal(seqs, tests, trivial, budget, stats, side,
-                      _identity_legs if trivial is None else None)
+                      (_identity_legs, "identity_legs") if trivial is None else None)
 
 
 def _apart(grid: np.ndarray) -> np.ndarray:
@@ -525,11 +566,18 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     The lam are the grid of maps A -> T, the lam' that of maps C -> T,
     and p need not be surjective.  Plain triviality of lam o f does not
     depend on the probe (lam must send the image under f of each related
-    pair of X to one point).  When p is an isomorphism, lam' = lam o p^-1
-    is the one factorization, also up to class, so p o f trivial decides
-    the sequence without a table or a grid.  A run of one-point probes
-    never fails, whatever the triviality: the one map into a point is the
-    one map out of C after p.
+    pair of X to one point).  Under plain triviality, with or without
+    classes, a quotient leg passes in closed form, before the composite
+    or any table is built: p onto C, with the image equivalence of f as
+    its fibres and C pulled back along p the join of A with it, as in
+    the canonical precokernel (`_quotient_legs`, which also proves it).
+    A searched predicate keeps its tables.  When p is an isomorphism,
+    lam' = lam o p^-1 is the one factorization, also up to class, so p o f
+    trivial decides the sequence without a table or a grid; under plain
+    triviality the quotient rule already holds for every such p with a
+    trivial composite.  A run of one-point probes never fails, whatever
+    the triviality: the one map into a point is the one map out of C
+    after p.
     """
     def side(seqs):
         fmap, pmap = seqs.k, seqs.g
@@ -565,7 +613,8 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                     tabulate)
         return (_iso_legs(pmap, _bijective(pmap, cn), seqs.mids, seqs.cs), lambda alive: alive,
                 prepare)
-    return _universal(seqs, tests, trivial, budget, stats, side)
+    return _universal(seqs, tests, trivial, budget, stats, side,
+                      (_quotient_legs, "quotient_legs") if trivial is None else None)
 
 
 def prekernel_property(k: Morph, f: Morph, tests: list[PreObj], trivial,

@@ -288,16 +288,17 @@ class PretorsionReport:
     null_class_is_trivial: bool = field(default=False)
     # work counters, not printed: isomorphism classes whose torsion
     # sequence went to the engine, sequences given to the engine (once per
-    # property), those of them that an identity leg passed in closed form
-    # and those of the others that an isomorphic leg decided without a
-    # table, runs of one-point probes that a sequence decided without a
-    # table, pairs of a T-class and an F-class whose hom set axiom 2 read,
-    # table cells (grid rows x probes, or x F-classes for axiom 2) and
-    # wall seconds for the catalogues (with the class membership bits, the
-    # null-class test and the probes) and per axiom
+    # property), those of them that an identity leg or a quotient leg
+    # passed in closed form and those of the others that an isomorphic leg
+    # decided without a table, runs of one-point probes that a sequence
+    # decided without a table, pairs of a T-class and an F-class whose hom
+    # set axiom 2 read, table cells (grid rows x probes, or x F-classes for
+    # axiom 2) and wall seconds for the catalogues (with the class
+    # membership bits, the null-class test and the probes) and per axiom
     classes_checked: int = 0
     sequences_checked: int = 0
     identity_legs: int = 0
+    quotient_legs: int = 0
     iso_legs: int = 0
     point_runs: int = 0
     axiom2_class_pairs: int = 0
@@ -420,14 +421,13 @@ def _torsion_batches(n: int, at: np.ndarray):
     and of its quotients in the catalogues of their sizes).  Objects,
     cores and quotients are the catalogues' objects.
 
-    The first object comes alone.  A sequence meets the candidate grids
-    of its legs that are not isomorphisms, which depend only on its sizes
-    and its class.  Under plain triviality every canonical torsion
-    sequence is relatively preexact, so the batches tabulate every class
-    up to the first membership failure and raise BudgetError exactly when
-    an object-by-object check would.  Under a searched null class, a batch
-    may meet a grid over the budget before the first failing object of a
-    later batch is found.
+    The first object comes alone.  Under plain triviality both legs of
+    every sequence pass in closed form (an identity leg and a quotient
+    leg), so the batches meet no grid and never raise BudgetError.  Under
+    a searched null class a sequence meets the candidate grids of its legs
+    that are not isomorphisms, which depend only on its sizes and its
+    class, and a batch may meet a grid over the budget before the first
+    failing object of a later batch is found.
     """
     cat = catalogue(n)
     core_at, proj, sizes, quotient_at = (part[at] for part in _torsion_parts(n))
@@ -535,12 +535,13 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     member; objects_checked counts the objects up to and including the
     first that fails, in enumeration order.  Under plain triviality (a
     null class of exactly the trivial objects) every k is an identity
-    leg, the canonical prekernel of its g, and passes in closed form
-    (`identity_legs` of the report); a searched null class tabulates it.
-    A torsion sequence whose other leg is an isomorphism (k of an
-    equivalence under a searched null class, p of a partial order) is
-    decided by its composite alone (`iso_legs` of the report).  Neither
-    meets a grid, so neither raises BudgetError.  Axiom 2
+    leg, the canonical prekernel of its g, and every p a quotient leg,
+    the canonical precokernel of its k; both pass in closed form
+    (`identity_legs` and `quotient_legs` of the report), so axiom 1 reads
+    no table.  A searched null class tabulates them, except that a leg
+    that is an isomorphism (k of an equivalence, p of a partial order) is
+    decided by its composite alone (`iso_legs` of the report).  None of
+    these meets a grid, so none raises BudgetError.  Axiom 2
     asks every map from a t-member to an f-member to factor through the
     intersection class, one table per pair of isomorphism classes
     (`axiom2_class_pairs`); maps_checked counts the labeled maps up to and
@@ -575,8 +576,8 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
         objects_checked=checked, maps_checked=maps_checked,
         null_class_is_trivial=z_trivial,
         classes_checked=ax1["classes"], sequences_checked=ax1["sequences"],
-        identity_legs=ax1["identity_legs"], iso_legs=ax1["iso_legs"],
-        point_runs=ax1["point_runs"], axiom2_class_pairs=ax2["pairs"],
+        identity_legs=ax1["identity_legs"], quotient_legs=ax1["quotient_legs"],
+        iso_legs=ax1["iso_legs"], point_runs=ax1["point_runs"], axiom2_class_pairs=ax2["pairs"],
         axiom1_cells=ax1["cells"], axiom2_cells=ax2["cells"],
         catalogue_s=built - start, axiom1_s=mid - built, axiom2_s=time.perf_counter() - mid,
     )

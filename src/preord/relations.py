@@ -93,15 +93,26 @@ def _compose(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def transitive_closure_bits(bits: np.ndarray) -> np.ndarray:
-    """The transitive closure of an n x n bool matrix, as a new array."""
-    n = len(bits)
+    """The transitive closure of an n x n bool matrix, or of each of a
+    stack of them (on the last two axes, as in `block_ids`), as a new
+    array."""
+    n = bits.shape[-1]
     if n < _PACKED_MIN_N:
+        # by squaring, the whole stack at once: round k closes the paths of
+        # up to 2 ** k steps, and no path needs more than n; a round that
+        # adds no pair (a count, as the rounds only add) ends it early
         cur = bits.copy()
-        while True:
+        for _ in range((n - 1).bit_length()):
             nxt = cur | (cur @ cur)
-            if np.array_equal(nxt, cur):
-                return cur
+            if np.count_nonzero(nxt) == np.count_nonzero(cur):
+                break
             cur = nxt
+        return cur
+    if bits.ndim > 2:
+        out = np.empty_like(bits)
+        for i in np.ndindex(bits.shape[:-2]):
+            out[i] = transitive_closure_bits(bits[i])
+        return out
     rows = _pack(bits)
     # np.packbits puts bit k of a row at 0x80 >> k % 8 of its byte k // 8
     row_bytes = rows.view(np.uint8)

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from preord import (
     BudgetError, Morph, ObjClass, StableHom, chain, hom_enumerate, identity,
-    is_trivial_object, make_object, objects_upto, prekernel, torsion_sequence,
-    trivial_object, verify_prekernel_definitional, verify_stable_kernel,
+    is_trivial_object, make_object, objects_upto, precokernel, prekernel, torsion_sequence,
+    trivial_object, verify_precokernel_definitional, verify_prekernel_definitional,
+    verify_stable_cokernel, verify_stable_kernel,
 )
 from preord import exactness
 from preord.category import same_size_runs
@@ -226,14 +227,18 @@ class TestIsomorphicLegs:
         assert prekernel_batch(seqs, objects_upto(2), None, 1_000_000,
                                stats=stats).tolist() == [True, False, False]
         assert (stats["iso_legs"], stats["sequences"]) == (2, 3)
-        # and dually: every sequence starts at the 2-chain
-        stats = Counter()
+        # and dually: every sequence starts at the 2-chain; under plain
+        # triviality an isomorphic p with a trivial composite is a quotient
+        # leg, so only a searched predicate leaves both to the iso counter
         const = Morph(self.CHAIN01, self.CHAIN01, (0, 0))
         seqs = SeqBatch.of([(const, self.SWAP), (self.IDENTITY01, self.SWAP),
                             (const, Morph(self.CHAIN01, self.CHAIN10, (0, 0)))])
-        assert precokernel_batch(seqs, objects_upto(2), None, 1_000_000,
-                                 stats=stats).tolist() == [True, False, False]
-        assert (stats["iso_legs"], stats["sequences"]) == (2, 3)
+        for trivial, counts in ((None, (1, 1, 3)),
+                                (_class_trivial((SEARCHED,), 1_000_000), (0, 2, 3))):
+            stats = Counter()
+            assert precokernel_batch(seqs, objects_upto(2), trivial, 1_000_000,
+                                     stats=stats).tolist() == [True, False, False]
+            assert (stats["quotient_legs"], stats["iso_legs"], stats["sequences"]) == counts
 
 
 class TestTorsionBatches:
@@ -397,3 +402,138 @@ class TestIdentityLegs:
         k, g = self.CONTROLS["lacks-a-fibre-pair"]
         with pytest.raises(BudgetError):
             prekernel_property(k, g, big, None, 100, classes)
+
+
+class TestQuotientLegs:
+    """Under plain triviality a sequence whose p is onto C, with the image
+    equivalence of f as its fibres and C pulled back along p exactly the
+    join of A with it (the canonical precokernel of f, under any labelling
+    of C), passes in closed form: each lam with lam o f trivial is lam' o p
+    for one lam'.  Every sequence the rule decides is checked here against
+    the search oracles, and controls it must not decide against the table."""
+
+    def test_the_canonical_precokernel_of_every_morphism_n3(self, objects3):
+        probes = class_representatives(2)
+        specs = [spec(y) for y in probes]
+        morphs = [f for a in objects3 for b in objects3 for f in hom_enumerate(a, b)]
+        assert len(morphs) == 11_310
+        groups = {}
+        for f in morphs:
+            c = precokernel(f)
+            args = c.map, spec(c.cod), f.map, spec(f.dom), spec(f.cod), specs
+            assert verify_precokernel_definitional(c, f, probes)
+            assert precokernel_property_search(*args)
+            assert verify_stable_cokernel(StableHom(c), f, probes)
+            assert stable_precokernel_property_search(*args)
+            groups.setdefault((f.dom.n, f.cod.n, c.cod.n), []).append((f, c))
+        # every one of them is decided by the rule, in batches of one shape
+        for group in groups.values():
+            for classes in (None, _stable_classes):
+                stats = Counter()
+                assert precokernel_batch(SeqBatch.of(group), probes, None, 1_000_000,
+                                         classes, stats).all()
+                assert stats["quotient_legs"] == len(group)
+                assert stats["cells"] == stats["iso_legs"] == 0
+
+    def test_every_canonical_torsion_precokernel_n4(self):
+        # probed as axiom 1 probes max_n = 4: one object per class up to n = 3
+        probes = class_representatives(3)
+        specs = [spec(y) for y in probes]
+        decided = 0
+        for n in range(1, 5):
+            for _, seqs, *_ in _torsion_batches(n, np.arange(len(catalogue(n).codes))):
+                for classes in (None, _stable_classes):
+                    stats = Counter()
+                    got = precokernel_batch(seqs, probes, None, 1_000_000, classes, stats)
+                    assert got.all()
+                    assert stats["quotient_legs"] == stats["sequences"] == len(seqs)
+                    assert stats["cells"] == stats["iso_legs"] == stats["point_runs"] == 0
+                assert all(precokernel_property_search(
+                    seqs.g[i].tolist(), spec(seqs.cs[i]), seqs.k[i].tolist(),
+                    spec(seqs.xs[i]), spec(seqs.mids[i]), specs) for i in range(len(seqs)))
+                decided += len(seqs)
+        assert decided == 1 + 4 + 29 + 355
+
+    POINT = trivial_object(1)
+    INDISCRETE = make_object(2, [(0, 1), (1, 0)])
+    CONTROLS = {
+        # each fails exactly one of the rule's three tests
+        # a point into the discrete 2-set: the point 1 of C is no image
+        "not-onto": (identity(POINT), Morph(POINT, trivial_object(2), (0,))),
+        # the discrete 2-set into the indiscrete one, which collapses to a
+        # point: zeta is the diagonal, but p's one fibre is everything
+        "fibres-coarser": (Morph(trivial_object(2), INDISCRETE, (0, 1)),
+                           Morph(INDISCRETE, POINT, (0, 0))),
+        # the discrete 2-set onto the 2-chain by the identity map: C holds
+        # the pair (0, 1) beyond the join of A with the diagonal
+        "a-pair-beyond-the-join": (identity(trivial_object(2)),
+                                   Morph(trivial_object(2), make_object(2, [(0, 1)]), (0, 1))),
+    }
+
+    @pytest.mark.parametrize("classes", [None, _stable_classes], ids=["plain", "stable"])
+    @pytest.mark.parametrize("control", sorted(CONTROLS))
+    def test_legs_the_rule_does_not_decide(self, objects2, control, classes):
+        f, p = self.CONTROLS[control]
+        stats = Counter()
+        got = precokernel_batch(SeqBatch.of([(f, p)]), objects2, None, 1_000_000,
+                                classes, stats)[0]
+        assert stats["quotient_legs"] == 0 and stats["cells"] > 0
+        search = (precokernel_property_search if classes is None
+                  else stable_precokernel_property_search)
+        assert got == search(p.map, spec(p.cod), f.map, spec(f.dom), spec(f.cod),
+                             [spec(y) for y in objects2])
+        if classes is None:
+            # plainly, none of them is a precokernel
+            assert not got
+
+    @pytest.mark.parametrize("classes", [None, _stable_classes], ids=["plain", "stable"])
+    def test_a_decided_leg_meets_no_budget(self, classes):
+        # 11 ** 2 maps x 2 cells out of a 2-point object exceed a budget of 100
+        wide = [trivial_object(11)]
+        f = identity(make_object(2, [(0, 1)]))
+        assert precokernel_property(precokernel(f), f, wide, None, 100, classes)
+        f, p = self.CONTROLS["fibres-coarser"]
+        with pytest.raises(BudgetError):
+            precokernel_property(p, f, wide, None, 100, classes)
+
+
+# The axiom-1 sample: per size, how many classes that are neither an
+# equivalence nor a partial order (so that neither leg of their torsion
+# sequence is an isomorphism) are drawn, and the seed that draws them.
+SAMPLE = {5: 8, 6: 4}
+SAMPLE_SEED = 2019
+
+
+def test_sampled_torsion_sequences_n5_n6_match_the_search_oracles():
+    """Independent evidence for the closed-form legs above the brute-force
+    range: the canonical torsion sequences of seeded 5- and 6-point classes
+    pass in closed form, and the search oracles, which share no code with
+    the engine, agree with probes n <= 2.  The control replaces each
+    torsion part by the discrete relation, the torsion part that the
+    trivial objects would give (as for the pair (trivial objects, partial
+    orders)): both legs must then fail, in the engine's tables and in the
+    oracles."""
+    probes = class_representatives(2)
+    specs = [spec(y) for y in probes]
+    rng = np.random.default_rng(SAMPLE_SEED)
+    for n, count in SAMPLE.items():
+        cat = catalogue(n)
+        reps = cat.representatives
+        mixed = reps[~cat.masks["equivalence"][reps] & ~cat.masks["partial_order"][reps]]
+        drawn = np.sort(rng.choice(mixed, size=count, replace=False))
+        for _, seqs, *_ in _torsion_batches(n, drawn):
+            discrete = (trivial_object(n),) * len(seqs)
+            control = SeqBatch(discrete, seqs.mids, seqs.cs, seqs.k, seqs.g)
+            for batch, want in ((seqs, True), (control, False)):
+                stats = Counter()
+                assert (prekernel_batch(batch, probes, None, 1_000_000, stats=stats)
+                        == want).all()
+                assert (precokernel_batch(batch, probes, None, 1_000_000, stats=stats)
+                        == want).all()
+                closed = stats["identity_legs"] + stats["quotient_legs"]
+                assert closed == (2 * len(seqs) if want else 0)
+                for i in range(len(seqs)):
+                    x, a, c = spec(batch.xs[i]), spec(batch.mids[i]), spec(batch.cs[i])
+                    k, g = batch.k[i].tolist(), batch.g[i].tolist()
+                    assert prekernel_property_search(k, x, g, a, c, specs) == want
+                    assert precokernel_property_search(g, c, k, x, a, specs) == want

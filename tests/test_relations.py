@@ -147,6 +147,20 @@ class TestKernelSizeSwitch:
         assert np.array_equal(closed.bits, networkx_closure(bits))
         assert closed.is_transitive()
 
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 5, 8) + SWITCH_SIZES)
+    def test_a_stack_closes_each_of_its_matrices(self, n):
+        # a cycle through all n points (whose loops need paths of n steps,
+        # the longest a closure needs) and random matrices, on two axes
+        cycle = np.zeros((n, n), dtype=bool)
+        cycle[np.arange(n), (np.arange(n) + 1) % max(n, 1)] = True
+        rng = np.random.default_rng(n)
+        stack = np.stack([cycle] + [rng.random((n, n)) < 1.5 / max(n, 1) for _ in range(5)])
+        stack = stack.reshape(2, 3, n, n)
+        closed = preord.relations.transitive_closure_bits(stack)
+        assert closed.shape == stack.shape and closed[0, 0].all()
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(closed[i], networkx_closure(stack[i]))
+
     @pytest.mark.parametrize("n", (5,) + SWITCH_SIZES + (150,))
     def test_compose_matches_naive_product(self, n):
         rng = np.random.default_rng(n)
