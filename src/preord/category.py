@@ -13,13 +13,11 @@ the objects keep those in the masks of all cells a row's related pairs
 land on; maps out of them keep those in no mask of a cell that a row
 sends to a forbidden cell.
 
-Both tables take stacks only: a stack of forbidden-cell matrices, or the
-related pairs of a stack of same-size domains (one row per domain, padded
-with the diagonal pair (0, 0) to equal length).  They return sequences x
-grid rows x objects, cut into slices of sequences, or of one sequence's
-rows, that keep the table and every intermediate within the budget.
-`monotone_maps` is the out table of one domain against a run of one
-codomain.
+Both tables take one sequence's cells: a forbidden-cell matrix, or the
+related pairs of one domain.  They return grid rows x objects, cut into
+slices of rows that keep the table and every intermediate within the
+budget.  `monotone_maps` is the out table of one domain against a run of
+one codomain.
 """
 
 from __future__ import annotations
@@ -303,21 +301,11 @@ def table_slices(cols: int, rows: int, budget: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, cols, step)]
 
 
-def _by_slices(table, seqs: int, grid: np.ndarray, width: int, budget: int) -> np.ndarray:
-    """sequences x grid rows x ...: table(s, rows) for the sequences of
-    slice s on the grid rows `rows`, in slices that keep `width` cells per
-    sequence and row within the budget (whole grids for as many sequences
-    as fit, else rows of one sequence)."""
+def _by_slices(table, grid: np.ndarray, width: int, budget: int) -> np.ndarray:
+    """grid rows x ...: table(rows) on slices of the grid's rows that keep
+    `width` cells per row within the budget."""
     per = max(1, budget // width)
-    if seqs * len(grid) <= per:
-        return table(slice(None), grid)
-    if len(grid) <= per:
-        step = per // len(grid)
-        parts = [table(slice(i, i + step), grid) for i in range(0, seqs, step)]
-    else:
-        parts = [np.concatenate([table(slice(i, i + 1), grid[r:r + per])
-                                 for r in range(0, len(grid), per)], axis=1)
-                 for i in range(seqs)]
+    parts = [table(grid[r:r + per]) for r in range(0, len(grid), per)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -345,41 +333,40 @@ def pair_rows(objs: Sequence[PreObj]) -> np.ndarray:
 
 def maps_into_table(grid: np.ndarray, bad: np.ndarray, run: ProbeRun, cols: slice,
                     budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Sequences x grid rows x the objects run.objs[cols]: does the map (a
-    grid row, from the objects' common carrier into the points indexing
-    the square matrices of the stack `bad`, one per sequence) send no
-    related pair of the object to a cell of the sequence's `bad`?  A row
-    keeps the objects in no `run.cells` mask of a cell it sends to `bad`.
-    With bad = ~cod.rel.bits[None] the table says which rows are monotone
-    maps from each object into cod.
+    """Grid rows x the objects run.objs[cols]: does the map (a grid row,
+    from the objects' common carrier into the points indexing the square
+    matrix `bad`) send no related pair of the object to a cell of `bad`?
+    A row keeps the objects in no `run.cells` mask of a cell it sends to
+    `bad`.  With bad = ~cod.rel.bits the table says which rows are
+    monotone maps from each object into cod.
     """
     m = run.m
     masks = run.cells[:, cols].astype(np.float32)
 
-    def table(s, rows):
-        hit = bad[s][:, rows[:, :, None], rows[:, None, :]].reshape(-1, len(rows), m * m)
+    def table(rows):
+        hit = bad[rows[:, :, None], rows[:, None, :]].reshape(len(rows), m * m)
         # does the row send a pair to `bad`?  float32 counts the (at most
         # m * m) such cells exactly, and uses BLAS where a bool product does not
         return (hit.astype(np.float32) @ masks) == 0
-    return _by_slices(table, len(bad), grid, m * m + masks.shape[1], budget)
+    return _by_slices(table, grid, m * m + masks.shape[1], budget)
 
 
 def maps_out_table(grid: np.ndarray, pairs: np.ndarray, run: ProbeRun, cols: slice,
                    budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Domains x grid rows x the objects run.objs[cols]: is the map (a grid
-    row, from the domain into the objects' common carrier) monotone into
-    the object?  `pairs` holds the padded related pairs of a stack of
-    domains of one size, domains first (`pair_rows(doms).swapaxes(0, 1)`,
-    or `dom.rel.pair_index[None]` for one).  A row keeps the objects in
-    the `run.cells` masks of all cells its related pairs land on.
+    """Grid rows x the objects run.objs[cols]: is the map (a grid row, from
+    the domain into the objects' common carrier) monotone into the object?
+    `pairs` holds the domain's related pairs as sources and targets
+    (`dom.rel.pair_index`; the diagonal pair (0, 0) may pad it, as a map
+    sends it to a related cell).  A row keeps the objects in the
+    `run.cells` masks of all cells its related pairs land on.
     """
     m, masks = run.m, run.cells[:, cols]
 
-    def table(s, rows):
-        # per domain and row, the cells its pairs land on, then the AND of their masks
-        at = rows.T[pairs[s]]
-        return np.logical_and.reduce(masks.take(at[:, 0] * m + at[:, 1], axis=0), axis=1)
-    return _by_slices(table, len(pairs), grid, max(1, pairs.shape[2]) * masks.shape[1], budget)
+    def table(rows):
+        # per row, the cells its pairs land on, then the AND of their masks
+        at = rows.T[pairs]
+        return np.logical_and.reduce(masks.take(at[0] * m + at[1], axis=0), axis=0)
+    return _by_slices(table, grid, max(1, pairs.shape[1]) * masks.shape[1], budget)
 
 
 class ByteLRU:
@@ -436,8 +423,8 @@ def monotone_maps(dom: PreObj, cod: PreObj, budget: int = DEFAULT_BUDGET) -> np.
     """
     grid = candidate_grid(dom.n, cod.n, budget)
     # one object: a run of its own, outside the shared run cache
-    out = grid[maps_out_table(grid, dom.rel.pair_index[None], ProbeRun((cod,)), slice(None),
-                              budget)[0, :, 0]]
+    out = grid[maps_out_table(grid, dom.rel.pair_index, ProbeRun((cod,)), slice(None),
+                              budget)[:, 0]]
     out.setflags(write=False)
     return out
 

@@ -11,11 +11,14 @@ construction.  The definitional verifiers below do quantify, over a
 finite list of probe objects, and serve as independent oracles.
 
 They run on one engine, `_universal`, that checks a `SeqBatch` of
-same-shape sequences X --k--> A --g--> C against all probes of one size
-in one array pass, one table of sequences x grid rows x probes per test;
-`prekernel_batch` and `precokernel_batch` give it what the two differ
-in: the closed-form rule for a canonical leg (`_identity_legs`,
-`_quotient_legs`), the grids, the table kernel
+same-shape sequences X --k--> A --g--> C.  The early decisions run on
+the whole batch at once: the closed-form rule for a canonical leg
+(`_identity_legs`, `_quotient_legs`), the composite, an isomorphic leg
+and a run of one-point probes.  A sequence left open after them is
+tabulated on its own against all probes of one size in one array pass,
+one table of grid rows x probes per test.  `prekernel_batch` and
+`precokernel_batch` give the engine what the two differ in: the
+closed-form rule, the grids, the table kernel
 (`category.maps_into_table` or `maps_out_table`), how a lam' reaches a
 lam, and the verdict of a run of one-point probes.  A single morphism
 is a batch of one.  The
@@ -38,7 +41,7 @@ from .category import (
     Morph, PreObj, candidate_grid, compose, grid_index, inverse_map, is_iso_map,
     is_trivial_morphism, maps_into_table, maps_out_table, pair_rows, same_size_runs,
     stack_bits, table_slices,
-    DEFAULT_BUDGET, _GRID_CACHE_CELLS,
+    DEFAULT_BUDGET,
 )
 from .decompose import _quotient
 from .enumeration import HARD_CAP
@@ -298,70 +301,43 @@ def _iso_legs(legs: np.ndarray, bijective: np.ndarray, doms: tuple, cods: tuple)
     return bijective & same.all(axis=(1, 2))
 
 
-def _failing(fail: np.ndarray, trivial, args) -> np.ndarray:
-    """Per sequence of a `fail` table (sequences x grid rows x probes):
-    does a marked lam break the property?  Without a predicate every one
-    does; else the predicate is asked, on args(i, j), probe by probe."""
-    bad = fail.any(axis=(1, 2))
+def _failing(fail: np.ndarray, trivial, args) -> bool:
+    """Does a marked lam of a `fail` table (grid rows x probes) break the
+    property?  Without a predicate every one does; else the predicate is
+    asked, on args(j), of the marked rows of probe j, probe by probe."""
     if trivial is None:
-        return bad
-    return np.array([b and any(fail[i, :, j].any() and trivial(*args(i, j)).any()
-                               for j in range(fail.shape[2])) for i, b in enumerate(bad)],
-                    dtype=bool)
+        return bool(fail.any())
+    return any(fail[:, j].any() and trivial(*args(j)).any() for j in range(fail.shape[1]))
 
 
 def _count_table(index: np.ndarray, table: np.ndarray, rows: int) -> np.ndarray:
-    """sequences x rows x columns: per sequence, row r of a grid and column
-    of `table` (sequences x marked rows x columns), how many marked rows of
-    the sequence and column have grid index r in `index` (broadcast to
-    the table's shape)?"""
-    seqs, _, cols = table.shape
-    codes = (index + rows * np.arange(seqs)[:, None, None]) * cols + np.arange(cols)
+    """rows x columns: per row r of a grid and column of `table` (marked
+    rows x columns), how many marked rows of the column have grid index r
+    in `index` (broadcast to the table's shape)?"""
+    cols = table.shape[1]
+    codes = index * cols + np.arange(cols)
     return np.bincount(codes.ravel(), weights=table.ravel(),
-                       minlength=seqs * rows * cols).reshape(seqs, rows, cols)
+                       minlength=rows * cols).reshape(rows, cols)
 
 
 def _unique_factors(reach: np.ndarray, factors: np.ndarray, rows: int,
                     lam_cls=None, fac_cls=None) -> np.ndarray:
-    """sequences x `rows` grid rows x probes: does exactly one marked lam'
-    of `factors` (sequences x factor grid rows x probes) reach the grid row,
-    its composite with the leg having the grid row `reach` (sequences x
-    factor grid rows)?  With the classes of the lam and of the lam', tables
-    giving each row of either grid the first row of its class (broadcast
-    to the tables), exactly one class of lam' must reach the row's class;
-    a class's first row stands for it, as the leg maps a class into one."""
+    """`rows` grid rows x probes: does exactly one marked lam' of `factors`
+    (factor grid rows x probes) reach the grid row, its composite with the
+    leg having the grid row `reach` (per factor grid row)?  With the
+    classes of the lam and of the lam', tables giving each row of either
+    grid the first row of its class (broadcast to the tables), exactly one
+    class of lam' must reach the row's class; a class's first row stands
+    for it, as the leg maps a class into one."""
     if lam_cls is None:
-        return _count_table(reach[:, :, None], factors, rows) == 1
-    seqs, width, cols = factors.shape
-    s, j = np.arange(seqs)[:, None, None], np.arange(cols)
-    # per sequence and probe, the classes that hold a marked lam'
+        return _count_table(reach[:, None], factors, rows) == 1
+    width, cols = factors.shape
+    j = np.arange(cols)
+    # per probe, the classes that hold a marked lam'
     held = _count_table(fac_cls, factors, width) > 0
-    lam_cls = np.broadcast_to(lam_cls, (seqs, rows, cols))
-    count = _count_table(lam_cls[s, reach[:, :, None], j], held, rows)
-    return count[s, lam_cls, j] == 1
-
-
-# A slice of sequences holds at most this many table cells, or the budget
-# when that is smaller: larger slices ran max_n = 5 in 10.5 s at 52 MB
-# peak RSS, against 8.4 s at 46 MB.
-_SLICE_CELLS = 1 << 16
-
-
-def _slices(alive: np.ndarray, run, rows: int, width: int, budget: int):
-    """The (probe slice, sequences) pieces of one run for the sequences
-    still alive: probe columns as in `table_slices`, then sequences, so
-    that `rows` grid rows x probes, at least `width` cells per entry, stay
-    within `_SLICE_CELLS` and the budget.  Sequences come as positions, or
-    as a slice when all fit in one piece."""
-    cells = min(budget, _SLICE_CELLS)
-    if alive.all() and len(alive) * rows * max(len(run.objs), width) <= cells:
-        yield slice(0, len(run.objs)), slice(None)
-        return
-    live = np.flatnonzero(alive)
-    for cols in table_slices(len(run.objs), rows, budget):
-        count = len(range(*cols.indices(len(run.objs))))
-        for part in table_slices(len(live), rows * max(count, width), cells):
-            yield cols, live[part]
+    lam_cls = np.broadcast_to(lam_cls, (rows, cols))
+    count = _count_table(lam_cls[reach[:, None], j], held, rows)
+    return count[lam_cls, j] == 1
 
 
 def _identity_legs(seqs: SeqBatch) -> np.ndarray:
@@ -409,9 +385,11 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
 
     g o k must be trivial, and each lam the property asks about must factor
     through the leg by exactly one of the monotone lam', counted per row,
-    or per class, they reach.  The probes of one size share the grids of
-    the lam and of the lam'; each test is a table of sequences x grid rows
-    x probes.  A failed sequence skips later runs.
+    or per class, they reach.  The closed-form rule, the composite, the
+    isomorphic legs and the one-point runs decide the whole batch at once.
+    Each sequence still open is then tabulated on its own: the probes of
+    one size share the grids of the lam and of the lam', and each test is
+    a table of grid rows x probes.  A failed sequence skips later runs.
     `closed`, if given, is a rule and the name of its counter: `rule(seqs)`
     marks the sequences that pass in closed form before anything else is
     built, and only the others go on, as a batch of their own.
@@ -420,25 +398,28 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     without a table); None, or what is left alive after a run of
     one-point probes, in closed form; and `prepare()`, asked once, at the
     first run that needs a table, for (cells, table, args, tabulate): per
-    sequence, the cells that `table(grid, cells, run, cols, budget)` reads
-    for the lam and the lam'; `args(s, rows, probe)`, what `trivial` is
-    asked of the rows of sequence s that fail to factor; and
-    `tabulate(run)`, the two grids and `piece(cols, idx, lam)`: the lam
-    table of a slice cut down to the trivial lam, the reach index (the lam
-    grid row of each lam' after the leg) and the class tables of
-    `_unique_factors`.
+    sequence s, the cells that `table(grid, cells[s], run, cols, budget)`
+    reads for the lam and the lam'; `args(s, rows, probe)`, what `trivial`
+    is asked of the rows of sequence s that fail to factor; and
+    `tabulate(run)`, built once per run: the two grids and `piece(cols, s,
+    lam)`, the lam table of sequence s cut down to the trivial lam, the
+    reach index (the lam grid row of each lam' after the leg) and the
+    class tables of `_unique_factors`.
 
     Budgets are those of `monotone_maps` on the same hom sets, checked
     before each run that a sequence still has to tabulate, and the tables
-    are cut so that none, nor an intermediate, exceeds the budget.  A
-    sequence passed by `closed`, an isomorphic leg, or a run decided
+    are cut, into slices of probes and then of grid rows, so that none,
+    nor an intermediate, exceeds the budget.  So the batch raises
+    BudgetError exactly when a call on one of its sequences alone would.
+    A sequence passed by `closed`, an isomorphic leg, or a run decided
     without a table meets no grid, so it never raises BudgetError,
     however large its probes or objects.  `stats`, a Counter, gains the
     sequences, those passed by `closed` (under its name: `identity_legs`
     or `quotient_legs`), those of the others decided by an isomorphic leg
     (`iso_legs`), the one-point runs of a sequence decided without a
-    table (`point_runs`) and the table cells (lam tables: sequences x
-    grid rows x probes) checked.
+    table (`point_runs`) and the table cells (lam tables: grid rows x
+    probes, per sequence) checked, the same sums as calls on the
+    sequences one by one.
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
@@ -467,18 +448,18 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
         if tabulate is None:
             (lam_cells, prime_cells), table, args, tabulate = prepare()
         grid, primes, piece = tabulate(run)
-        for cols, idx in _slices(alive, run, max(len(grid), len(primes)),
-                                 max(run.m, seqs.g.shape[1]), budget):
-            lam = table(grid, lam_cells[idx], run, cols, budget)
-            factors = table(primes, prime_cells[idx], run, cols, budget)
-            lam, reach, classes = piece(cols, idx, lam)
-            fail = lam & ~_unique_factors(reach, factors, len(grid), *classes)
-            if fail.any():
-                at = np.arange(len(seqs))[idx]
-                alive[idx] &= ~_failing(fail, trivial, lambda i, j: args(
-                    at[i], grid[fail[i, :, j]], run.objs[cols][j]))
-            if stats is not None:
-                stats["cells"] += lam.size
+        for s in np.flatnonzero(alive):
+            # every slice is read, so that the cells sum as one call's would
+            for cols in table_slices(len(run.objs), max(len(grid), len(primes)), budget):
+                lam = table(grid, lam_cells[s], run, cols, budget)
+                factors = table(primes, prime_cells[s], run, cols, budget)
+                lam, reach, classes = piece(cols, s, lam)
+                fail = lam & ~_unique_factors(reach, factors, len(grid), *classes)
+                if alive[s] and _failing(fail, trivial, lambda j: args(
+                        s, grid[fail[:, j]], run.objs[cols][j])):
+                    alive[s] = False
+                if stats is not None:
+                    stats["cells"] += lam.size
     if stats is not None:
         stats["sequences"] += len(seqs)
         stats["iso_legs"] += int(iso.sum())
@@ -532,9 +513,9 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                 primes = grid if xn == an else candidate_grid(run.m, xn, budget)
                 # per probe, the class of each row of the grids of the lam and the lam'
                 tables = [] if classes is None else [
-                    np.stack([classes(y, n) for y in run.objs], axis=1)[None] for n in (an, xn)]
-                return grid, primes, lambda cols, idx, lam: (
-                    lam, grid_index(kmap[idx][:, primes], an), [t[:, :, cols] for t in tables])
+                    np.stack([classes(y, n) for y in run.objs], axis=1) for n in (an, xn)]
+                return grid, primes, lambda cols, s, lam: (
+                    lam, grid_index(kmap[s][primes], an), [t[:, cols] for t in tables])
             return ((lam_bad, x_bad), maps_into_table,
                     lambda s, rows, y: (fmap[s][rows], y, seqs.cs[s]), tabulate)
         points = None if trivial is not None else lambda alive: (
@@ -542,18 +523,6 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
         return _iso_legs(kmap, bijective, seqs.xs, seqs.mids), points, prepare
     return _universal(seqs, tests, trivial, budget, stats, side,
                       (_identity_legs, "identity_legs") if trivial is None else None)
-
-
-def _apart(grid: np.ndarray) -> np.ndarray:
-    """Per row of a grid of maps, the cells (u, v) of the domain square
-    that the map sends to unequal points, row-major; write-protected."""
-    apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), -1)
-    apart.setflags(write=False)
-    return apart
-
-
-# `_apart` of the grid of maps from a points into m, kept like small grids
-_cached_apart = lru_cache(maxsize=64)(lambda a, m: _apart(candidate_grid(a, m)))
 
 
 def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
@@ -585,30 +554,24 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
 
         def prepare():
             if trivial is None:
-                rows = np.arange(len(seqs))[:, None]
-                # the cells of A x A that lam o f trivial asks lam to send to equal points
-                u, v = fmap[rows, pair_rows(seqs.xs)]
-                joined = np.zeros((len(seqs), an * an), dtype=bool)
-                joined[rows, u * an + v] = True
+                # the cells of A x A that lam o f trivial asks lam to send to
+                # equal points, padded with the diagonal cell (0, 0), never apart
+                u, v = fmap[np.arange(len(seqs))[:, None], pair_rows(seqs.xs)]
+                joined = u * an + v
 
             def tabulate(run):
                 grid = candidate_grid(an, run.m, budget)
                 afters = grid if cn == an else candidate_grid(cn, run.m, budget)
                 if trivial is None:
-                    # read through a product with the joined cells: comparing
-                    # grid[:, u] == grid[:, v] per joined pair instead took
-                    # 5.5 ms against 0.3-0.4 ms at a = 6, m = 5 (2-vCPU Linux)
-                    apart = (_cached_apart(an, run.m) if len(grid) * an * an <= _GRID_CACHE_CELLS
-                             else _apart(grid))
-                # per sequence, the class of each row of the grids of the lam and the lam'
-                tables = [] if classes is None else [np.stack(
-                    [classes(a, run.m) for a in objs])[:, :, None] for objs in (seqs.mids, seqs.cs)]
-                return grid, afters, lambda cols, idx, lam: (
-                    lam & ~(joined[idx] @ apart.T)[:, :, None] if trivial is None else lam,
-                    grid_index(afters[:, pmap[idx]], run.m).T, [t[idx] for t in tables])
-            # the related pairs of A and of C, sequences first, padded with (0, 0),
-            # which every map carries to a diagonal cell: related, never apart
-            pairs = pair_rows(seqs.mids).swapaxes(0, 1), pair_rows(seqs.cs).swapaxes(0, 1)
+                    # per grid row, the cells of A x A it sends to unequal points
+                    apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), -1)
+                return grid, afters, lambda cols, s, lam: (
+                    lam & ~apart[:, joined[s]].any(axis=1)[:, None] if trivial is None else lam,
+                    grid_index(afters[:, pmap[s]], run.m),
+                    # the class of each row of the grids of the lam and the lam'
+                    [] if classes is None else [classes(a[s], run.m)[:, None]
+                                                for a in (seqs.mids, seqs.cs)])
+            pairs = [a.rel.pair_index for a in seqs.mids], [c.rel.pair_index for c in seqs.cs]
             return (pairs, maps_out_table, lambda s, rows, y: (rows[:, fmap[s]], seqs.xs[s], y),
                     tabulate)
         return (_iso_legs(pmap, _bijective(pmap, cn), seqs.mids, seqs.cs), lambda alive: alive,

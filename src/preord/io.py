@@ -67,16 +67,16 @@ def load_object(text: str) -> PreObj:
     pairs = data["pairs"]
     if not isinstance(pairs, list):
         raise ValidationError("field 'pairs' must be a list")
-    cleaned = []
     for p in pairs:
-        if not isinstance(p, list) or len(p) != 2 or not all(map(_is_int, p)):
+        # the JSON shape only: a JSON bool is an int to numpy, not to type();
+        # `Rel.from_pairs` reads the whole list as one array for the rest
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
             raise ValidationError(f"pair {p!r} must be a two-integer list")
         if p[0] == p[1]:
             raise ValidationError(f"diagonal pair {p!r} must not be listed")
-        cleaned.append((p[0], p[1]))
     if n * n > DEFAULT_BUDGET:
         raise BudgetError(f"relation of {n} x {n} cells exceeds budget {DEFAULT_BUDGET}")
-    return make_object(n, cleaned, mode=data["mode"])
+    return make_object(n, pairs, mode=data["mode"])
 
 
 def load_morphism(text: str, dom: PreObj, cod: PreObj) -> Morph:

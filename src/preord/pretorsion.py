@@ -195,8 +195,7 @@ def _hom_tables(doms, cods, budget: int):
             grid = candidate_grid(a.n, run.m, budget)
             for cols in table_slices(len(run.objs), len(grid), budget):
                 at = slice(start + cols.start, start + min(cols.stop, len(run.objs)))
-                yield i, at, grid, maps_out_table(grid, a.rel.pair_index[None], run, cols,
-                                                  budget)[0]
+                yield i, at, grid, maps_out_table(grid, a.rel.pair_index, run, cols, budget)
             start += len(run.objs)
 
 
@@ -293,8 +292,9 @@ class PretorsionReport:
     # decided without a table, runs of one-point probes that a sequence
     # decided without a table, pairs of a T-class and an F-class whose hom
     # set axiom 2 read, table cells (grid rows x probes, or x F-classes for
-    # axiom 2) and wall seconds for the catalogues (with the class
-    # membership bits, the null-class test and the probes) and per axiom
+    # axiom 2) and wall seconds for the catalogues (with their canonical
+    # codes, the class membership bits, the null-class test and the
+    # probes) and per axiom
     classes_checked: int = 0
     sequences_checked: int = 0
     identity_legs: int = 0
@@ -383,6 +383,10 @@ def _null_class(t: ObjClass, f: ObjClass, max_n: int, budget: int):
     if max_n < 1:
         raise ValidationError(f"max_n must be at least 1, got {max_n}")
     cats = catalogues(max_n)
+    for cat in cats:
+        # both axioms read every size's classes: its canonical codes are
+        # built here, in the verdict's catalogue phase
+        cat.canonical_codes
     # a list, not a generator: every size gets its membership bits
     exact = all([np.array_equal(_members(t, cat.n) & _members(f, cat.n), cat.masks["trivial"])
                  for cat in cats])
@@ -416,10 +420,9 @@ def _torsion_parts(n: int):
 
 def _torsion_batches(n: int, at: np.ndarray):
     """The canonical torsion sequences of the labeled preorders on n points
-    at the catalogue positions `at`, in batches of one quotient size:
-    (the batch's catalogue positions, the batch, positions of its cores
-    and of its quotients in the catalogues of their sizes).  Objects,
-    cores and quotients are the catalogues' objects.
+    at the catalogue positions `at`, yielded in batches of one quotient
+    size: (the batch's catalogue positions, the batch).  Objects, cores and
+    quotients are the catalogues' objects.
 
     The first object comes alone.  Under plain triviality both legs of
     every sequence pass in closed form (an identity leg and a quotient
@@ -432,15 +435,13 @@ def _torsion_batches(n: int, at: np.ndarray):
     cat = catalogue(n)
     core_at, proj, sizes, quotient_at = (part[at] for part in _torsion_parts(n))
     group = np.where(np.arange(len(at)) == 0, 0, sizes)
-    batches = []
     for key in sorted(set(group.tolist())):
         sel = np.flatnonzero(group == key)
         quotients = catalogue(int(sizes[sel[0]]))
-        batches.append((at[sel], SeqBatch(
+        yield at[sel], SeqBatch(
             tuple(map(cat.obj, core_at[sel])), tuple(map(cat.obj, at[sel])),
             tuple(map(quotients.obj, quotient_at[sel])),
-            np.broadcast_to(np.arange(n), (len(sel), n)), proj[sel]), core_at[sel], quotient_at[sel]))
-    return batches
+            np.broadcast_to(np.arange(n), (len(sel), n)), proj[sel])
 
 
 def _first_axiom1_failure(n: int, t: ObjClass, f: ObjClass, trivial, probes, budget: int,
@@ -465,7 +466,7 @@ def _first_axiom1_failure(n: int, t: ObjClass, f: ObjClass, trivial, probes, bud
     reps = cat.representatives
     reps = reps[reps < cut]
     first, failed = cut, np.zeros(cut, dtype=bool)
-    for at, batch, *_ in _torsion_batches(n, reps):
+    for at, batch in _torsion_batches(n, reps):
         keep = np.flatnonzero(at < first)
         if not len(keep):
             continue
@@ -549,7 +550,8 @@ def pretorsion_verify(t: ObjClass, f: ObjClass, max_n: int,
     within a hom set, lexicographically, and the witness is that map.
 
     The catalogues of every size up to max_n are built first (BudgetError
-    beyond the enumeration cap), with the membership bits of each class;
+    beyond the enumeration cap), with their canonical codes and the
+    membership bits of each class;
     `catalogue_s`, `axiom1_s` and `axiom2_s` of the report time the three
     phases.  A max_n below 1 is a ValidationError: there would be nothing
     to check.

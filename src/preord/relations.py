@@ -60,6 +60,27 @@ def carrier_size(n) -> int:
     return n
 
 
+def _pair_array(pairs, n: int) -> np.ndarray:
+    """The pairs as a k x 2 int array of points of {0..n-1}, read as one
+    array.  Pairs that numpy cannot read so (ragged, not integers, out of
+    range) are read one by one, to name the first that is not two points."""
+    pairs = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    try:
+        ab = np.asarray(pairs)
+    except ValueError:  # ragged
+        ab = np.empty(0)
+    if ab.dtype.kind in "biu" and ab.ndim == 2 and ab.shape[1] == 2 and (
+            ab.min(initial=0) >= 0 and ab.max(initial=0) < n):
+        return ab.astype(np.intp, copy=False)
+    rows = []
+    for pair in pairs:
+        ab = as_ints("pair entries", pair)
+        if len(ab) != 2 or not (0 <= ab[0] < n and 0 <= ab[1] < n):
+            raise ValidationError(f"pair {ab} is not two points in range for n={n}")
+        rows.append(ab)
+    return np.array(rows, dtype=np.intp).reshape(-1, 2)
+
+
 # Carriers of at least this many points take the packed kernels.  Measured
 # crossover on random preorders, equivalences and chains: the packed
 # composition wins from about 32 points and Warshall's closure from 40 to
@@ -156,13 +177,13 @@ class Rel:
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]],
                    reflexive: bool = False) -> "Rel":
+        """The relation holding the pairs, and the diagonal if reflexive.
+        Entries are integers (bools and numpy ints too), each pair two
+        points of {0..n-1}; the first pair that is not is named."""
         n = carrier_size(n)
         bits = np.eye(n, dtype=bool) if reflexive else np.zeros((n, n), dtype=bool)
-        for pair in pairs:
-            ab = as_ints("pair entries", pair)
-            if len(ab) != 2 or not (0 <= ab[0] < n and 0 <= ab[1] < n):
-                raise ValidationError(f"pair {ab} is not two points in range for n={n}")
-            bits[ab] = True
+        ab = _pair_array(pairs, n)
+        bits[ab[:, 0], ab[:, 1]] = True
         return cls(n, bits)
 
     # ------------------------------------------------------------------

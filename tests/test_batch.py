@@ -19,10 +19,9 @@ from preord import exactness
 from preord.category import same_size_runs
 from preord.enumeration import catalogue, class_representatives
 from preord.exactness import (
-    SeqBatch, _slices, precokernel_batch, precokernel_property, prekernel_batch,
-    prekernel_property,
+    SeqBatch, precokernel_batch, precokernel_property, prekernel_batch, prekernel_property,
 )
-from preord.pretorsion import _class_trivial, _torsion_batches
+from preord.pretorsion import _class_trivial, _torsion_batches, _torsion_parts
 from preord.stable import _stable_classes
 
 from .oracles import (
@@ -32,8 +31,9 @@ from .oracles import (
 
 SEARCHED = ObjClass("trivial-searched", is_trivial_object)
 # the largest candidate grid of these shapes (2 ** 2 maps x 2 cells) just
-# fits, and a 2-point probe run gets one sequence per slice
-ONE_SEQUENCE_BUDGET = 8
+# fits, and the tables of a 2-point probe run are cut into slices of
+# probes and of grid rows
+SMALL_BUDGET = 8
 
 
 def spec(a):
@@ -103,7 +103,7 @@ def test_every_shape_batch_matches_single_calls_and_the_oracle(prop, check, prob
     mixed = 0
     for group in shapes(prop).values():
         want = [oracle(prop, check, k, g, tests) for k, g in group]
-        for budget in (ONE_SEQUENCE_BUDGET, 1_000_000):
+        for budget in (SMALL_BUDGET, 1_000_000):
             assert [single(prop, k, g, tests, check, budget) for k, g in group] == want
             assert batch(prop, SeqBatch.of(group), tests, check, budget) == want
         mixed += len(set(want)) == 2
@@ -135,13 +135,6 @@ def test_one_point_probes_read_no_table_and_meet_no_budget(prop, check, monkeypa
     assert bool(calls) == tabulated
 
 
-def test_the_small_budget_cuts_slices_of_one_sequence(objects2):
-    *_, run = same_size_runs(objects2)
-    pieces = list(_slices(np.ones(6, dtype=bool), run, 4, 2, ONE_SEQUENCE_BUDGET))
-    assert all(len(idx) == 1 for _, idx in pieces)
-    assert sorted(int(i) for _, idx in pieces for i in idx) == sorted(list(range(6)) * 2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_random_batches_match_single_calls(data):
@@ -152,20 +145,27 @@ def test_random_batches_match_single_calls(data):
     seqs = [group[i] for i in picks]
     probes = data.draw(st.permutations(objects_upto(2) + [trivial_object(1)]))
     probes = probes[:data.draw(st.integers(1, len(probes)))]
-    budget = data.draw(st.sampled_from([ONE_SEQUENCE_BUDGET, 40, 1_000_000]))
+    # 6 cells hold no grid of maps between two 2-point carriers
+    budget = data.draw(st.sampled_from([6, SMALL_BUDGET, 40, 1_000_000]))
     check = data.draw(st.sampled_from(["plain", "searched", "stable"]))
-    assert batch(prop, SeqBatch.of(seqs), probes, check, budget) == [
-        single(prop, k, g, probes, check, budget) for k, g in seqs]
-
-
-def test_apart_tables_are_kept_per_small_grid():
-    # per grid row, the cells (u, v) of the domain square sent to unequal
-    # points: built once per sizes (a, m) of a grid within the grid cache
-    apart = exactness._cached_apart(3, 2)
-    grid = exactness.candidate_grid(3, 2)
-    assert exactness._cached_apart(3, 2) is apart and not apart.flags.writeable
-    assert (apart == (grid[:, :, None] != grid[:, None, :]).reshape(8, 9)).all()
-    assert (exactness._apart(grid) == apart).all()
+    run = prekernel_batch if prop == "pre" else precokernel_batch
+    trivial, classes = engine(check, budget)
+    # the batch raises BudgetError exactly when a call on one of its
+    # sequences does, and its counters are the sums of theirs
+    want, want_stats = [], Counter()
+    try:
+        for k, g in seqs:
+            want.append(bool(run(SeqBatch.of([(k, g)]), probes, trivial, budget, classes,
+                                 want_stats)[0]))
+    except BudgetError:
+        want = None
+    stats = Counter()
+    if want is None:
+        with pytest.raises(BudgetError):
+            run(SeqBatch.of(seqs), probes, trivial, budget, classes, stats)
+    else:
+        assert run(SeqBatch.of(seqs), probes, trivial, budget, classes, stats).tolist() == want
+        assert stats == want_stats
 
 
 class TestIsomorphicLegs:
@@ -246,9 +246,10 @@ class TestTorsionBatches:
         for n in range(1, 5):
             cat = catalogue(n)
             # every labeled object, and one per class as axiom 1 asks
+            core_at, _, _, quotient_at = _torsion_parts(n)
             for positions in (np.arange(len(cat.codes)), cat.representatives):
                 seen = []
-                for at, seqs, cores, quotients in _torsion_batches(n, positions):
+                for at, seqs in _torsion_batches(n, positions):
                     for i, pos in enumerate(at):
                         want = torsion_sequence(cat.obj(pos))
                         assert seqs.mids[i] is cat.obj(pos)
@@ -257,18 +258,20 @@ class TestTorsionBatches:
                         assert tuple(seqs.k[i]) == want.f.map
                         assert tuple(seqs.g[i]) == want.g.map
                         # the objects are the catalogues', at the positions given
-                        assert seqs.xs[i] is cat.obj(cores[i])
-                        assert seqs.cs[i] is catalogue(want.g.cod.n).obj(quotients[i])
+                        assert seqs.xs[i] is cat.obj(core_at[pos])
+                        assert seqs.cs[i] is catalogue(want.g.cod.n).obj(quotient_at[pos])
                     seen.extend(at.tolist())
                 # the first object alone, then every other object once
                 assert seen[0] == positions[0] and sorted(seen) == positions.tolist()
 
-    def test_canonical_prekernels_read_one_table_per_run(self, objects2, monkeypatch):
+    def test_canonical_prekernels_read_two_tables_per_run_and_sequence(self, objects2,
+                                                                       monkeypatch):
         # under plain triviality a canonical prekernel is an identity leg,
         # passed in closed form with no table; a searched null class keeps
-        # two tables per run; a batch whose objects are all their own cores
-        # (equivalences, k the identity, an isomorphism) is decided without
-        # a table
+        # two tables per run, the lam's and the lam''s, for each sequence
+        # (they all pass, so none skips a run) but those whose objects are
+        # their own cores (equivalences, k the identity, an isomorphism),
+        # decided without a table
         calls = []
         orig = exactness.maps_into_table
 
@@ -278,12 +281,12 @@ class TestTorsionBatches:
         monkeypatch.setattr(exactness, "maps_into_table", counting)
         runs = len(same_size_runs(objects2))
         specs = [spec(y) for y in objects2]
-        for _, seqs, *_ in _torsion_batches(3, np.arange(len(catalogue(3).codes))):
+        for _, seqs in _torsion_batches(3, np.arange(len(catalogue(3).codes))):
             want = [prekernel_property_search(
                 seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(), spec(seqs.mids[i]),
                 spec(seqs.cs[i]), specs) for i in range(len(seqs))]
-            iso = seqs.xs == seqs.mids
-            plain, searched = 0, 0 if iso else 2 * runs
+            tabulated = sum(x != a for x, a in zip(seqs.xs, seqs.mids))
+            plain, searched = 0, 2 * runs * tabulated
             searching = _class_trivial((SEARCHED,), 1_000_000)
             for trivial, tables in ((None, plain), (searching, searched)):
                 calls.clear()
@@ -293,7 +296,7 @@ class TestTorsionBatches:
     @pytest.mark.parametrize("trivial_class", [None, SEARCHED])
     def test_a_wrong_quotient_fails_among_torsion_sequences(self, objects2, trivial_class):
         everyone = np.arange(len(catalogue(3).codes))
-        (at, seqs), = [(at, s) for at, s, *_ in _torsion_batches(3, everyone)
+        (at, seqs), = [(at, s) for at, s in _torsion_batches(3, everyone)
                        if len(at) > 1 and s.cs[0].n == 2]
         # the projection onto a 2-point quotient, read as a map onto the
         # full relation: still monotone and onto, but lam' must now join
@@ -327,7 +330,7 @@ class TestIdentityLegs:
         specs = [spec(y) for y in probes]
         decided = 0
         for n in range(1, 5):
-            for _, seqs, *_ in _torsion_batches(n, np.arange(len(catalogue(n).codes))):
+            for _, seqs in _torsion_batches(n, np.arange(len(catalogue(n).codes))):
                 for classes in (None, _stable_classes):
                     stats = Counter()
                     got = prekernel_batch(seqs, probes, None, 1_000_000, classes, stats)
@@ -441,7 +444,7 @@ class TestQuotientLegs:
         specs = [spec(y) for y in probes]
         decided = 0
         for n in range(1, 5):
-            for _, seqs, *_ in _torsion_batches(n, np.arange(len(catalogue(n).codes))):
+            for _, seqs in _torsion_batches(n, np.arange(len(catalogue(n).codes))):
                 for classes in (None, _stable_classes):
                     stats = Counter()
                     got = precokernel_batch(seqs, probes, None, 1_000_000, classes, stats)
@@ -521,7 +524,7 @@ def test_sampled_torsion_sequences_n5_n6_match_the_search_oracles():
         reps = cat.representatives
         mixed = reps[~cat.masks["equivalence"][reps] & ~cat.masks["partial_order"][reps]]
         drawn = np.sort(rng.choice(mixed, size=count, replace=False))
-        for _, seqs, *_ in _torsion_batches(n, drawn):
+        for _, seqs in _torsion_batches(n, drawn):
             discrete = (trivial_object(n),) * len(seqs)
             control = SeqBatch(discrete, seqs.mids, seqs.cs, seqs.k, seqs.g)
             for batch, want in ((seqs, True), (control, False)):

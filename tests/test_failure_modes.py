@@ -2,6 +2,7 @@
 error type and the invariant that the message must state."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,18 +30,48 @@ OBJECT_FILES = [
      "pair [True, 1] must be a two-integer list"),
     ('{"n": 3, "pairs": [[0, 1, 2]], "mode": "strict"}',
      "pair [0, 1, 2] must be a two-integer list"),
+    ('{"n": 2, "pairs": [[0, 1], [0.0, 1]], "mode": "strict"}',
+     "pair [0.0, 1] must be a two-integer list"),
+    ('{"n": 2, "pairs": [[0, 1], [-1, 0]], "mode": "close"}',
+     "pair (-1, 0) is not two points in range for n=2"),
+    ('{"n": 2, "pairs": [[0, 1], [0, 2], [1, 5]], "mode": "strict"}',
+     "pair (0, 2) is not two points in range for n=2"),
 ]
 
 
-@pytest.mark.parametrize("text, why", OBJECT_FILES, ids=["array", "pairs", "bool", "triple"])
+@pytest.mark.parametrize("text, why", OBJECT_FILES,
+                         ids=["array", "pairs", "bool", "triple", "float", "negative", "range"])
 def test_a_malformed_object_file_names_its_invariant(tmp_path, capsys, text, why):
-    with pytest.raises(ValidationError, match=why.replace("[", r"\[")):
+    with pytest.raises(ValidationError, match=re.escape(why)):
         load_object(text)
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {why}\n" and captured.out == ""
+
+
+# pairs given in code rather than in a file: bools and numpy ints are
+# integers, and the first pair that is not two points in range is named
+@pytest.mark.parametrize("pairs, want", [
+    ([(0, 1), (True, False)], [(0, 1), (1, 0)]),
+    ([(np.int8(0), np.uint64(1))], [(0, 1)]),
+], ids=["bool", "numpy-int"])
+def test_integer_pairs_are_read(pairs, want):
+    assert Rel.from_pairs(2, pairs).pair_list == want
+    assert make_object(2, pairs).rel.pair_list == want
+
+
+@pytest.mark.parametrize("pairs, why", [
+    ([(0, 1), (0, 1.0)], "pair entries must be integers"),
+    ([(0, 1), (-1, 0), (0, 1.0)], "pair (-1, 0) is not two points in range for n=2"),
+    ([(0, 1), (0, 2), ("0", 1)], "pair (0, 2) is not two points in range for n=2"),
+    ([(0, 1), (1,), (0, 1, 2)], "pair (1,) is not two points in range for n=2"),
+], ids=["float", "negative", "range", "ragged"])
+def test_the_first_bad_pair_is_named(pairs, why):
+    for build in (Rel.from_pairs, make_object):
+        with pytest.raises(ValidationError, match=re.escape(why)):
+            build(2, pairs)
 
 
 def test_a_map_entry_that_is_not_an_int_names_its_invariant(tmp_path, capsys):

@@ -24,8 +24,10 @@ from preord import (
 )
 
 import preord
-from preord import pretorsion
-from preord.enumeration import HARD_CAP, catalogue, class_representatives, enumerate_objects
+from preord import enumeration, pretorsion
+from preord.enumeration import (
+    HARD_CAP, catalogue, catalogues, class_representatives, enumerate_objects,
+)
 
 from .oracles import (
     PARTIAL_ORDER_CLASS_COUNTS, PARTIAL_ORDER_COUNTS, axiom2_scan_brute, bell, brute_objects,
@@ -653,6 +655,26 @@ class TestPretorsionVerify:
         parts = (report.catalogue_s, report.axiom1_s, report.axiom2_s)
         assert all(p > 0 for p in parts) and sum(parts) <= wall
         assert "catalogue" not in str(report)
+
+    def test_canonical_codes_are_built_in_the_catalogue_phase_n4(self, monkeypatch):
+        # both axioms read every size's classes, so `catalogue_s` times
+        # their canonical codes: they were built lazily inside axiom 1
+        phase, built = ["catalogue"], []
+        for cat in catalogues(4):
+            monkeypatch.delitem(vars(cat), "canonical_codes", raising=False)
+        codes, axiom1 = enumeration._canonical_codes, pretorsion._first_axiom1_failure
+
+        def recording(bits):
+            built.append(phase[0])
+            return codes(bits)
+
+        def axioms(*args):
+            phase[0] = "axioms"
+            return axiom1(*args)
+        monkeypatch.setattr(enumeration, "_canonical_codes", recording)
+        monkeypatch.setattr(pretorsion, "_first_axiom1_failure", axioms)
+        assert pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, 4).ok
+        assert built == ["catalogue"] * 4
 
     def test_each_predicate_is_asked_once_per_labeled_object(self, objects3):
         # across a verdict and a later closure check on the same range;
