@@ -268,7 +268,7 @@ class TestTorsionBatches:
                                                                        monkeypatch):
         # under plain triviality a canonical prekernel is an identity leg,
         # passed in closed form with no table; a searched null class keeps
-        # two tables per run, the lam's and the lam''s, for each sequence
+        # two tables per run, of the lam and of the lam', for each sequence
         # (they all pass, so none skips a run) but those whose objects are
         # their own cores (equivalences, k the identity, an isomorphism),
         # decided without a table
