@@ -7,21 +7,24 @@ morphisms whose composite with f is trivial; a precokernel is the dual.
 Both exist canonically and are unique up to a unique isomorphism, which
 is what `is_prekernel` / `is_precokernel` exploit: instead of quantifying
 over the whole (infinite) category they compare against the canonical
-construction.  The definitional verifiers below do quantify, over a
-finite list of probe objects, and serve as independent oracles.
+construction.  The definitional verifiers below check the universal
+property itself, over a finite list of probe objects: under plain
+triviality a canonical leg passes in closed form, and any other leg is
+tabulated.  The independent oracles, map-by-map searches that share no
+code with this module, are in the test suite (`tests/oracles.py`).
 
 They run on one engine, `_universal`, that checks a `SeqBatch` of
-same-shape sequences X --k--> A --g--> C.  The early decisions run on
-the whole batch at once: the closed-form rule for a canonical leg
-(`_identity_legs`, `_quotient_legs`), the composite, an isomorphic leg
-and a run of one-point probes.  A sequence left open after them is
-tabulated on its own against all probes of one size in one array pass,
-one table of grid rows x probes per test.  `prekernel_batch` and
-`precokernel_batch` give the engine what the two differ in: the
-closed-form rule, the grids, the table kernel
-(`category.maps_into_table` or `maps_out_table`), how a lam' reaches a
-lam, and the verdict of a run of one-point probes.  A single morphism
-is a batch of one.  The
+same-shape sequences X --k--> A --g--> C.  A sequence is decided in one
+of two ways.  Under plain triviality the closed-form rule for a
+canonical leg (`_identity_legs`, `_quotient_legs`) runs on the whole
+batch at once.  Every sequence it leaves open, and every sequence under
+a searched predicate, is decided by its composite, again on the whole
+batch, and then by its tables: it is tabulated on its own against all
+probes of one size in one array pass, one table of grid rows x probes
+per test.  `prekernel_batch` and `precokernel_batch` give the engine
+what the two differ in: the closed-form rule, the grids, the table
+kernel (`category.maps_into_table` or `maps_out_table`) and how a lam'
+reaches a lam.  A single morphism is a batch of one.  The
 class-relative checks of `preord.pretorsion` pass a row-wise triviality
 predicate; the stable verifiers of `preord.stable` pass `classes(obj,
 base)`, the first row of the stable class of each row of
@@ -283,24 +286,6 @@ class SeqBatch:
                          for i, (x, c) in enumerate(zip(self.xs, self.cs))], dtype=bool)
 
 
-def _bijective(legs: np.ndarray, n: int) -> np.ndarray:
-    """Per row of `legs`, a map into n points: is it a bijection?"""
-    if legs.shape[1] != n:
-        return np.zeros(len(legs), dtype=bool)
-    return (np.sort(legs, axis=1) == np.arange(n)).all(axis=1)
-
-
-def _iso_legs(legs: np.ndarray, bijective: np.ndarray, doms: tuple, cods: tuple) -> np.ndarray:
-    """Per sequence: is its leg (a row of `legs`, from the sequence's object
-    in `doms` to the one in `cods`) an isomorphism, a bijection (as marked
-    in `bijective`) that carries the one relation exactly onto the other?"""
-    if not bijective.any():
-        return bijective
-    rows = np.arange(len(legs))[:, None, None]
-    same = stack_bits(cods)[rows, legs[:, :, None], legs[:, None, :]] == stack_bits(doms)
-    return bijective & same.all(axis=(1, 2))
-
-
 def _failing(fail: np.ndarray, trivial, args) -> bool:
     """Does a marked lam of a `fail` table (grid rows x probes) break the
     property?  Without a predicate every one does; else the predicate is
@@ -367,7 +352,7 @@ def _quotient_legs(seqs: SeqBatch) -> np.ndarray:
     image points, so if lam'1 o p and lam'2 o p are stably equal, lam'1
     and lam'2 are equal on D or both constant there.  Hence, under plain
     triviality, every isomorphic p with a trivial composite meets the
-    rule: an isomorphic leg is left only to a searched predicate."""
+    rule."""
     zeta, joined = _quotient_closures(seqs.xs, seqs.k, stack_bits(seqs.mids))
     rows, u, v = np.arange(len(seqs))[:, None], seqs.g[:, :, None], seqs.g[:, None, :]
     onto = np.zeros((len(seqs), seqs.cs[0].n), dtype=bool)
@@ -385,41 +370,35 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
 
     g o k must be trivial, and each lam the property asks about must factor
     through the leg by exactly one of the monotone lam', counted per row,
-    or per class, they reach.  The closed-form rule, the composite, the
-    isomorphic legs and the one-point runs decide the whole batch at once.
-    Each sequence still open is then tabulated on its own: the probes of
-    one size share the grids of the lam and of the lam', and each test is
-    a table of grid rows x probes.  A failed sequence skips later runs.
-    `closed`, if given, is a rule and the name of its counter: `rule(seqs)`
-    marks the sequences that pass in closed form before anything else is
-    built, and only the others go on, as a batch of their own.
-    `side(seqs)`, asked if that batch is not empty, gives (iso, points,
-    prepare): which legs are isomorphisms (the composite then decides,
-    without a table); None, or what is left alive after a run of
-    one-point probes, in closed form; and `prepare()`, asked once, at the
-    first run that needs a table, for (cells, table, args, tabulate): per
-    sequence s, the cells that `table(grid, cells[s], run, cols, budget)`
-    reads for the lam and the lam'; `args(s, rows, probe)`, what `trivial`
-    is asked of the rows of sequence s that fail to factor; and
-    `tabulate(run)`, built once per run: the two grids and `piece(cols, s,
-    lam)`, the lam table of sequence s cut down to the trivial lam, the
-    reach index (the lam grid row of each lam' after the leg) and the
-    class tables of `_unique_factors`.
+    or per class, they reach.  `closed`, if given, is a rule and the name
+    of its counter: `rule(seqs)` marks the sequences that pass in closed
+    form before anything else is built, and only the others go on, as a
+    batch of their own.  Their composites are tested on the whole batch;
+    each sequence with a trivial one is then tabulated on its own: the
+    probes of one size share the grids of the lam and of the lam', and
+    each test is a table of grid rows x probes.  A failed sequence skips
+    later runs.  `side(seqs)`, asked once, at the first run that needs a
+    table, gives (cells, table, args, tabulate): per sequence s, the cells
+    that `table(grid, cells[s], run, cols, budget)` reads for the lam and
+    the lam'; `args(s, rows, probe)`, what `trivial` is asked of the rows
+    of sequence s that fail to factor; and `tabulate(run)`, built once per
+    run: the two grids and `piece(cols, s, lam)`, the lam table of
+    sequence s cut down to the trivial lam, the reach index (the lam grid
+    row of each lam' after the leg) and the class tables of
+    `_unique_factors`.
 
     Budgets are those of `monotone_maps` on the same hom sets, checked
     before each run that a sequence still has to tabulate, and the tables
     are cut, into slices of probes and then of grid rows, so that none,
     nor an intermediate, exceeds the budget.  So the batch raises
     BudgetError exactly when a call on one of its sequences alone would.
-    A sequence passed by `closed`, an isomorphic leg, or a run decided
-    without a table meets no grid, so it never raises BudgetError,
-    however large its probes or objects.  `stats`, a Counter, gains the
-    sequences, those passed by `closed` (under its name: `identity_legs`
-    or `quotient_legs`), those of the others decided by an isomorphic leg
-    (`iso_legs`), the one-point runs of a sequence decided without a
-    table (`point_runs`) and the table cells (lam tables: grid rows x
-    probes, per sequence) checked, the same sums as calls on the
-    sequences one by one.
+    A sequence passed by `closed`, or one whose composite is not trivial,
+    meets no grid, so it never raises BudgetError, however large its
+    probes or objects.  `stats`, a Counter, gains the sequences, those
+    passed by `closed` (under its name: `identity_legs` or
+    `quotient_legs`) and the table cells (lam tables: grid rows x probes,
+    per sequence) checked, the same sums as calls on the sequences one by
+    one.
     """
     if not len(seqs):
         return np.zeros(0, dtype=bool)
@@ -433,20 +412,13 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                 rest = np.flatnonzero(~passed)
                 passed[rest] = _universal(seqs.take(rest), tests, trivial, budget, stats, side)
             return passed
-    iso, points, prepare = side(seqs)
     alive = seqs.trivial_composites(trivial)
-    decided, alive = alive & iso, alive & ~iso
     tabulate = None
     for run in same_size_runs(tests):
         if not alive.any():
             break
-        if run.m == 1 and points is not None:
-            if stats is not None:
-                stats["point_runs"] += int(alive.sum())
-            alive = points(alive)
-            continue
         if tabulate is None:
-            (lam_cells, prime_cells), table, args, tabulate = prepare()
+            (lam_cells, prime_cells), table, args, tabulate = side(seqs)
         grid, primes, piece = tabulate(run)
         for s in np.flatnonzero(alive):
             # every slice is read, so that the cells sum as one call's would
@@ -462,8 +434,7 @@ def _universal(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
                     stats["cells"] += lam.size
     if stats is not None:
         stats["sequences"] += len(seqs)
-        stats["iso_legs"] += int(iso.sum())
-    return alive | decided
+    return alive
 
 
 def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
@@ -489,38 +460,25 @@ def prekernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     points into one fibre, so lam itself is monotone into X and is its
     one lam'; up to class too, as the lam and the lam' are the same rows
     of one grid, with the same classes.  A searched predicate keeps its
-    tables.  When k is an isomorphism, lam' = k^-1 o lam is the one
-    factorization of every lam, also up to class (composing with k^-1
-    keeps stable equality), so k is a prekernel of g exactly when g o k is
-    trivial: such a sequence is decided without a table.  So is a run of
-    one-point probes unless a predicate is given: each lam is a point of
-    A, so k must be a bijection, or nothing up to stable equality, as
-    every map out of a point is stably trivial.  Budgets, slicing and
-    `stats` are those of the engine, `_universal`.
+    tables, and so does every other leg, an isomorphic one too.  Budgets,
+    slicing and `stats` are those of the engine, `_universal`.
     """
     def side(seqs):
         kmap, fmap = seqs.k, seqs.g
-        an = fmap.shape[1]
-        bijective = _bijective(kmap, an)
+        an, xn = fmap.shape[1], kmap.shape[1]
+        a_bad, x_bad = ~stack_bits(seqs.mids), ~stack_bits(seqs.xs)
+        lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
 
-        def prepare():
-            xn = kmap.shape[1]
-            a_bad, x_bad = ~stack_bits(seqs.mids), ~stack_bits(seqs.xs)
-            lam_bad = a_bad if trivial is not None else a_bad | (fmap[:, :, None] != fmap[:, None, :])
-
-            def tabulate(run):
-                grid = candidate_grid(run.m, an, budget)
-                primes = grid if xn == an else candidate_grid(run.m, xn, budget)
-                # per probe, the class of each row of the grids of the lam and the lam'
-                tables = [] if classes is None else [
-                    np.stack([classes(y, n) for y in run.objs], axis=1) for n in (an, xn)]
-                return grid, primes, lambda cols, s, lam: (
-                    lam, grid_index(kmap[s][primes], an), [t[:, cols] for t in tables])
-            return ((lam_bad, x_bad), maps_into_table,
-                    lambda s, rows, y: (fmap[s][rows], y, seqs.cs[s]), tabulate)
-        points = None if trivial is not None else lambda alive: (
-            alive if classes is not None else alive & bijective)
-        return _iso_legs(kmap, bijective, seqs.xs, seqs.mids), points, prepare
+        def tabulate(run):
+            grid = candidate_grid(run.m, an, budget)
+            primes = grid if xn == an else candidate_grid(run.m, xn, budget)
+            # per probe, the class of each row of the grids of the lam and the lam'
+            tables = [] if classes is None else [
+                np.stack([classes(y, n) for y in run.objs], axis=1) for n in (an, xn)]
+            return grid, primes, lambda cols, s, lam: (
+                lam, grid_index(kmap[s][primes], an), [t[:, cols] for t in tables])
+        return ((lam_bad, x_bad), maps_into_table,
+                lambda s, rows, y: (fmap[s][rows], y, seqs.cs[s]), tabulate)
     return _universal(seqs, tests, trivial, budget, stats, side,
                       (_identity_legs, "identity_legs") if trivial is None else None)
 
@@ -540,42 +498,32 @@ def precokernel_batch(seqs: SeqBatch, tests: list[PreObj], trivial, budget: int,
     or any table is built: p onto C, with the image equivalence of f as
     its fibres and C pulled back along p the join of A with it, as in
     the canonical precokernel (`_quotient_legs`, which also proves it).
-    A searched predicate keeps its tables.  When p is an isomorphism,
-    lam' = lam o p^-1 is the one factorization, also up to class, so p o f
-    trivial decides the sequence without a table or a grid; under plain
-    triviality the quotient rule already holds for every such p with a
-    trivial composite.  A run of one-point probes never fails, whatever
-    the triviality: the one map into a point is the one map out of C
-    after p.
+    A searched predicate keeps its tables, and so does every other leg.
     """
     def side(seqs):
         fmap, pmap = seqs.k, seqs.g
         an, cn = pmap.shape[1], seqs.cs[0].n
+        if trivial is None:
+            # the cells of A x A that lam o f trivial asks lam to send to
+            # equal points, padded with the diagonal cell (0, 0), never apart
+            u, v = fmap[np.arange(len(seqs))[:, None], pair_rows(seqs.xs)]
+            joined = u * an + v
 
-        def prepare():
+        def tabulate(run):
+            grid = candidate_grid(an, run.m, budget)
+            afters = grid if cn == an else candidate_grid(cn, run.m, budget)
             if trivial is None:
-                # the cells of A x A that lam o f trivial asks lam to send to
-                # equal points, padded with the diagonal cell (0, 0), never apart
-                u, v = fmap[np.arange(len(seqs))[:, None], pair_rows(seqs.xs)]
-                joined = u * an + v
-
-            def tabulate(run):
-                grid = candidate_grid(an, run.m, budget)
-                afters = grid if cn == an else candidate_grid(cn, run.m, budget)
-                if trivial is None:
-                    # per grid row, the cells of A x A it sends to unequal points
-                    apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), -1)
-                return grid, afters, lambda cols, s, lam: (
-                    lam & ~apart[:, joined[s]].any(axis=1)[:, None] if trivial is None else lam,
-                    grid_index(afters[:, pmap[s]], run.m),
-                    # the class of each row of the grids of the lam and the lam'
-                    [] if classes is None else [classes(a[s], run.m)[:, None]
-                                                for a in (seqs.mids, seqs.cs)])
-            pairs = [a.rel.pair_index for a in seqs.mids], [c.rel.pair_index for c in seqs.cs]
-            return (pairs, maps_out_table, lambda s, rows, y: (rows[:, fmap[s]], seqs.xs[s], y),
-                    tabulate)
-        return (_iso_legs(pmap, _bijective(pmap, cn), seqs.mids, seqs.cs), lambda alive: alive,
-                prepare)
+                # per grid row, the cells of A x A it sends to unequal points
+                apart = (grid[:, :, None] != grid[:, None, :]).reshape(len(grid), -1)
+            return grid, afters, lambda cols, s, lam: (
+                lam & ~apart[:, joined[s]].any(axis=1)[:, None] if trivial is None else lam,
+                grid_index(afters[:, pmap[s]], run.m),
+                # the class of each row of the grids of the lam and the lam'
+                [] if classes is None else [classes(a[s], run.m)[:, None]
+                                            for a in (seqs.mids, seqs.cs)])
+        pairs = [a.rel.pair_index for a in seqs.mids], [c.rel.pair_index for c in seqs.cs]
+        return (pairs, maps_out_table, lambda s, rows, y: (rows[:, fmap[s]], seqs.xs[s], y),
+                tabulate)
     return _universal(seqs, tests, trivial, budget, stats, side,
                       (_quotient_legs, "quotient_legs") if trivial is None else None)
 

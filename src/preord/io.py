@@ -34,10 +34,6 @@ def save_object(a: PreObj) -> str:
     return json.dumps(body, separators=(", ", ": "))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_json(text: str):
     try:
         return json.loads(text)
@@ -60,7 +56,7 @@ def load_object(text: str) -> PreObj:
     if missing:
         raise ValidationError(f"object file missing fields: {sorted(missing)}")
     n = data["n"]
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValidationError("field 'n' must be an integer >= 1")
     if data["mode"] not in ("strict", "close"):
         raise ValidationError("field 'mode' must be 'strict' or 'close'")
@@ -85,7 +81,7 @@ def load_morphism(text: str, dom: PreObj, cod: PreObj) -> Morph:
     if not isinstance(data, dict) or "map" not in data:
         raise ValidationError("morphism file must be a JSON object with a 'map' field")
     m = data["map"]
-    if not isinstance(m, list) or not all(map(_is_int, m)):
+    if not isinstance(m, list) or not all(type(x) is int for x in m):
         raise ValidationError("field 'map' must be a list of integers")
     return Morph(dom, cod, tuple(m))
 

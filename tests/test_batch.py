@@ -87,9 +87,9 @@ def batch(prop, seqs, probes, check, budget):
 
 
 # a point alone lets sequences without an injective k or a surjective g
-# pass, so that more batches hold passing and failing sequences; runs of
-# one-point probes are decided without a table, so lists without them and
-# with several of them, between other sizes, are checked too
+# pass, so that more batches hold passing and failing sequences; lists
+# without one-point probes and with several runs of them, between other
+# sizes, are checked too
 PROBE_LISTS = {"n<=2": objects_upto(2), "point": [trivial_object(1)],
                "n=2": objects_upto(2)[1:],
                "1,2,1": [trivial_object(1), make_object(2, [(0, 1)]), trivial_object(1)]}
@@ -113,9 +113,9 @@ def test_every_shape_batch_matches_single_calls_and_the_oracle(prop, check, prob
 
 @pytest.mark.parametrize("check", ["plain", "searched", "stable"])
 @pytest.mark.parametrize("prop", ["pre", "co"])
-def test_one_point_probes_read_no_table_and_meet_no_budget(prop, check, monkeypatch):
-    # a map into a point is unique and a map out of one is a point, so only
-    # a searched predicate keeps its prekernel tables
+def test_one_point_probes_are_tabulated_and_match_the_oracle(prop, check, monkeypatch):
+    # a map into a point is unique and a map out of one is a point; a run
+    # of one-point probes is still read from its tables, like any other
     calls = []
     for name in ("maps_into_table", "maps_out_table"):
         table = getattr(exactness, name)
@@ -124,15 +124,10 @@ def test_one_point_probes_read_no_table_and_meet_no_budget(prop, check, monkeypa
     run = prekernel_batch if prop == "pre" else precokernel_batch
     trivial, classes = engine(check, 1_000_000)
     points = [trivial_object(1)] * 2
-    tabulated = prop == "pre" and check == "searched"
     for group in shapes(prop).values():
         want = [oracle(prop, check, k, g, points) for k, g in group]
-        seqs = SeqBatch.of(group)
-        assert run(seqs, points, trivial, 1_000_000, classes).tolist() == want
-        if not tabulated:
-            # without a grid even a budget of one cell is never met
-            assert run(seqs, points, trivial, 1, classes).tolist() == want
-    assert bool(calls) == tabulated
+        assert run(SeqBatch.of(group), points, trivial, 1_000_000, classes).tolist() == want
+    assert calls
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,8 +165,9 @@ def test_random_batches_match_single_calls(data):
 
 class TestIsomorphicLegs:
     """When k (or p) is an isomorphism, lam' = k^-1 o lam (or lam o p^-1) is
-    the one factorization of every lam, so triviality of the composite
-    decides the sequence and no table is built."""
+    the one factorization of every lam, so the sequence passes exactly when
+    its composite is trivial.  Unless it is a canonical leg, passed in
+    closed form, it is read from its tables like any other leg."""
 
     CHAIN01, CHAIN10 = make_object(2, [(0, 1)]), make_object(2, [(1, 0)])
     POINT = trivial_object(1)
@@ -183,7 +179,7 @@ class TestIsomorphicLegs:
     UNDER = Morph(trivial_object(2), CHAIN10, (0, 1))
 
     @pytest.mark.parametrize("check", ["plain", "searched", "stable"])
-    def test_decided_by_the_composite_without_a_table(self, objects2, monkeypatch, check):
+    def test_decided_by_the_composite_and_the_tables(self, objects2, monkeypatch, check):
         calls = []
 
         def counted(table):
@@ -194,51 +190,74 @@ class TestIsomorphicLegs:
         for name in ("maps_into_table", "maps_out_table"):
             monkeypatch.setattr(exactness, name, counted(getattr(exactness, name)))
         # k = SWAP before g, and p = SWAP after f; the identity of a chain
-        # is not trivial, plainly or through a trivial object
-        for prop, k, g, want in [("pre", self.SWAP, self.ONTO_POINT, True),
-                                 ("pre", self.SWAP, self.IDENTITY, False),
-                                 ("co", self.FROM_POINT, self.SWAP, True),
-                                 ("co", self.IDENTITY01, self.SWAP, False)]:
+        # is not trivial, plainly or through a trivial object.  A trivial
+        # composite leaves the leg to its tables, but for p = SWAP, a
+        # quotient leg passed in closed form unless a predicate is searched
+        for prop, k, g, want, tabulated in [
+                ("pre", self.SWAP, self.ONTO_POINT, True, True),
+                ("pre", self.SWAP, self.IDENTITY, False, False),
+                ("co", self.FROM_POINT, self.SWAP, True, check == "searched"),
+                ("co", self.IDENTITY01, self.SWAP, False, False)]:
+            calls.clear()
             assert single(prop, k, g, objects2, check, 1_000_000) == want
             assert oracle(prop, check, k, g, objects2) == want
-        assert calls == []
-        # a leg that is no isomorphism still reads its tables
+            assert bool(calls) == tabulated
+        # a leg that is no isomorphism reads its tables too
         assert not single("pre", self.UNDER, self.ONTO_POINT, objects2, check, 1_000_000)
         assert calls
 
     def test_only_a_tabulated_leg_meets_the_budget(self):
         big = [trivial_object(7)]  # 2 ** 7 maps x 7 cells into a 2-point object
-        assert prekernel_property(self.SWAP, self.ONTO_POINT, big, None, 100)
         with pytest.raises(BudgetError):
             prekernel_property(self.UNDER, self.ONTO_POINT, big, None, 100)
-        # 11 ** 2 maps x 2 cells out of a 2-point object
+        # 11 ** 2 maps x 2 cells out of a 2-point object; under plain
+        # triviality p = SWAP is a quotient leg
         wide = [trivial_object(11)]
         assert precokernel_property(self.SWAP, self.FROM_POINT, wide, None, 100)
         with pytest.raises(BudgetError):
             precokernel_property(Morph(self.CHAIN01, self.POINT, (0, 0)), self.FROM_POINT,
                                  wide, None, 100)
 
+    @pytest.mark.parametrize("classes", [None, _stable_classes], ids=["plain", "stable"])
+    def test_an_isomorphic_leg_meets_the_budget_as_a_tabulated_leg_does(self, classes):
+        big = [trivial_object(7)]  # 2 ** 7 maps x 7 cells into a 2-point object
+        for k in (self.SWAP, self.UNDER):
+            with pytest.raises(BudgetError):
+                prekernel_property(k, self.ONTO_POINT, big, None, 100, classes)
+            # within the budget, both verdicts are the oracle's
+            assert prekernel_property(k, self.ONTO_POINT, big, None, 1_000_000, classes) == \
+                oracle("pre", "plain" if classes is None else "stable", k, self.ONTO_POINT, big)
+        # identity legs and quotient legs still pass in closed form, over any budget
+        assert prekernel_property(prekernel(self.ONTO_POINT), self.ONTO_POINT, big, None, 100,
+                                  classes)
+        wide = [trivial_object(11)]  # 11 ** 2 maps x 2 cells out of a 2-point object
+        for f in (self.FROM_POINT, self.IDENTITY01):
+            assert precokernel_property(precokernel(f), f, wide, None, 100, classes)
+
     def test_counted_per_sequence(self):
         stats = Counter()
-        # one shape: every sequence ends in the 2-chain
+        # one shape: every sequence ends in the 2-chain; the two with a
+        # trivial composite read 2 + 4 x 4 cells each, a one-point run and
+        # a run of four two-point probes
         const = Morph(self.CHAIN10, self.CHAIN10, (0, 0))
         seqs = SeqBatch.of([(self.SWAP, const), (self.SWAP, self.IDENTITY),
                             (self.UNDER, const)])
         assert prekernel_batch(seqs, objects_upto(2), None, 1_000_000,
                                stats=stats).tolist() == [True, False, False]
-        assert (stats["iso_legs"], stats["sequences"]) == (2, 3)
+        assert (stats["identity_legs"], stats["cells"], stats["sequences"]) == (0, 36, 3)
         # and dually: every sequence starts at the 2-chain; under plain
         # triviality an isomorphic p with a trivial composite is a quotient
-        # leg, so only a searched predicate leaves both to the iso counter
+        # leg, so only a searched predicate tabulates it; a tabulated
+        # sequence reads 1 + 4 x 4 cells, of the maps out of the 2-chain
         const = Morph(self.CHAIN01, self.CHAIN01, (0, 0))
         seqs = SeqBatch.of([(const, self.SWAP), (self.IDENTITY01, self.SWAP),
                             (const, Morph(self.CHAIN01, self.CHAIN10, (0, 0)))])
-        for trivial, counts in ((None, (1, 1, 3)),
-                                (_class_trivial((SEARCHED,), 1_000_000), (0, 2, 3))):
+        for trivial, counts in ((None, (1, 17, 3)),
+                                (_class_trivial((SEARCHED,), 1_000_000), (0, 34, 3))):
             stats = Counter()
             assert precokernel_batch(seqs, objects_upto(2), trivial, 1_000_000,
                                      stats=stats).tolist() == [True, False, False]
-            assert (stats["quotient_legs"], stats["iso_legs"], stats["sequences"]) == counts
+            assert (stats["quotient_legs"], stats["cells"], stats["sequences"]) == counts
 
 
 class TestTorsionBatches:
@@ -269,9 +288,7 @@ class TestTorsionBatches:
         # under plain triviality a canonical prekernel is an identity leg,
         # passed in closed form with no table; a searched null class keeps
         # two tables per run, of the lam and of the lam', for each sequence
-        # (they all pass, so none skips a run) but those whose objects are
-        # their own cores (equivalences, k the identity, an isomorphism),
-        # decided without a table
+        # (they all pass, so none skips a run), an isomorphic k too
         calls = []
         orig = exactness.maps_into_table
 
@@ -285,8 +302,7 @@ class TestTorsionBatches:
             want = [prekernel_property_search(
                 seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(), spec(seqs.mids[i]),
                 spec(seqs.cs[i]), specs) for i in range(len(seqs))]
-            tabulated = sum(x != a for x, a in zip(seqs.xs, seqs.mids))
-            plain, searched = 0, 2 * runs * tabulated
+            plain, searched = 0, 2 * runs * len(seqs)
             searching = _class_trivial((SEARCHED,), 1_000_000)
             for trivial, tables in ((None, plain), (searching, searched)):
                 calls.clear()
@@ -336,7 +352,7 @@ class TestIdentityLegs:
                     got = prekernel_batch(seqs, probes, None, 1_000_000, classes, stats)
                     assert got.all()
                     assert stats["identity_legs"] == stats["sequences"] == len(seqs)
-                    assert stats["cells"] == stats["iso_legs"] == 0
+                    assert stats["cells"] == 0
                 assert all(prekernel_property_search(
                     seqs.k[i].tolist(), spec(seqs.xs[i]), seqs.g[i].tolist(),
                     spec(seqs.mids[i]), spec(seqs.cs[i]), specs) for i in range(len(seqs)))
@@ -435,8 +451,7 @@ class TestQuotientLegs:
                 stats = Counter()
                 assert precokernel_batch(SeqBatch.of(group), probes, None, 1_000_000,
                                          classes, stats).all()
-                assert stats["quotient_legs"] == len(group)
-                assert stats["cells"] == stats["iso_legs"] == 0
+                assert stats["quotient_legs"] == len(group) and stats["cells"] == 0
 
     def test_every_canonical_torsion_precokernel_n4(self):
         # probed as axiom 1 probes max_n = 4: one object per class up to n = 3
@@ -450,7 +465,7 @@ class TestQuotientLegs:
                     got = precokernel_batch(seqs, probes, None, 1_000_000, classes, stats)
                     assert got.all()
                     assert stats["quotient_legs"] == stats["sequences"] == len(seqs)
-                    assert stats["cells"] == stats["iso_legs"] == stats["point_runs"] == 0
+                    assert stats["cells"] == 0
                 assert all(precokernel_property_search(
                     seqs.g[i].tolist(), spec(seqs.cs[i]), seqs.k[i].tolist(),
                     spec(seqs.xs[i]), spec(seqs.mids[i]), specs) for i in range(len(seqs)))

@@ -31,7 +31,8 @@ from preord.enumeration import (
 
 from .oracles import (
     PARTIAL_ORDER_CLASS_COUNTS, PARTIAL_ORDER_COUNTS, axiom2_scan_brute, bell, brute_objects,
-    canonical_code_brute, factors_through_search, integer_partitions, kind_test,
+    brute_monotone_maps, canonical_code_brute, collapses_relation, factors_through_search,
+    integer_partitions, kind_test,
     precokernel_property_search, prekernel_property_search,
 )
 
@@ -624,23 +625,19 @@ class TestPretorsionVerify:
             "  counterexample: [0, 1] from PreObj(2, [(1, 0)]) to PreObj(2, [(0, 1), (1, 0)])\n"
             "verdict: FAIL")
 
-    @pytest.mark.parametrize("max_n, counts", [(3, (13, 0, 0, 0, 6, 8)),
-                                               (4, (46, 0, 0, 0, 11, 24))],
+    @pytest.mark.parametrize("max_n, counts", [(3, (13, 0, 6, 8)), (4, (46, 0, 11, 24))],
                              ids=["max_n3", "max_n4"])
     def test_work_counters_count_every_table_cell_n3(self, max_n, counts):
         # axiom 1 checks the first object of each isomorphism class: every
         # k is an identity leg and every p a quotient leg, both passed in
-        # closed form, so no isomorphic leg, point run or table is left to
-        # count; axiom 2 reads one table of the maps from each T-class into
-        # each F-class
-        n_classes, n_iso, n_points, n_cells, n_ts, n_fs = counts
+        # closed form, so no table is left to count; axiom 2 reads one
+        # table of the maps from each T-class into each F-class
+        n_classes, n_cells, n_ts, n_fs = counts
         report = pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, max_n)
         classes = first_of_each_class(objects_upto(max_n))
         assert report.classes_checked == len(classes) == n_classes
         assert report.sequences_checked == 2 * len(classes)
         assert report.identity_legs == report.quotient_legs == report.classes_checked
-        assert report.iso_legs == n_iso
-        assert report.point_runs == n_points
         assert report.axiom1_cells == n_cells
         ts = first_of_each_class(EQUIVALENCES.candidates(max_n))
         fs = first_of_each_class(PARTIAL_ORDERS.candidates(max_n))
@@ -1019,6 +1016,31 @@ class TestAxiom2ByClass:
             per_class[a.n, canonical_code_brute(a.n, set(a.rel.pairs(include_diagonal=True)))]
             for a in small]
         assert (weights[len(small):] > 0).all()
+
+    def test_sampled_class_pairs_up_to_the_cap_match_the_brute_oracles(self):
+        # a pinned sample of (T-class, F-class) pairs with n <= 6: the hom
+        # set that axiom 2 tabulates is every map that a raw filter keeps, in
+        # the same order, and none is flagged, as each collapses its domain's
+        # relation; read the other way round, from the F-class into the
+        # T-class, the maps that keep a related pair apart are flagged
+        t_firsts = pretorsion._by_class((EQUIVALENCES,), HARD_CAP)[0]
+        f_firsts = pretorsion._by_class((PARTIAL_ORDERS,), HARD_CAP)[0]
+        rng = random.Random(29)
+        flagged = 0
+        for _ in range(24):
+            a, b = rng.choice(t_firsts), rng.choice(f_firsts)
+            for dom, cod in ((a, b), (b, a)):
+                (_, _, grid, homs), = pretorsion._hom_tables((dom,), (cod,), 1_000_000)
+                pairs = list(dom.rel.pairs())
+                want = brute_monotone_maps(dom.n, cod.n, pairs, list(cod.rel.pairs()))
+                assert homs.sum() == len(want)
+                assert list(map(tuple, grid[homs[:, 0]].tolist())) == want
+                bad = pretorsion._nontrivial(None, dom, [cod], grid, homs)[homs[:, 0], 0]
+                assert bad.tolist() == [not collapses_relation(m, pairs) for m in want]
+                assert not bad.any() or dom is b
+                flagged += int(bad.sum())
+        # the control: some map out of an F-class is not trivial
+        assert flagged > 0
 
 
 class TestClosureProp:
