@@ -10,8 +10,9 @@ over the whole (infinite) category they compare against the canonical
 construction.  The definitional verifiers below check the universal
 property itself, over a finite list of probe objects: under plain
 triviality a canonical leg passes in closed form, and any other leg is
-tabulated.  The independent oracles, map-by-map searches that share no
-code with this module, are in the test suite (`tests/oracles.py`).
+decided by its composite and its tables.  The independent oracles,
+map-by-map searches that share no code with this module, are in the
+test suite (`tests/oracles.py`).
 
 They run on one engine, `_universal`, that checks a `SeqBatch` of
 same-shape sequences X --k--> A --g--> C.  A sequence is decided in one
