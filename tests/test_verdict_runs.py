@@ -2,16 +2,25 @@ import importlib.util
 import json
 from pathlib import Path
 
+from preord import HARD_CAP
+
 _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("verdict_runs", _ROOT / "tools" / "verdict_runs.py")
 verdict_runs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(verdict_runs)
 
 
-def test_runs_alternate_and_report_counters_timings_and_rss(capsys):
-    # one tree under two names, so that each gets its own runs
+def test_the_verdict_is_the_one_at_the_enumeration_cap():
+    assert verdict_runs.MAX_N == HARD_CAP
+
+
+def test_runs_alternate_and_report_counters_timings_and_rss(capsys, monkeypatch):
+    # one run per tree at n = 2, so that the test is quick; one tree under
+    # two names, so that each gets its own runs
+    monkeypatch.setattr(verdict_runs, "RUNS", 1)
+    monkeypatch.setattr(verdict_runs, "MAX_N", 2)
     trees = [str(_ROOT), str(_ROOT / "tools" / "..")]
-    assert verdict_runs.main(["verdict_runs.py", *trees, "--runs", "1", "--max-n", "2"]) == 0
+    assert verdict_runs.main(["verdict_runs.py", *trees]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["max_n"] == 2 and sorted(out["runs"]) == sorted(trees)
     for tree in trees:

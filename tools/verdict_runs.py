@@ -1,15 +1,15 @@
 """Run the pretorsion verdict of (equivalences, partial orders) on two
 source trees, alternating between them, each run in a fresh process.
 
-    python tools/verdict_runs.py TREE_A TREE_B [--runs N] [--max-n N]
+    python tools/verdict_runs.py TREE_A TREE_B
 
-A tree is a checkout holding `src/preord`.  Each run calls
-`pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, max_n)` (max_n 6, the
-enumeration cap, by default) with `PYTHONPATH` set to the tree's `src`.
-The output is one JSON object: per tree, every run's verdict, every
-scalar field of its report (the work counters, `catalogue_s`,
-`axiom1_s` and `axiom2_s`) and its max RSS in MB, and the medians of
-the timings and of the RSS.
+A tree is a checkout holding `src/preord`.  Each tree runs `RUNS` times,
+the two trees taking turns, and each run calls
+`pretorsion_verify(EQUIVALENCES, PARTIAL_ORDERS, MAX_N)` with `PYTHONPATH`
+set to the tree's `src`.  The output is one JSON object: per tree, every
+run's verdict, every scalar field of its report (the work counters,
+`catalogue_s`, `axiom1_s` and `axiom2_s`) and its max RSS in MB, and the
+medians of the timings and of the RSS.
 """
 
 import argparse
@@ -32,6 +32,9 @@ print(json.dumps(out))
 
 _MEDIANS = ("catalogue_s", "axiom1_s", "axiom2_s", "max_rss_mb")
 
+RUNS = 3
+MAX_N = 6  # the enumeration cap, HARD_CAP
+
 
 def run(tree: Path, max_n: int) -> dict:
     """One verdict in a fresh interpreter on the sources of `tree`."""
@@ -44,16 +47,14 @@ def run(tree: Path, max_n: int) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs=2, type=Path)
-    parser.add_argument("--runs", type=int, default=3, help="runs per tree")
-    parser.add_argument("--max-n", type=int, default=6)
-    args = parser.parse_args(argv[1:])
-    runs = {str(tree): [] for tree in args.trees}
-    for _ in range(args.runs):
-        for tree in args.trees:
-            runs[str(tree)].append(run(tree, args.max_n))
+    trees = parser.parse_args(argv[1:]).trees
+    runs = {str(tree): [] for tree in trees}
+    for _ in range(RUNS):
+        for tree in trees:
+            runs[str(tree)].append(run(tree, MAX_N))
     medians = {tree: {key: statistics.median(r[key] for r in rs) for key in _MEDIANS}
                for tree, rs in runs.items()}
-    print(json.dumps({"max_n": args.max_n, "runs": runs, "medians": medians}, indent=1))
+    print(json.dumps({"max_n": MAX_N, "runs": runs, "medians": medians}, indent=1))
     return 0
 
 
